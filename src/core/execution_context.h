@@ -10,7 +10,9 @@
  * serving-loop discipline the runtime layer (runtime/session.h) is
  * built on. Kernels accept an optional ExecutionContext*; with none
  * supplied they fall back to per-call construction, so one-shot
- * callers are unaffected.
+ * callers are unaffected. The pool is spawned on the first call that
+ * resolves to two or more workers: single-worker calls run on the
+ * caller, so a threads = 1 client never starts a worker thread.
  *
  * Ownership rules (see DESIGN.md):
  *  - An ExecutionContext is NOT thread-safe: one context serves one

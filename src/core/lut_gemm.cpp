@@ -761,26 +761,59 @@ resolveWorkers(const LutGemmConfig &config, std::size_t m)
 }
 
 /**
- * The pool of one blocked-backend call: the context's persistent pool
- * when one is supplied, else a per-call pool in `local`. The per-call
- * default is deliberate for context-free callers: wait() and the
- * captured first exception are pool-global, so sharing a static pool
- * between concurrent lutGemm callers would entangle their completion
- * and error states (an ExecutionContext makes that single-client
- * contract explicit). The per-call pool clamps workers to the block
- * count — surplus threads would only idle-spin their spawn cost away —
- * while the context pool is sized by the thread knob alone so its size
- * stays stable across calls of different heights.
+ * Runs the row tiles of one blocked-backend call. When a single worker
+ * would run them (threads = 1, or m fits one tile) the tiles run in
+ * order on the calling thread and no pool is acquired: handing them to
+ * a one-worker pool would only add a queue round trip per dispatch.
+ * Otherwise the tiles go to the context's persistent pool when one is
+ * supplied, else to a per-call pool. The per-call default is
+ * deliberate for context-free callers: wait() and the captured first
+ * exception are pool-global, so sharing a static pool between
+ * concurrent lutGemm callers would entangle their completion and
+ * error states (an ExecutionContext makes that single-client contract
+ * explicit). The per-call pool clamps workers to the block count —
+ * surplus threads would only idle-spin their spawn cost away — while
+ * the context pool is sized by the thread knob alone so its size stays
+ * stable across calls of different heights. Either way each tile
+ * computes the same elements in the same order, so where the tiles
+ * run never changes a result.
  */
-ThreadPool &
-acquirePool(ExecutionContext *ctx, const LutGemmConfig &config,
-            std::size_t m, std::optional<ThreadPool> &local)
+class RowTiles
 {
-    if (ctx)
-        return ctx->pool(config.threads);
-    local.emplace(resolveWorkers(config, m));
-    return *local;
-}
+  public:
+    RowTiles(ExecutionContext *ctx, const LutGemmConfig &config,
+             std::size_t m)
+        : m_(m), blockRows_(static_cast<std::size_t>(config.blockRows))
+    {
+        const int workers = resolveWorkers(config, m);
+        if (workers == 1)
+            return;
+        if (ctx) {
+            pool_ = &ctx->pool(config.threads);
+        } else {
+            local_.emplace(workers);
+            pool_ = &*local_;
+        }
+    }
+
+    template <typename Fn>
+    void
+    run(const Fn &fn)
+    {
+        if (pool_) {
+            pool_->parallelForBlocked(m_, blockRows_, fn);
+            return;
+        }
+        for (std::size_t begin = 0; begin < m_; begin += blockRows_)
+            fn(BlockRange{begin, std::min(m_, begin + blockRows_)});
+    }
+
+  private:
+    std::size_t m_;
+    std::size_t blockRows_;
+    std::optional<ThreadPool> local_;
+    ThreadPool *pool_ = nullptr;
+};
 
 /** Per-call workspace, or the context's persistent one. */
 CallWorkspace &
@@ -800,27 +833,24 @@ runThreadedBackend(const LutGemmKernel &kernel,
                    MatrixD &y, LutGemmCounters &cnt,
                    ExecutionContext *ctx)
 {
-    std::optional<ThreadPool> localPool;
-    ThreadPool &pool = acquirePool(ctx, config, m, localPool);
+    RowTiles tiles(ctx, config, m);
     std::mutex counterMutex;
-    pool.parallelForBlocked(
-        m, static_cast<std::size_t>(config.blockRows),
-        [&](BlockRange rows) {
-            // Rows partition the output: no two work items share an
-            // element of y, so only the counter merge needs a lock.
-            // The scratch (arenas included) persists per worker
-            // thread across tiles.
-            static thread_local Scratch s;
-            if constexpr (Instr) {
-                LutGemmCounters blockCnt;
-                kernel.processRows<true>(rows, y, blockCnt, s);
-                std::lock_guard<std::mutex> lock(counterMutex);
-                mergeCounters(cnt, blockCnt);
-            } else {
-                LutGemmCounters unused;
-                kernel.processRows<false>(rows, y, unused, s);
-            }
-        });
+    tiles.run([&](BlockRange rows) {
+        // Rows partition the output: no two work items share an
+        // element of y, so only the counter merge needs a lock.
+        // The scratch (arenas included) persists per executing
+        // thread across tiles.
+        static thread_local Scratch s;
+        if constexpr (Instr) {
+            LutGemmCounters blockCnt;
+            kernel.processRows<true>(rows, y, blockCnt, s);
+            std::lock_guard<std::mutex> lock(counterMutex);
+            mergeCounters(cnt, blockCnt);
+        } else {
+            LutGemmCounters unused;
+            kernel.processRows<false>(rows, y, unused, s);
+        }
+    });
 }
 
 template <bool Instr>
@@ -830,8 +860,7 @@ runPackedBackend(const LutGemmKernel &kernel, const PackedLutKeys &pk,
                  std::size_t batch, MatrixD &y, LutGemmCounters &cnt,
                  ExecutionContext *ctx)
 {
-    std::optional<ThreadPool> localPool;
-    ThreadPool &pool = acquirePool(ctx, config, m, localPool);
+    RowTiles tiles(ctx, config, m);
     std::mutex counterMutex;
     std::optional<CallWorkspace> localWs;
     CallWorkspace &ws = acquireWorkspace(ctx, localWs);
@@ -846,30 +875,28 @@ runPackedBackend(const LutGemmKernel &kernel, const PackedLutKeys &pk,
         else
             kernel.buildIntColumn<Instr>(b, intTables, buildScratch,
                                          cnt);
-        pool.parallelForBlocked(
-            m, static_cast<std::size_t>(config.blockRows),
-            [&, b](BlockRange rows) {
-                static thread_local Scratch s;
-                if constexpr (Instr) {
-                    LutGemmCounters blockCnt;
-                    if (!config.preAligned)
-                        kernel.accumulatePackedFp<true>(
-                            rows, b, pk, fpTables, y, blockCnt, s);
-                    else
-                        kernel.accumulatePackedInt<true>(
-                            rows, b, pk, intTables, y, blockCnt, s);
-                    std::lock_guard<std::mutex> lock(counterMutex);
-                    mergeCounters(cnt, blockCnt);
-                } else {
-                    LutGemmCounters unused;
-                    if (!config.preAligned)
-                        kernel.accumulatePackedFp<false>(
-                            rows, b, pk, fpTables, y, unused, s);
-                    else
-                        kernel.accumulatePackedInt<false>(
-                            rows, b, pk, intTables, y, unused, s);
-                }
-            });
+        tiles.run([&, b](BlockRange rows) {
+            static thread_local Scratch s;
+            if constexpr (Instr) {
+                LutGemmCounters blockCnt;
+                if (!config.preAligned)
+                    kernel.accumulatePackedFp<true>(
+                        rows, b, pk, fpTables, y, blockCnt, s);
+                else
+                    kernel.accumulatePackedInt<true>(
+                        rows, b, pk, intTables, y, blockCnt, s);
+                std::lock_guard<std::mutex> lock(counterMutex);
+                mergeCounters(cnt, blockCnt);
+            } else {
+                LutGemmCounters unused;
+                if (!config.preAligned)
+                    kernel.accumulatePackedFp<false>(
+                        rows, b, pk, fpTables, y, unused, s);
+                else
+                    kernel.accumulatePackedInt<false>(
+                        rows, b, pk, intTables, y, unused, s);
+            }
+        });
     }
 }
 
@@ -888,8 +915,7 @@ runSimdBackend(const LutGemmKernel &kernel, const PackedLutKeys &pk,
                std::size_t batch, MatrixD &y, ExecutionContext *ctx)
 {
     const SimdKernels &simd = simdKernels();
-    std::optional<ThreadPool> localPool;
-    ThreadPool &pool = acquirePool(ctx, config, m, localPool);
+    RowTiles tiles(ctx, config, m);
     std::optional<CallWorkspace> localWs;
     CallWorkspace &ws = acquireWorkspace(ctx, localWs);
     LutGemmCounters unused;
@@ -899,17 +925,13 @@ runSimdBackend(const LutGemmKernel &kernel, const PackedLutKeys &pk,
         else
             kernel.buildIntColumn<false>(b, ws.ig, ws.scratch,
                                          unused);
-        pool.parallelForBlocked(
-            m, static_cast<std::size_t>(config.blockRows),
-            [&, b](BlockRange rows) {
-                static thread_local Scratch s;
-                if (!config.preAligned)
-                    kernel.accumulateSimdFp(rows, b, pk, ws.fp, y, s,
-                                            simd);
-                else
-                    kernel.accumulateSimdInt(rows, b, pk, ws.ig, y, s,
-                                             simd);
-            });
+        tiles.run([&, b](BlockRange rows) {
+            static thread_local Scratch s;
+            if (!config.preAligned)
+                kernel.accumulateSimdFp(rows, b, pk, ws.fp, y, s, simd);
+            else
+                kernel.accumulateSimdInt(rows, b, pk, ws.ig, y, s, simd);
+        });
     }
 }
 

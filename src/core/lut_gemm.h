@@ -173,8 +173,11 @@ void addLutGemmClosedFormCounters(const BcqTensor &weights,
  *                 blocked backends run on its persistent ThreadPool
  *                 and reuse its scratch/arena workspace across calls;
  *                 without one, pool and scratch are constructed per
- *                 call. Outputs are identical either way. A context
- *                 must not be shared by concurrent callers.
+ *                 call. A blocked call that resolves to one worker
+ *                 (threads = 1, or M <= blockRows) runs its row tiles
+ *                 on the calling thread and uses no pool at all.
+ *                 Outputs are identical either way. A context must
+ *                 not be shared by concurrent callers.
  * @return         output matrix, M x B (doubles holding format values)
  */
 MatrixD lutGemm(const BcqTensor &weights, const MatrixD &x,

@@ -107,9 +107,11 @@ ThreadPool::parallelForBlocked(std::size_t total, std::size_t blockSize,
                                const std::function<void(BlockRange)> &fn)
 {
     FIGLUT_ASSERT(blockSize > 0, "parallelForBlocked needs blockSize > 0");
+    // Items hold fn by reference, not a copy per item: wait() below
+    // returns only after every item has run, so fn outlives them all.
     for (std::size_t begin = 0; begin < total; begin += blockSize) {
         const BlockRange range{begin, std::min(total, begin + blockSize)};
-        submit([fn, range] { fn(range); });
+        submit([&fn, range] { fn(range); });
     }
     wait();
 }

@@ -245,6 +245,62 @@ TEST(SimdGemm, ContextReuseIsBitIdentical)
     }
 }
 
+/**
+ * A call that resolves to one worker — threads = 1 over several tiles,
+ * or any thread count when every row fits one tile — runs its tiles on
+ * the calling thread: bit-identical to Reference, and the context
+ * never spawns a pool. The first multi-tile call with two workers on
+ * the same context then spawns exactly one.
+ */
+TEST(SimdGemm, SingleWorkerCallsRunOnCallerWithoutPool)
+{
+    const auto tc = makeCase(40, 48, 3, 3, 16, true, 2350);
+    struct Tiling
+    {
+        int threads;
+        int blockRows;
+    };
+    const Tiling single[] = {{1, 7}, {4, 40}, {4, 64}};
+    for (const auto backend : {LutGemmBackend::Threaded,
+                               LutGemmBackend::Packed,
+                               LutGemmBackend::Simd}) {
+        for (const bool pre : {false, true}) {
+            for (const bool instrument : {false, true}) {
+                LutGemmConfig cfg;
+                cfg.preAligned = pre;
+                cfg.instrument = instrument;
+                const auto ref =
+                    runBackend(tc, cfg, LutGemmBackend::Reference);
+                cfg.backend = backend;
+                const std::string what =
+                    "backend " + std::to_string(static_cast<int>(backend)) +
+                    " pre " + std::to_string(pre) + " instrument " +
+                    std::to_string(instrument);
+
+                ExecutionContext ctx;
+                for (const Tiling t : single) {
+                    cfg.threads = t.threads;
+                    cfg.blockRows = t.blockRows;
+                    const auto y =
+                        lutGemm(tc.weights, tc.x, cfg, nullptr, &ctx);
+                    EXPECT_TRUE(compareMatrices(y, ref).identical)
+                        << what << " threads " << t.threads
+                        << " blockRows " << t.blockRows;
+                }
+                EXPECT_FALSE(ctx.hasPool()) << what;
+                EXPECT_EQ(ctx.poolSpawns(), 0u) << what;
+
+                cfg.threads = 2;
+                cfg.blockRows = 8;
+                const auto y = lutGemm(tc.weights, tc.x, cfg, nullptr, &ctx);
+                EXPECT_TRUE(compareMatrices(y, ref).identical) << what;
+                EXPECT_EQ(ctx.poolSpawns(), 1u) << what;
+                EXPECT_EQ(ctx.poolThreads(), 2) << what;
+            }
+        }
+    }
+}
+
 TEST(SimdGemm, PrepackedKeysReuse)
 {
     const auto tc = makeCase(24, 48, 2, 3, 12, true, 2400);
