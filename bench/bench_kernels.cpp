@@ -464,6 +464,174 @@ BM_QuantizeBcq(benchmark::State &state)
 }
 BENCHMARK(BM_QuantizeBcq)->Arg(2)->Arg(4);
 
+/**
+ * The activation rounding one LUT-GEMM column pays per 128-element
+ * group: lutGemm's storage-format pass (quantizeToFormat per element),
+ * then preAlign, which rounds each value again before aligning it.
+ * ns_per_iter is one group; the ns_per_element counter divides it by
+ * the group size.
+ */
+void
+BM_QuantizeActivations(benchmark::State &state, ActFormat fmt)
+{
+    constexpr std::size_t kGroup = 128;
+    Rng rng(8);
+    const auto x = rng.normalVector(kGroup);
+    std::vector<double> xq(kGroup);
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < kGroup; ++i)
+            xq[i] = quantizeToFormat(x[i], fmt);
+        auto block = preAlign(xq, fmt);
+        benchmark::DoNotOptimize(block.mantissas.data());
+    }
+    state.SetItemsProcessed(state.iterations() * kGroup);
+    // Inverted iteration-invariant rate: seconds per (kGroup * 1e-9)
+    // elements, i.e. nanoseconds per element.
+    state.counters["ns_per_element"] = benchmark::Counter(
+        static_cast<double>(kGroup) * 1e-9,
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_QuantizeActivations, fp16, ActFormat::FP16);
+BENCHMARK_CAPTURE(BM_QuantizeActivations, bf16, ActFormat::BF16);
+
+/**
+ * One activation column of the Simd FIGLUT-I GEMMs of a 2-layer
+ * h=128 decoder (the perfbench model: QKV 384x128, out-proj 128x128,
+ * FC1 512x128, FC2 128x512 per layer; q4 with offsets, one scale group
+ * per row, mu 4, FP16 activations, FP32 arithmetic), split into the
+ * stages lutGemm runs for it. Each stage repeats the kernel's work for
+ * the column through the same library calls:
+ *   0 round     quantizeToFormat of every activation (lutGemm's pass)
+ *   1 align     preAlign of each GEMM's activations
+ *   2 lutgen    generateFullIntInto for every mu-chunk
+ *   3 reads     the dispatched accumIntSpan walk per (GEMM, plane)
+ *   4 epilogue  the per-row alpha / offset / y-fold fpAdd chain
+ *   5 column    the whole lutGemm calls (threads 1, packed keys)
+ * ns_per_iter is one column. Stages 0-4 sum to roughly stage 5; the
+ * rest is per-call setup.
+ */
+void
+BM_GemmColumnStage(benchmark::State &state)
+{
+    static const std::size_t kShapes[][2] = {
+        {384, 128}, {128, 128}, {512, 128}, {128, 512}};
+    struct Gemm
+    {
+        BcqTensor w;
+        PackedLutKeys keys;
+        MatrixD x;
+        std::vector<double> xq;
+        AlignedBlock block;
+        std::vector<int64_t> arena; // decoded 2^mu tables, one per chunk
+        std::vector<std::vector<int64_t>> psums; // per plane
+        double sumx = 0.0;
+    };
+    LutGemmConfig cfg;
+    cfg.preAligned = true;
+    cfg.backend = LutGemmBackend::Simd;
+    cfg.threads = 1;
+    const LutGenerator gen(cfg.mu, cfg.arith);
+    const std::size_t entries = lutEntries(cfg.mu);
+    const SimdKernels &simd = simdKernels();
+    Rng rng(12);
+    std::vector<Gemm> gemms;
+    for (int layer = 0; layer < 2; ++layer) {
+        for (const auto &shape : kShapes) {
+            Gemm g;
+            g.w = benchTensor(shape[0], shape[1], 4);
+            g.keys = packLutKeys(g.w, cfg.mu);
+            g.x = syntheticActivations(shape[1], 1, rng);
+            for (std::size_t c = 0; c < shape[1]; ++c)
+                g.xq.push_back(quantizeToFormat(g.x(c, 0), cfg.actFormat));
+            g.block = preAlign(g.xq, cfg.actFormat, cfg.alignFracBits);
+            g.arena.resize(g.keys.totalChunks * entries);
+            for (std::size_t ch = 0; ch < g.keys.totalChunks; ++ch)
+                gen.generateFullIntInto(
+                    g.block.mantissas.data() + ch * cfg.mu,
+                    g.arena.data() + ch * entries);
+            int64_t sum_mant = 0;
+            for (const int64_t v : g.block.mantissas)
+                sum_mant += v;
+            g.sumx = static_cast<double>(sum_mant) * g.block.scale();
+            for (int i = 0; i < g.w.bits; ++i) {
+                g.psums.emplace_back(shape[0], 0);
+                simd.accumIntSpan(g.psums.back().data(), g.arena.data(),
+                                  entries, g.keys.chunkKeys(i, 0),
+                                  shape[0], g.keys.totalChunks, shape[0]);
+            }
+            gemms.push_back(std::move(g));
+        }
+    }
+    ExecutionContext ctx(1);
+    std::vector<double> xq, acc, y;
+    std::vector<int64_t> psum;
+    const auto stage = state.range(0);
+    for (auto _ : state) {
+        for (Gemm &g : gemms) {
+            const std::size_t m = g.w.rows, n = g.w.cols;
+            switch (stage) {
+              case 0:
+                xq.resize(n);
+                for (std::size_t c = 0; c < n; ++c)
+                    xq[c] = quantizeToFormat(g.x(c, 0), cfg.actFormat);
+                benchmark::DoNotOptimize(xq.data());
+                break;
+              case 1:
+                g.block = preAlign(g.xq, cfg.actFormat, cfg.alignFracBits);
+                break;
+              case 2:
+                for (std::size_t ch = 0; ch < g.keys.totalChunks; ++ch)
+                    gen.generateFullIntInto(
+                        g.block.mantissas.data() + ch * cfg.mu,
+                        g.arena.data() + ch * entries);
+                break;
+              case 3:
+                psum.assign(m, 0);
+                for (int i = 0; i < g.w.bits; ++i)
+                    simd.accumIntSpan(psum.data(), g.arena.data(), entries,
+                                      g.keys.chunkKeys(i, 0), m,
+                                      g.keys.totalChunks, m);
+                benchmark::DoNotOptimize(psum.data());
+                break;
+              case 4: {
+                const double scale = g.block.scale();
+                acc.assign(m, 0.0);
+                y.assign(m, 0.0);
+                for (int i = 0; i < g.w.bits; ++i)
+                    for (std::size_t r = 0; r < m; ++r)
+                        acc[r] = fpAdd(
+                            acc[r],
+                            fpRound(g.w.alphas[i](r, 0) *
+                                        (static_cast<double>(
+                                             g.psums[i][r]) *
+                                         scale),
+                                    cfg.arith),
+                            cfg.arith);
+                for (std::size_t r = 0; r < m; ++r) {
+                    acc[r] = fpAdd(acc[r],
+                                   fpRound(g.w.offsets(r, 0) * g.sumx,
+                                           cfg.arith),
+                                   cfg.arith);
+                    y[r] = fpAdd(y[r], acc[r], cfg.arith);
+                }
+                benchmark::DoNotOptimize(y.data());
+                break;
+              }
+              default: {
+                auto out = lutGemm(g.w, g.x, cfg, g.keys, nullptr, &ctx);
+                benchmark::DoNotOptimize(out.data());
+              }
+            }
+        }
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_GemmColumnStage)
+    ->ArgName("stage")
+    ->DenseRange(0, 5)
+    ->Unit(benchmark::kMicrosecond);
+
 void
 BM_SimulateGemm(benchmark::State &state)
 {

@@ -4,24 +4,6 @@
 
 namespace figlut {
 
-double
-fpRound(double v, FpArith mode)
-{
-    switch (mode) {
-      case FpArith::Exact: return v;
-      case FpArith::Fp32: return quantizeToFormat(v, ActFormat::FP32);
-      case FpArith::Fp16: return quantizeToFormat(v, ActFormat::FP16);
-      case FpArith::Bf16: return quantizeToFormat(v, ActFormat::BF16);
-    }
-    panic("unknown FpArith mode");
-}
-
-double
-fpAdd(double a, double b, FpArith mode)
-{
-    return fpRound(a + b, mode);
-}
-
 LutD::LutD(int mu, std::vector<double> values)
     : mu_(mu), values_(std::move(values))
 {

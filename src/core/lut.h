@@ -31,11 +31,28 @@ enum class FpArith
     Bf16,   ///< round every add to bfloat16 (stress/ablation)
 };
 
-/** Apply one FP addition in the given arithmetic mode. */
-double fpAdd(double a, double b, FpArith mode);
+/**
+ * Round a value into the representation used by the mode. Inline: the
+ * LUT-GEMM epilogue calls it once per (row, group, plane).
+ */
+inline double
+fpRound(double v, FpArith mode)
+{
+    switch (mode) {
+      case FpArith::Exact: return v;
+      case FpArith::Fp32: return static_cast<float>(v);
+      case FpArith::Fp16: return quantizeToFormat(v, ActFormat::FP16);
+      case FpArith::Bf16: return quantizeToFormat(v, ActFormat::BF16);
+    }
+    panic("unknown FpArith mode");
+}
 
-/** Round a value into the representation used by the mode. */
-double fpRound(double v, FpArith mode);
+/** Apply one FP addition in the given arithmetic mode. */
+inline double
+fpAdd(double a, double b, FpArith mode)
+{
+    return fpRound(a + b, mode);
+}
 
 /** Full look-up table over doubles. */
 class LutD

@@ -410,8 +410,8 @@ class LutGemmKernel
      * by the dispatched vector kernels (core/simd.h). Rows are
      * independent lanes, so each row's psum sequence is exactly the
      * Packed one; the FpArith::Fp32 per-add rounding is the binary32
-     * round-trip the kernels implement (equal to fpAdd's softfloat
-     * RNE rounding — the 4-backend suite proves it), and Fp16/Bf16 —
+     * round-trip the kernels implement (the same conversion fpAdd
+     * applies — the 4-backend suite proves it), and Fp16/Bf16 —
      * whose per-add rounding has no hardware vector equivalent —
      * fall back to the scalar Packed loop entirely. The alpha /
      * offset / y-fold stages reuse the exact Packed scalar code:

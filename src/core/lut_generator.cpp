@@ -1,8 +1,19 @@
 #include "core/lut_generator.h"
 
+#include <array>
+
 #include "common/logging.h"
 
 namespace figlut {
+
+namespace {
+
+// Tree temporaries at the largest group size: the upper part has
+// ceil(mu/2) - 1 free signs, the lower part floor(mu/2).
+constexpr uint32_t kMaxUpperPatterns = lutEntries((kMaxMu + 1) / 2 - 1);
+constexpr uint32_t kMaxLowerPatterns = lutEntries(kMaxMu / 2);
+
+} // namespace
 
 GeneratorStats
 lutGeneratorAdderCount(int mu)
@@ -45,13 +56,14 @@ LutGenerator::LutGenerator(int mu, FpArith mode)
 void
 LutGenerator::generateFullInto(const double *xs, double *out) const
 {
+    // mu >= 2 (lutGeneratorAdderCount checks it), so l >= 1.
     const int h = (mu_ + 1) / 2;
     const int l = mu_ - h;
 
     // Upper patterns: leading sign fixed +; bits enumerate signs of
     // x2..xh (bit value 1 => +), MSB-first to match key layout.
     const uint32_t upper_n = lutEntries(h - 1);
-    std::vector<double> upper(upper_n, 0.0);
+    std::array<double, kMaxUpperPatterns> upper{};
     for (uint32_t u = 0; u < upper_n; ++u) {
         double acc = fpRound(xs[0], mode_);
         for (int j = 1; j < h; ++j) {
@@ -64,7 +76,7 @@ LutGenerator::generateFullInto(const double *xs, double *out) const
 
     // Lower patterns: all sign combinations of x_{h+1}..x_mu.
     const uint32_t lower_n = lutEntries(l);
-    std::vector<double> lower(lower_n, 0.0);
+    std::array<double, kMaxLowerPatterns> lower{};
     for (uint32_t p = 0; p < lower_n; ++p) {
         const int sign0 = ((p >> (l - 1)) & 1u) ? 1 : -1;
         double acc = fpRound(sign0 * xs[static_cast<std::size_t>(h)],
@@ -77,21 +89,17 @@ LutGenerator::generateFullInto(const double *xs, double *out) const
         lower[p] = acc;
     }
 
-    // Combine: stored index = (upper bits << l) | lower bits.
-    std::vector<double> half(lutEntries(mu_ - 1), 0.0);
-    if (l == 0) {
-        half = upper;
-    } else {
-        for (uint32_t u = 0; u < upper_n; ++u)
-            for (uint32_t p = 0; p < lower_n; ++p)
-                half[(u << l) | p] = fpAdd(upper[u], lower[p], mode_);
-    }
-
-    // Mirror into the full table: MSB = 1 entries are the generated
+    // Combine at stored index (upper bits << l) | lower bits, and
+    // mirror into the full table: MSB = 1 entries are the generated
     // half, MSB = 0 entries their negated complements.
-    for (uint32_t low = 0; low < half.size(); ++low) {
-        out[(1u << (mu_ - 1)) | low] = half[low];
-        out[complementKey((1u << (mu_ - 1)) | low, mu_)] = -half[low];
+    const uint32_t msb = 1u << (mu_ - 1);
+    for (uint32_t u = 0; u < upper_n; ++u) {
+        for (uint32_t p = 0; p < lower_n; ++p) {
+            const uint32_t key = msb | (u << l) | p;
+            const double v = fpAdd(upper[u], lower[p], mode_);
+            out[key] = v;
+            out[complementKey(key, mu_)] = -v;
+        }
     }
 }
 
@@ -115,7 +123,7 @@ LutGenerator::generateFullIntInto(const int64_t *xs, int64_t *out) const
     const int l = mu_ - h;
 
     const uint32_t upper_n = lutEntries(h - 1);
-    std::vector<int64_t> upper(upper_n, 0);
+    std::array<int64_t, kMaxUpperPatterns> upper{};
     for (uint32_t u = 0; u < upper_n; ++u) {
         int64_t acc = xs[0];
         for (int j = 1; j < h; ++j) {
@@ -126,7 +134,7 @@ LutGenerator::generateFullIntInto(const int64_t *xs, int64_t *out) const
     }
 
     const uint32_t lower_n = lutEntries(l);
-    std::vector<int64_t> lower(lower_n, 0);
+    std::array<int64_t, kMaxLowerPatterns> lower{};
     for (uint32_t p = 0; p < lower_n; ++p) {
         int64_t acc = 0;
         for (int j = 0; j < l; ++j) {
@@ -136,14 +144,13 @@ LutGenerator::generateFullIntInto(const int64_t *xs, int64_t *out) const
         lower[p] = acc;
     }
 
+    const uint32_t msb = 1u << (mu_ - 1);
     for (uint32_t u = 0; u < upper_n; ++u) {
         for (uint32_t p = 0; p < lower_n; ++p) {
-            const uint32_t low = l == 0 ? u : ((u << l) | p);
-            const int64_t v = l == 0 ? upper[u] : upper[u] + lower[p];
-            out[(1u << (mu_ - 1)) | low] = v;
-            out[complementKey((1u << (mu_ - 1)) | low, mu_)] = -v;
-            if (l == 0)
-                break;
+            const uint32_t key = msb | (u << l) | p;
+            const int64_t v = upper[u] + lower[p];
+            out[key] = v;
+            out[complementKey(key, mu_)] = -v;
         }
     }
 }

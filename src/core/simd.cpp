@@ -14,7 +14,7 @@ namespace simd_detail {
  * Scalar kernel set — the bit-identity reference every ISA table must
  * reproduce. These are deliberately plain loops: the GEMM contract's
  * round-to-binary32 is the hardware double->float->double round-trip
- * (identical to the softfloat RNE rounding of fpAdd, which the
+ * (the same conversion fpRound() applies for FpArith::Fp32, which the
  * 4-backend differential suite proves), and the reductions follow the
  * fixed kSimdReduceLanes-strided order documented in simd.h.
  */

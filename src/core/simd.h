@@ -124,8 +124,8 @@ struct SimdKernels
      *   for c = 0, 1, ..., chunks-1
      *
      * The per-add rounding is the IEEE double->float->double
-     * round-trip, which equals the softfloat RNE rounding fpAdd()
-     * applies (proven by the 4-backend differential suite). Spanning
+     * round-trip, the same Fp32 conversion fpAdd() applies (proven
+     * by the 4-backend differential suite). Spanning
      * all chunks per call — rather than one kernel call per chunk —
      * is what lets every ISA keep the accumulator out of memory for
      * the whole walk; per-row accumulation order is chunk-sequential

@@ -12,7 +12,7 @@
  * bit: vector lanes hold independent rows/elements (or the fixed
  * strided reduction lanes), the FpArith::Fp32 rounding is the
  * VCVTPD2PS/VCVTPS2PD round-trip (IEEE round-to-nearest-even to
- * binary32, the same rounding the softfloat path applies), and no
+ * binary32, the same rounding fpRound() applies), and no
  * multiply-add is fused (-ffp-contract=off build-wide, and only
  * explicit mul/add intrinsics here).
  */

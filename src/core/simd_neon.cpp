@@ -8,8 +8,8 @@
  * executable. Lanes are 2 x double wide; the 4-logical-lane reduction
  * contract is implemented as two vector accumulators, and the
  * FpArith::Fp32 rounding is the FCVTN/FCVTL double<->float round-trip
- * (IEEE round-to-nearest-even, matching the softfloat rounding). The
- * piecewise-linear GELU kernel reuses the scalar implementation —
+ * (IEEE round-to-nearest-even, the same conversion fpRound() applies).
+ * The piecewise-linear GELU kernel reuses the scalar implementation —
  * there is no NEON gather to vectorize the table reads with.
  */
 

@@ -1,6 +1,7 @@
 #include "numerics/prealign.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.h"
 
@@ -41,9 +42,12 @@ preAlign(const std::vector<double> &values, ActFormat fmt, int frac_bits,
             fatal("pre-alignment input ", i, " is not finite");
         quantized[i] = q;
         if (q != 0.0) {
-            int e = 0;
-            (void)std::frexp(std::fabs(q), &e);
-            const int unbiased = e - 1;
+            // Every non-zero FP16/BF16/FP32 value is a normal double,
+            // so the unbiased exponent is the biased field minus 1023.
+            uint64_t bits = 0;
+            std::memcpy(&bits, &q, sizeof(bits));
+            const int unbiased =
+                static_cast<int>((bits >> 52) & 0x7ffu) - 1023;
             max_exp = any ? std::max(max_exp, unbiased) : unbiased;
             any = true;
         }

@@ -1,6 +1,7 @@
 #include "numerics/softfloat.h"
 
-#include <cmath>
+#include <algorithm>
+#include <cstring>
 #include <limits>
 
 #include "common/logging.h"
@@ -9,18 +10,24 @@ namespace figlut {
 
 namespace {
 
-/** Round a non-negative exact double to the nearest integer, ties even. */
-double
-rneToInteger(double y)
+constexpr int kDoubleMantBits = 52;
+constexpr int kDoubleBias = 1023;
+constexpr uint64_t kDoubleMantMask = (uint64_t{1} << kDoubleMantBits) - 1;
+
+uint64_t
+doubleBits(double x)
 {
-    const double f = std::floor(y);
-    const double d = y - f;
-    if (d > 0.5)
-        return f + 1.0;
-    if (d < 0.5)
-        return f;
-    // Tie: round to even.
-    return (std::fmod(f, 2.0) == 0.0) ? f : f + 1.0;
+    uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof(bits));
+    return bits;
+}
+
+double
+doubleFromBits(uint64_t bits)
+{
+    double x = 0.0;
+    std::memcpy(&x, &bits, sizeof(x));
+    return x;
 }
 
 } // namespace
@@ -31,52 +38,47 @@ roundToFormat(double x, const FpSpec &spec)
     const int mant = spec.mantBits;
     const uint32_t sign_bit = 1u << (spec.expBits + mant);
     const uint32_t exp_mask = ((1u << spec.expBits) - 1u) << mant;
-    const uint32_t mant_mask = (1u << mant) - 1u;
 
-    if (std::isnan(x))
-        return exp_mask | (1u << (mant - 1)); // canonical qNaN
+    const uint64_t bits = doubleBits(x);
+    const uint32_t sign = (bits >> 63) ? sign_bit : 0u;
+    const int dexp = static_cast<int>((bits >> kDoubleMantBits) & 0x7ffu);
+    const uint64_t dmant = bits & kDoubleMantMask;
 
-    const bool negative = std::signbit(x);
-    const uint32_t sign = negative ? sign_bit : 0u;
-    double a = std::fabs(x);
-
-    if (a == 0.0)
-        return sign; // signed zero
-
-    if (std::isinf(x))
+    if (dexp == 0x7ff) {
+        if (dmant != 0)
+            return exp_mask | (1u << (mant - 1)); // canonical qNaN
         return sign | exp_mask;
-
-    int e = 0;
-    // a = m * 2^e with m in [0.5, 1)  =>  significand s = 2m in [1, 2).
-    (void)std::frexp(a, &e);
-    int unbiased = e - 1;
-
-    if (unbiased >= spec.minExp()) {
-        // Normal candidate: scale so the significand occupies
-        // [2^mant, 2^(mant+1)), then round.
-        double scaled = std::ldexp(a, mant - unbiased);
-        double r = rneToInteger(scaled);
-        if (r >= std::ldexp(1.0, mant + 1)) {
-            // Carry out of the mantissa: exponent grows by one.
-            r = std::ldexp(1.0, mant);
-            ++unbiased;
-        }
-        if (unbiased > spec.maxExp())
-            return sign | exp_mask; // overflow -> infinity
-        const auto mant_bits =
-            static_cast<uint32_t>(r - std::ldexp(1.0, mant));
-        const auto exp_field =
-            static_cast<uint32_t>(unbiased + spec.bias());
-        return sign | (exp_field << mant) | (mant_bits & mant_mask);
     }
+    // Zero and double subnormals (< 2^-1022) lie far below half the
+    // smallest subnormal of any narrow format: signed zero.
+    if (dexp == 0)
+        return sign;
 
-    // Subnormal candidate: fixed scale 2^(mant - minExp).
-    double scaled = std::ldexp(a, mant - spec.minExp());
-    double r = rneToInteger(scaled);
-    if (r >= std::ldexp(1.0, mant)) {
-        // Rounded up into the smallest normal.
-        return sign | (1u << mant);
-    }
+    // |x| = sig * 2^(e - 52) with the hidden bit restored. Below the
+    // format's normal range the quantum stays at 2^(minExp - mant), so
+    // the shift grows by the exponent deficit.
+    const int e = dexp - kDoubleBias;
+    const int ee = std::max(e, spec.minExp());
+    const int shift = kDoubleMantBits - mant + (ee - e);
+    if (shift > kDoubleMantBits + 1)
+        return sign; // below half the smallest subnormal
+    const uint64_t sig = dmant | (uint64_t{1} << kDoubleMantBits);
+
+    // Round to nearest, ties to even, on the shifted-out remainder.
+    uint64_t q = sig >> shift;
+    const uint64_t rem = sig & ((uint64_t{1} << shift) - 1u);
+    const uint64_t half = uint64_t{1} << (shift - 1);
+    if (rem > half || (rem == half && (q & 1u)))
+        ++q;
+
+    // q carries the hidden bit for normals, so adding it to the field
+    // base lets a mantissa carry run into the exponent, and a subnormal
+    // rounding up to 2^mant become the smallest normal. Overflow
+    // saturates to infinity.
+    const uint64_t r =
+        (static_cast<uint64_t>(ee + spec.bias() - 1) << mant) + q;
+    if (r >= exp_mask)
+        return sign | exp_mask;
     return sign | static_cast<uint32_t>(r);
 }
 
@@ -85,24 +87,30 @@ decodeFormat(uint32_t bits, const FpSpec &spec)
 {
     const int mant = spec.mantBits;
     const uint32_t sign_bit = 1u << (spec.expBits + mant);
-    const uint32_t exp_field = (bits >> mant) & ((1u << spec.expBits) - 1u);
+    const uint32_t exp_all = (1u << spec.expBits) - 1u;
+    const uint32_t exp_field = (bits >> mant) & exp_all;
     const uint32_t mant_field = bits & ((1u << mant) - 1u);
-    const double sign = (bits & sign_bit) ? -1.0 : 1.0;
+    const uint64_t sign = (bits & sign_bit) ? uint64_t{1} << 63 : 0u;
 
-    if (exp_field == ((1u << spec.expBits) - 1u)) {
+    if (exp_field == exp_all) {
         if (mant_field)
-            return std::nan("");
-        return sign * std::numeric_limits<double>::infinity();
+            return std::numeric_limits<double>::quiet_NaN();
+        return doubleFromBits(sign | (uint64_t{0x7ff} << kDoubleMantBits));
     }
     if (exp_field == 0) {
-        // Subnormal (or zero): value = mant * 2^(minExp - mantBits).
-        return sign * std::ldexp(static_cast<double>(mant_field),
-                                 spec.minExp() - mant);
+        // Subnormal (or zero): mant * 2^(minExp - mantBits), where the
+        // power of two is an exact normal double.
+        const double quantum = doubleFromBits(
+            static_cast<uint64_t>(spec.minExp() - mant + kDoubleBias)
+            << kDoubleMantBits);
+        return doubleFromBits(
+            sign | doubleBits(static_cast<double>(mant_field) * quantum));
     }
     const int unbiased = static_cast<int>(exp_field) - spec.bias();
-    const double significand =
-        1.0 + std::ldexp(static_cast<double>(mant_field), -mant);
-    return sign * std::ldexp(significand, unbiased);
+    return doubleFromBits(
+        sign |
+        (static_cast<uint64_t>(unbiased + kDoubleBias) << kDoubleMantBits) |
+        (static_cast<uint64_t>(mant_field) << (kDoubleMantBits - mant)));
 }
 
 uint32_t

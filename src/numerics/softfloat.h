@@ -5,7 +5,8 @@
  * FIGLUT's accuracy evaluation (Table IV) needs *bit-exact* emulation of
  * narrow floating-point formats on the host. The core primitive is
  * "round this double to a (mant_bits, exp_bits) binary format with
- * round-to-nearest-even", implemented without relying on the host FPU
+ * round-to-nearest-even", implemented as integer arithmetic on the
+ * double's bit pattern, so it needs neither libm nor the host FPU
  * rounding mode.
  *
  * Correctness argument used throughout: the sum or product of two
@@ -46,7 +47,8 @@ inline constexpr FpSpec kFp32Spec{23, 8};
  *
  * Handles signed zero, subnormals, overflow-to-infinity and NaN
  * (canonical quiet NaN). The result is the format's bit pattern in the
- * low bits of the return value.
+ * low bits of the return value. Formats narrower than double only:
+ * mantBits <= 51 and expBits <= 10.
  */
 uint32_t roundToFormat(double x, const FpSpec &spec);
 

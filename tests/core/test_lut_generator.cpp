@@ -89,7 +89,7 @@ TEST_P(GeneratorMuSweep, IntegerModeEqualsDirectExactly)
 }
 
 INSTANTIATE_TEST_SUITE_P(Mu, GeneratorMuSweep,
-                         ::testing::Values(2, 3, 4, 5, 6, 7, 8));
+                         ::testing::Range(2, kMaxMu + 1));
 
 TEST(Generator, Fp32ModeStaysWithinOneUlpOfDirect)
 {

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <random>
+#include <vector>
 
+#include "numerics/fp_format.h"
 #include "numerics/softfloat.h"
 
 namespace figlut {
@@ -133,6 +138,188 @@ TEST(UlpDistance, AdjacentAndSignedPatterns)
 TEST(UlpDistance, NanIsMaximal)
 {
     EXPECT_EQ(ulpDistance(0x7E00u, 0x3C00u, kFp16Spec), ~0u);
+}
+
+/**
+ * Brute-force rounding oracle: the sorted table of every non-negative
+ * finite value of a format, extended by 2^(maxExp + 1) at the infinity
+ * pattern. Pattern order is value order, and the extension makes
+ * round-to-nearest-even overflow to infinity exactly when the table
+ * lookup picks the infinity pattern.
+ */
+class FormatOracle
+{
+  public:
+    explicit FormatOracle(const FpSpec &spec)
+        : spec_(spec),
+          signBit_(1u << (spec.expBits + spec.mantBits)),
+          expMask_(((1u << spec.expBits) - 1u) << spec.mantBits)
+    {
+        for (uint32_t p = 0; p <= expMask_; ++p) {
+            const int e = static_cast<int>(p >> spec.mantBits);
+            const uint32_t m = p & ((1u << spec.mantBits) - 1u);
+            const double sig = e == 0 ? m : (1u << spec.mantBits) + m;
+            const int scale = std::max(e, 1) - spec.bias() - spec.mantBits;
+            values_.push_back(std::ldexp(sig, scale));
+        }
+    }
+
+    uint32_t signBit() const { return signBit_; }
+    uint32_t expMask() const { return expMask_; }
+    const std::vector<double> &magnitudes() const { return values_; }
+
+    /** Nearest pattern, ties to the even pattern; canonical qNaN. */
+    uint32_t
+    round(double x) const
+    {
+        if (std::isnan(x))
+            return expMask_ | (1u << (spec_.mantBits - 1));
+        const uint32_t sign = std::signbit(x) ? signBit_ : 0u;
+        const double a = std::fabs(x);
+        const auto it = std::lower_bound(values_.begin(), values_.end(), a);
+        if (it == values_.end())
+            return sign | expMask_;
+        const auto hi = static_cast<uint32_t>(it - values_.begin());
+        if (*it == a)
+            return sign | hi;
+        // Adjacent table values have few significant bits, so their
+        // midpoint is exact.
+        const uint32_t lo = hi - 1;
+        const double mid = 0.5 * (values_[lo] + values_[hi]);
+        if (a < mid)
+            return sign | lo;
+        if (a > mid)
+            return sign | hi;
+        return sign | ((lo & 1u) ? hi : lo);
+    }
+
+    /** Exact value of a pattern (NaN patterns give NaN). */
+    double
+    decode(uint32_t bits) const
+    {
+        const uint32_t mag = bits & (signBit_ - 1u);
+        double v = 0.0;
+        if (mag > expMask_)
+            v = std::numeric_limits<double>::quiet_NaN();
+        else if (mag == expMask_)
+            v = std::numeric_limits<double>::infinity();
+        else
+            v = values_[mag];
+        return (bits & signBit_) ? -v : v;
+    }
+
+  private:
+    FpSpec spec_;
+    uint32_t signBit_;
+    uint32_t expMask_;
+    std::vector<double> values_;
+};
+
+uint64_t
+bitsOf(double x)
+{
+    uint64_t b = 0;
+    std::memcpy(&b, &x, sizeof(b));
+    return b;
+}
+
+double
+fromBits(uint64_t b)
+{
+    double x = 0.0;
+    std::memcpy(&x, &b, sizeof(x));
+    return x;
+}
+
+/** Same double, or both NaN: -0.0 and +0.0 differ. */
+bool
+sameDouble(double a, double b)
+{
+    return (std::isnan(a) && std::isnan(b)) || bitsOf(a) == bitsOf(b);
+}
+
+/**
+ * Check roundToFormat, decodeFormat and quantizeToFormat against the
+ * oracle on every pattern and on a fixed set of rounding-boundary and
+ * random inputs.
+ */
+void
+checkAgainstOracle(const FpSpec &spec, ActFormat fmt, uint64_t seed)
+{
+    const FormatOracle oracle(spec);
+    const uint32_t patterns = oracle.signBit() << 1;
+
+    int failures = 0;
+    auto report = [&failures]() -> bool { return ++failures <= 10; };
+
+    for (uint32_t p = 0; p < patterns; ++p) {
+        if (!sameDouble(decodeFormat(p, spec), oracle.decode(p)) &&
+            report())
+            ADD_FAILURE() << "decodeFormat(0x" << std::hex << p << ")";
+    }
+
+    std::vector<double> inputs;
+    const auto &mags = oracle.magnitudes();
+    for (std::size_t i = 0; i < mags.size(); ++i) {
+        inputs.push_back(mags[i]);
+        if (i + 1 == mags.size())
+            break;
+        const double mid = 0.5 * (mags[i] + mags[i + 1]);
+        inputs.push_back(mid);
+        inputs.push_back(std::nextafter(mid, 0.0));
+        inputs.push_back(std::nextafter(mid, HUGE_VAL));
+    }
+    const double min_sub = mags[1];
+    const double denorm = std::numeric_limits<double>::denorm_min();
+    for (const double v :
+         {65504.0, 65519.99, 65520.0, 0.5 * min_sub, 0.75 * min_sub,
+          denorm, std::ldexp(1.0, -1030),
+          std::numeric_limits<double>::min() - denorm, 0.0,
+          std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::max()})
+        inputs.push_back(v);
+
+    // Random doubles: half are raw 64-bit patterns (mostly far outside
+    // the format), half keep the exponent near the format's range.
+    std::mt19937_64 rng(seed);
+    const int lo_exp = spec.minExp() - spec.mantBits - 3;
+    const int hi_exp = spec.maxExp() + 2;
+    for (int i = 0; i < 500000; ++i) {
+        inputs.push_back(fromBits(rng()));
+        const auto e = static_cast<uint64_t>(
+            lo_exp + static_cast<int>(rng() % (hi_exp - lo_exp + 1)) +
+            1023);
+        inputs.push_back(
+            fromBits((rng() & ((uint64_t{1} << 52) - 1)) | (e << 52)));
+    }
+
+    const std::size_t n = inputs.size();
+    for (std::size_t i = 0; i < n; ++i)
+        inputs.push_back(-inputs[i]);
+    inputs.push_back(std::numeric_limits<double>::quiet_NaN());
+    inputs.push_back(-std::numeric_limits<double>::quiet_NaN());
+
+    for (const double x : inputs) {
+        const uint32_t want = oracle.round(x);
+        const uint32_t got = roundToFormat(x, spec);
+        if (got != want && report())
+            ADD_FAILURE() << "roundToFormat(" << x << ") = 0x" << std::hex
+                          << got << ", want 0x" << want;
+        if (!sameDouble(quantizeToFormat(x, fmt), oracle.decode(want)) &&
+            report())
+            ADD_FAILURE() << "quantizeToFormat(" << x << ")";
+    }
+    EXPECT_EQ(failures, 0);
+}
+
+TEST(SoftfloatOracle, Fp16MatchesNearestTableLookup)
+{
+    checkAgainstOracle(kFp16Spec, ActFormat::FP16, 16);
+}
+
+TEST(SoftfloatOracle, Bf16MatchesNearestTableLookup)
+{
+    checkAgainstOracle(kBf16Spec, ActFormat::BF16, 17);
 }
 
 } // namespace
