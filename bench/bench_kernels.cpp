@@ -204,7 +204,7 @@ BENCHMARK(BM_LutGemmPacked)
  * expected on an AVX2 host; on hosts where dispatch falls back to the
  * scalar table the ratio is ~1x and the outputs stay bit-identical by
  * construction). "simd_isa" tags each --json record with the
- * dispatched ISA code (0 scalar, 1 AVX2, 2 NEON).
+ * dispatched ISA code (0 scalar, 1 AVX2, 2 NEON, 3 AVX-512).
  */
 void
 BM_LutGemmSimd(benchmark::State &state)

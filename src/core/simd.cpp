@@ -168,7 +168,8 @@ const SimdKernels kScalarKernels = {
 };
 
 #if FIGLUT_HAVE_AVX2_KERNELS
-const SimdKernels &avx2Kernels(); // simd_avx2.cpp (built with -mavx2)
+const SimdKernels &avx2Kernels();   // simd_avx2.cpp (built with -mavx2)
+const SimdKernels &avx512Kernels(); // simd_avx512.cpp (-mavx512f)
 #endif
 #if FIGLUT_HAVE_NEON_KERNELS
 const SimdKernels &neonKernels(); // simd_neon.cpp
@@ -183,6 +184,7 @@ simdIsaCode(SimdIsa isa)
       case SimdIsa::Scalar: return 0;
       case SimdIsa::Avx2: return 1;
       case SimdIsa::Neon: return 2;
+      case SimdIsa::Avx512: return 3;
     }
     return 0;
 }
@@ -194,6 +196,7 @@ simdIsaName(SimdIsa isa)
       case SimdIsa::Scalar: return "scalar";
       case SimdIsa::Avx2: return "avx2";
       case SimdIsa::Neon: return "neon";
+      case SimdIsa::Avx512: return "avx512";
     }
     return "scalar";
 }
@@ -207,6 +210,8 @@ parseSimdIsa(const std::string &name, SimdIsa *out)
         *out = SimdIsa::Avx2;
     else if (name == "neon")
         *out = SimdIsa::Neon;
+    else if (name == "avx512")
+        *out = SimdIsa::Avx512;
     else
         return false;
     return true;
@@ -219,6 +224,7 @@ simdIsaCompiled(SimdIsa isa)
       case SimdIsa::Scalar:
           return true;
       case SimdIsa::Avx2:
+      case SimdIsa::Avx512: // both x86 units build under FIGLUT_SIMD_AVX2
 #if FIGLUT_HAVE_AVX2_KERNELS
           return true;
 #else
@@ -248,6 +254,15 @@ simdIsaSupported(SimdIsa isa)
 #else
           return false;
 #endif
+      case SimdIsa::Avx512:
+#if defined(__x86_64__) || defined(__i386__)
+          // The AVX-512 table falls back to the AVX2 kernels for tail
+          // rows and wide tables, so it needs both.
+          return __builtin_cpu_supports("avx512f") != 0 &&
+                 __builtin_cpu_supports("avx2") != 0;
+#else
+          return false;
+#endif
       case SimdIsa::Neon:
           // NEON is architecturally mandatory on aarch64; the kernels
           // are only compiled there, so compiled implies executable.
@@ -259,6 +274,8 @@ simdIsaSupported(SimdIsa isa)
 SimdIsa
 detectSimdIsa()
 {
+    if (simdIsaSupported(SimdIsa::Avx512))
+        return SimdIsa::Avx512;
     if (simdIsaSupported(SimdIsa::Avx2))
         return SimdIsa::Avx2;
     if (simdIsaSupported(SimdIsa::Neon))
@@ -289,7 +306,7 @@ envSimdIsa()
         SimdIsa isa = SimdIsa::Scalar;
         if (!parseSimdIsa(env, &isa)) {
             warn("FIGLUT_SIMD=", env,
-                 " is not scalar|avx2|neon|auto; using auto");
+                 " is not scalar|avx2|avx512|neon|auto; using auto");
             return detectSimdIsa();
         }
         const SimdIsa clamped = clampToSupported(isa);
@@ -308,6 +325,7 @@ isaFromCode(int code)
     switch (code) {
       case 1: return SimdIsa::Avx2;
       case 2: return SimdIsa::Neon;
+      case 3: return SimdIsa::Avx512;
       default: return SimdIsa::Scalar;
     }
 }
@@ -347,6 +365,12 @@ simdKernelsFor(SimdIsa isa)
       case SimdIsa::Avx2:
 #if FIGLUT_HAVE_AVX2_KERNELS
           return simd_detail::avx2Kernels();
+#else
+          break;
+#endif
+      case SimdIsa::Avx512:
+#if FIGLUT_HAVE_AVX2_KERNELS
+          return simd_detail::avx512Kernels();
 #else
           break;
 #endif

@@ -7,8 +7,8 @@
  * not branch on the ISA themselves: they fetch a SimdKernels table
  * once per call and invoke function pointers. The table is selected
  * at runtime from what the binary was compiled with (compile-time
- * guards: the AVX2/NEON translation units are only built when CMake
- * enables them) intersected with what the host CPU executes (CPUID /
+ * guards: the AVX2/AVX-512/NEON translation units are only built when
+ * CMake enables them) intersected with what the host CPU executes (CPUID /
  * mandatory-NEON detection), optionally narrowed by the FIGLUT_SIMD
  * environment variable or the programmatic override below.
  *
@@ -41,12 +41,13 @@ enum class SimdIsa
     Scalar, ///< portable C++ (the bit-identity reference)
     Avx2,   ///< x86-64 AVX2 gather kernels
     Neon,   ///< aarch64 NEON kernels
+    Avx512, ///< x86-64 AVX-512F register-resident LUT span kernels
 };
 
 /** Stable numeric code for JSON records ("simd_isa" fields). */
 int simdIsaCode(SimdIsa isa);
 
-/** Lower-case name ("scalar", "avx2", "neon"). */
+/** Lower-case name ("scalar", "avx2", "neon", "avx512"). */
 const char *simdIsaName(SimdIsa isa);
 
 /** Parse a name as accepted by FIGLUT_SIMD ("auto" is not an ISA). */
@@ -64,7 +65,8 @@ SimdIsa detectSimdIsa();
 /**
  * The ISA the dispatcher will actually use: the programmatic override
  * if one is set, else the FIGLUT_SIMD environment variable
- * (scalar|avx2|neon|auto, read once), else detectSimdIsa(). Requests
+ * (scalar|avx2|avx512|neon|auto, read once), else detectSimdIsa()
+ * (which prefers AVX-512 over AVX2). Requests
  * for an unsupported ISA are clamped down to Scalar — dispatch can
  * never select code the binary lacks or the CPU rejects, which is
  * what keeps the scalar fallback a guarantee rather than a

@@ -1,15 +1,24 @@
 /**
  * @file
  * Differential tests for the Simd LUT-GEMM backend and the runtime
- * ISA dispatcher: 4-backend bit-identity (Reference / Threaded /
- * Packed / Simd) over randomized shapes and configs, cross-ISA
- * bit-identity under forced dispatch, counter equivalence, pre-packed
- * key reuse, and the guarantee that dispatch never selects an ISA the
- * binary was not compiled with (the CI scalar-build leg runs these
- * same tests with FIGLUT_SIMD_AVX2=OFF).
+ * ISA dispatcher: span kernels of every ISA against the scalar table,
+ * 4-backend bit-identity (Reference / Threaded / Packed / Simd) over
+ * randomized shapes and configs, cross-ISA bit-identity under forced
+ * dispatch, counter equivalence, pre-packed key reuse, and the
+ * guarantee that dispatch never selects an ISA the binary was not
+ * compiled with (the CI scalar-build leg runs these same tests with
+ * FIGLUT_SIMD_AVX2=OFF).
  */
 
 #include <gtest/gtest.h>
+
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cmath>
+#include <cstring>
+#include <new>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/engine_numerics.h"
@@ -65,6 +74,10 @@ expectCountersEqual(const LutGemmCounters &a, const LutGemmCounters &b,
     EXPECT_EQ(a.offsetOps, b.offsetOps) << what;
 }
 
+/** Every non-scalar ISA; loops skip the ones this binary/host lacks. */
+const SimdIsa kVectorIsas[] = {SimdIsa::Avx2, SimdIsa::Neon,
+                               SimdIsa::Avx512};
+
 /** Restore the dispatcher's environment selection on scope exit. */
 struct IsaOverrideGuard
 {
@@ -76,8 +89,8 @@ struct IsaOverrideGuard
 
 TEST(SimdDispatch, NamesCodesAndParsingRoundTrip)
 {
-    for (const auto isa :
-         {SimdIsa::Scalar, SimdIsa::Avx2, SimdIsa::Neon}) {
+    for (const auto isa : {SimdIsa::Scalar, SimdIsa::Avx2, SimdIsa::Neon,
+                           SimdIsa::Avx512}) {
         SimdIsa parsed = SimdIsa::Scalar;
         EXPECT_TRUE(parseSimdIsa(simdIsaName(isa), &parsed));
         EXPECT_EQ(parsed, isa);
@@ -85,6 +98,7 @@ TEST(SimdDispatch, NamesCodesAndParsingRoundTrip)
     EXPECT_EQ(simdIsaCode(SimdIsa::Scalar), 0);
     EXPECT_EQ(simdIsaCode(SimdIsa::Avx2), 1);
     EXPECT_EQ(simdIsaCode(SimdIsa::Neon), 2);
+    EXPECT_EQ(simdIsaCode(SimdIsa::Avx512), 3);
     SimdIsa parsed = SimdIsa::Scalar;
     EXPECT_FALSE(parseSimdIsa("sse2", &parsed));
     EXPECT_FALSE(parseSimdIsa("auto", &parsed));
@@ -97,7 +111,7 @@ TEST(SimdDispatch, ActiveIsaIsAlwaysSupported)
     EXPECT_TRUE(simdIsaSupported(detectSimdIsa()));
     EXPECT_TRUE(simdIsaSupported(SimdIsa::Scalar));
     // Supported implies compiled-in by definition.
-    for (const auto isa : {SimdIsa::Avx2, SimdIsa::Neon}) {
+    for (const auto isa : kVectorIsas) {
         if (simdIsaSupported(isa)) {
             EXPECT_TRUE(simdIsaCompiled(isa));
         }
@@ -112,7 +126,7 @@ TEST(SimdDispatch, ActiveIsaIsAlwaysSupported)
  */
 TEST(SimdDispatch, OverrideClampsToCompiledIsas)
 {
-    for (const auto isa : {SimdIsa::Avx2, SimdIsa::Neon}) {
+    for (const auto isa : kVectorIsas) {
         const SimdIsa got = setSimdIsaOverride(isa);
         if (!simdIsaCompiled(isa)) {
             EXPECT_EQ(got, SimdIsa::Scalar) << simdIsaName(isa);
@@ -128,6 +142,154 @@ TEST(SimdDispatch, OverrideClampsToCompiledIsas)
     // The kernel table always reports the ISA it was selected for.
     EXPECT_EQ(simdKernels().isa, activeSimdIsa());
     EXPECT_EQ(simdKernelsFor(SimdIsa::Scalar).isa, SimdIsa::Scalar);
+}
+
+// ------------------------------------------------------- span kernels
+
+template <typename T>
+std::uint64_t
+bitsOf(T v)
+{
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof v);
+    return b;
+}
+
+/**
+ * n elements that end exactly at an inaccessible page. Sanitizers do
+ * not instrument masked vector loads, so this is what makes a kernel
+ * that reads even one lane past the last chunk's slab fault in every
+ * build.
+ */
+template <typename T>
+class GuardPagedArray
+{
+  public:
+    explicit GuardPagedArray(std::size_t n)
+    {
+        const std::size_t page =
+            static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+        const std::size_t dataPages = (n * sizeof(T) + page - 1) / page;
+        bytes_ = (dataPages + 1) * page;
+        void *base = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (base == MAP_FAILED)
+            throw std::bad_alloc();
+        base_ = static_cast<char *>(base);
+        char *guard = base_ + dataPages * page;
+        if (mprotect(guard, page, PROT_NONE) != 0) {
+            munmap(base_, bytes_);
+            throw std::bad_alloc();
+        }
+        data_ = reinterpret_cast<T *>(guard) - n;
+        size_ = n;
+    }
+    ~GuardPagedArray() { munmap(base_, bytes_); }
+    GuardPagedArray(const GuardPagedArray &) = delete;
+    GuardPagedArray &operator=(const GuardPagedArray &) = delete;
+
+    T *data() { return data_; }
+    std::size_t size() const { return size_; }
+    T &operator[](std::size_t i) { return data_[i]; }
+
+  private:
+    char *base_ = nullptr;
+    std::size_t bytes_ = 0;
+    T *data_ = nullptr;
+    std::size_t size_ = 0;
+};
+
+/** Index of the first element whose bits differ, or n. */
+template <typename T>
+std::size_t
+firstBitMismatch(const std::vector<T> &a, const std::vector<T> &b)
+{
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (bitsOf(a[i]) != bitsOf(b[i]))
+            return i;
+    return a.size();
+}
+
+/**
+ * The three span kernels of every supported ISA against the scalar
+ * table, called directly: every table width mu in [1, kMaxMu] (the
+ * AVX-512 register path up to 16 entries, the gather fallback above),
+ * row counts around the 4/8/32-row blocks, zero/one/many chunks, and
+ * padded key strides. Each arena ends at a guard page and each key
+ * array is its own exact-size vector, so a read past the last chunk's
+ * slab faults and a read past the last key trips the sanitizer build.
+ */
+TEST(SimdSpanKernels, EveryIsaMatchesScalarTable)
+{
+    const SimdKernels &scalar = simdKernelsFor(SimdIsa::Scalar);
+    Rng rng(2800);
+    for (const auto isa : kVectorIsas) {
+        if (!simdIsaSupported(isa))
+            continue;
+        const SimdKernels &vec = simdKernelsFor(isa);
+        ASSERT_EQ(vec.isa, isa);
+        using FpSpan = decltype(SimdKernels::accumFpSpanExact);
+        const FpSpan scalarFp[] = {scalar.accumFpSpanFp32,
+                                   scalar.accumFpSpanExact};
+        const FpSpan vecFp[] = {vec.accumFpSpanFp32, vec.accumFpSpanExact};
+        for (int mu = 1; mu <= kMaxMu; ++mu) {
+            const std::size_t lutStride = std::size_t{1} << mu;
+            for (const std::size_t chunks : {0, 1, 2, 33}) {
+                GuardPagedArray<std::int64_t> intLut(chunks * lutStride);
+                GuardPagedArray<double> fpLut(chunks * lutStride);
+                for (std::size_t e = 0; e < intLut.size(); ++e) {
+                    intLut[e] = rng.uniformInt(-(int64_t{1} << 40),
+                                               int64_t{1} << 40);
+                    fpLut[e] = rng.normal() *
+                               std::ldexp(1.0, static_cast<int>(
+                                                   rng.uniformInt(-8, 8)));
+                }
+                for (std::size_t n = 0; n <= 70; ++n) {
+                    for (const std::size_t keyStride : {n, n + 5}) {
+                        std::vector<std::uint32_t> keys(
+                            chunks == 0 ? 0
+                                        : (chunks - 1) * keyStride + n);
+                        for (auto &k : keys)
+                            k = static_cast<std::uint32_t>(rng.uniformInt(
+                                0, static_cast<int64_t>(lutStride) - 1));
+                        std::vector<std::int64_t> intSeed(n);
+                        std::vector<double> fpSeed(n);
+                        for (std::size_t r = 0; r < n; ++r) {
+                            intSeed[r] = rng.uniformInt(-1000000, 1000000);
+                            fpSeed[r] = rng.normal() * 100.0;
+                        }
+                        const std::string what =
+                            std::string(simdIsaName(isa)) +
+                            " mu=" + std::to_string(mu) +
+                            " chunks=" + std::to_string(chunks) +
+                            " n=" + std::to_string(n) +
+                            " keyStride=" + std::to_string(keyStride);
+
+                        auto want = intSeed, got = intSeed;
+                        scalar.accumIntSpan(want.data(), intLut.data(),
+                                            lutStride, keys.data(),
+                                            keyStride, chunks, n);
+                        vec.accumIntSpan(got.data(), intLut.data(),
+                                         lutStride, keys.data(), keyStride,
+                                         chunks, n);
+                        EXPECT_EQ(firstBitMismatch(got, want), n)
+                            << "int " << what;
+
+                        for (std::size_t f = 0; f < 2; ++f) {
+                            auto fpWant = fpSeed, fpGot = fpSeed;
+                            scalarFp[f](fpWant.data(), fpLut.data(),
+                                        lutStride, keys.data(), keyStride,
+                                        chunks, n);
+                            vecFp[f](fpGot.data(), fpLut.data(), lutStride,
+                                     keys.data(), keyStride, chunks, n);
+                            EXPECT_EQ(firstBitMismatch(fpGot, fpWant), n)
+                                << (f == 0 ? "fp32 " : "exact ") << what;
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 // ------------------------------------------------- 4-backend identity
@@ -197,34 +359,46 @@ TEST(SimdGemm, RandomizedFourBackendBitIdentity)
  */
 TEST(SimdGemm, ForcedIsaSweepIsBitIdentical)
 {
-    const auto tc = makeCase(33, 70, 3, 3, 24, true, 2200);
-    for (const bool pre : {false, true}) {
-        LutGemmConfig cfg;
-        cfg.backend = LutGemmBackend::Simd;
-        cfg.preAligned = pre;
-        cfg.threads = 2;
-        cfg.blockRows = 8;
+    struct Input
+    {
+        std::size_t m;
+        int blockRows;
+        uint64_t seed;
+    };
+    // blockRows 8 keeps every tile below one 32-row AVX-512 block;
+    // 70 rows in 64-row tiles run two register blocks plus tails.
+    for (const Input in : {Input{33, 8, 2200}, Input{70, 64, 2210}}) {
+        const auto tc = makeCase(in.m, 70, 3, 3, 24, true, in.seed);
+        for (const bool pre : {false, true}) {
+            LutGemmConfig cfg;
+            cfg.backend = LutGemmBackend::Simd;
+            cfg.preAligned = pre;
+            cfg.threads = 2;
+            cfg.blockRows = in.blockRows;
+            const std::string what = "m=" + std::to_string(in.m) +
+                                     " pre=" + std::to_string(pre);
 
-        MatrixD baseline;
-        {
+            MatrixD baseline;
+            {
+                IsaOverrideGuard guard(SimdIsa::Scalar);
+                baseline = lutGemm(tc.weights, tc.x, cfg);
+            }
+            for (const auto isa : kVectorIsas) {
+                if (!simdIsaSupported(isa))
+                    continue;
+                IsaOverrideGuard guard(isa);
+                const auto vec = lutGemm(tc.weights, tc.x, cfg);
+                EXPECT_TRUE(compareMatrices(vec, baseline).identical)
+                    << what << " isa=" << simdIsaName(isa);
+            }
+            // And the scalar-forced Simd backend equals Packed exactly.
+            LutGemmConfig packedCfg = cfg;
+            packedCfg.backend = LutGemmBackend::Packed;
             IsaOverrideGuard guard(SimdIsa::Scalar);
-            baseline = lutGemm(tc.weights, tc.x, cfg);
+            const auto packed = lutGemm(tc.weights, tc.x, packedCfg);
+            EXPECT_TRUE(compareMatrices(baseline, packed).identical)
+                << what;
         }
-        for (const auto isa : {SimdIsa::Avx2, SimdIsa::Neon}) {
-            if (!simdIsaSupported(isa))
-                continue;
-            IsaOverrideGuard guard(isa);
-            const auto vec = lutGemm(tc.weights, tc.x, cfg);
-            EXPECT_TRUE(compareMatrices(vec, baseline).identical)
-                << "pre=" << pre << " isa=" << simdIsaName(isa);
-        }
-        // And the scalar-forced Simd backend equals Packed exactly.
-        LutGemmConfig packedCfg = cfg;
-        packedCfg.backend = LutGemmBackend::Packed;
-        IsaOverrideGuard guard(SimdIsa::Scalar);
-        const auto packed = lutGemm(tc.weights, tc.x, packedCfg);
-        EXPECT_TRUE(compareMatrices(baseline, packed).identical)
-            << "pre=" << pre;
     }
 }
 

@@ -33,7 +33,8 @@ std::vector<SimdIsa>
 supportedIsas()
 {
     std::vector<SimdIsa> isas{SimdIsa::Scalar};
-    for (const auto isa : {SimdIsa::Avx2, SimdIsa::Neon}) {
+    for (const auto isa :
+         {SimdIsa::Avx2, SimdIsa::Neon, SimdIsa::Avx512}) {
         if (simdIsaSupported(isa))
             isas.push_back(isa);
     }
