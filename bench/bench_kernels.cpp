@@ -120,26 +120,21 @@ BM_LutGemm(benchmark::State &state)
 BENCHMARK(BM_LutGemm)->Arg(2)->Arg(4);
 
 /**
- * Threaded LUT-GEMM on a large shape. Arg 0 runs the Reference
- * backend as the baseline; Arg t >= 1 runs the Threaded backend with
- * t workers. The speedup at t threads is the items_per_second ratio
- * against the Arg(0) row (>= 2x expected at 4 threads on >= 4 cores);
- * outputs are bit-identical across all rows by construction.
+ * The single-threaded Reference backend on a large shape (1024x1024,
+ * batch 8, Q4, FIGLUT-I): the baseline BM_LutGemmSimd/t is compared
+ * against. Outputs are bit-identical to every BM_LutGemmSimd row by
+ * construction.
  */
 void
-BM_LutGemmThreaded(benchmark::State &state)
+BM_LutGemmReference(benchmark::State &state)
 {
-    const int threads = static_cast<int>(state.range(0));
     const std::size_t m = 1024, n = 1024, batch = 8;
     const auto tensor = benchTensor(m, n, 4);
     Rng rng(8);
     const auto x = syntheticActivations(n, batch, rng);
     LutGemmConfig cfg;
     cfg.preAligned = true;
-    cfg.backend = threads == 0 ? LutGemmBackend::Reference
-                               : LutGemmBackend::Threaded;
-    cfg.threads = threads;
-    cfg.blockRows = 64;
+    cfg.backend = LutGemmBackend::Reference;
     LutGemmCounters perCall;
     (void)lutGemm(tensor, x, cfg, &perCall);
     for (auto _ : state) {
@@ -150,60 +145,17 @@ BM_LutGemmThreaded(benchmark::State &state)
         static_cast<int64_t>(state.iterations() * m * n * batch));
     setLutReadRate(state, perCall);
 }
-BENCHMARK(BM_LutGemmThreaded)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LutGemmReference)->UseRealTime()->Unit(
+    benchmark::kMillisecond);
 
 /**
- * Packed-key LUT-GEMM on the same 1024x1024x8 shape as
- * BM_LutGemmThreaded, with the one-time key packing amortized via the
- * pre-packed overload (the repeated-inference scenario). Compare the
- * Arg(t) row against BM_LutGemmThreaded/t at equal thread count for
- * the packed-layout speedup (>= 2x expected); outputs are
- * bit-identical across all backends by construction.
- */
-void
-BM_LutGemmPacked(benchmark::State &state)
-{
-    const int threads = static_cast<int>(state.range(0));
-    const std::size_t m = 1024, n = 1024, batch = 8;
-    const auto tensor = benchTensor(m, n, 4);
-    Rng rng(8);
-    const auto x = syntheticActivations(n, batch, rng);
-    LutGemmConfig cfg;
-    cfg.preAligned = true;
-    cfg.backend = LutGemmBackend::Packed;
-    cfg.threads = threads;
-    cfg.blockRows = 64;
-    const auto packed = packLutKeys(tensor, cfg.mu);
-    LutGemmCounters perCall;
-    (void)lutGemm(tensor, x, cfg, packed, &perCall);
-    for (auto _ : state) {
-        auto y = lutGemm(tensor, x, cfg, packed);
-        benchmark::DoNotOptimize(y.data());
-    }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations() * m * n * batch));
-    setLutReadRate(state, perCall);
-}
-BENCHMARK(BM_LutGemmPacked)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-/**
- * SIMD LUT-GEMM on the same 1024x1024x8 shape and pre-packed keys as
- * BM_LutGemmPacked. Compare the Arg(t) row against BM_LutGemmPacked/t
- * at equal thread count for the vectorized key-walk speedup (>= 1.5x
- * expected on an AVX2 host; on hosts where dispatch falls back to the
- * scalar table the ratio is ~1x and the outputs stay bit-identical by
- * construction). "simd_isa" tags each --json record with the
+ * SIMD LUT-GEMM on the same 1024x1024x8 shape as BM_LutGemmReference,
+ * with the one-time key packing amortized via the pre-packed overload
+ * (the repeated-inference scenario), at t workers. The speedup is the
+ * items_per_second ratio against BM_LutGemmReference; on hosts where
+ * dispatch falls back to the scalar table it comes from the packed
+ * layout and the workers alone, and the outputs stay bit-identical by
+ * construction. "simd_isa" tags each --json record with the
  * dispatched ISA code (0 scalar, 1 AVX2, 2 NEON, 3 AVX-512).
  */
 void
@@ -243,7 +195,7 @@ BENCHMARK(BM_LutGemmSimd)
 
 /**
  * Repeated small GEMMs, the serving-traffic shape where per-call
- * setup dominates: 256x256, batch 8, Q4, Packed backend with
+ * setup dominates: 256x256, batch 8, Q4, Simd backend with
  * pre-packed keys at 4 requested workers. Arg 0 constructs the
  * ThreadPool and scratch arenas inside every call (the no-context
  * fallback); Arg 1 reuses one ExecutionContext across all calls. The
@@ -260,7 +212,7 @@ BM_LutGemmSmallRepeated(benchmark::State &state)
     const auto x = syntheticActivations(n, batch, rng);
     LutGemmConfig cfg;
     cfg.preAligned = true;
-    cfg.backend = LutGemmBackend::Packed;
+    cfg.backend = LutGemmBackend::Simd;
     cfg.threads = 4;
     cfg.blockRows = 64;
     const auto packed = packLutKeys(tensor, cfg.mu);
@@ -406,18 +358,18 @@ BENCHMARK(BM_EngineStep)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * Small-shape packed smoke: one fast configuration for CI's Release
+ * Small-shape Simd smoke: one fast configuration for CI's Release
  * bench step (--json artifact), so the perf harness cannot rot.
  */
 void
-BM_LutGemmPackedSmoke(benchmark::State &state)
+BM_LutGemmSimdSmoke(benchmark::State &state)
 {
     const auto tensor = benchTensor(128, 256, 4);
     Rng rng(9);
     const auto x = syntheticActivations(256, 4, rng);
     LutGemmConfig cfg;
     cfg.preAligned = true;
-    cfg.backend = LutGemmBackend::Packed;
+    cfg.backend = LutGemmBackend::Simd;
     cfg.threads = 1;
     const auto packed = packLutKeys(tensor, cfg.mu);
     LutGemmCounters perCall;
@@ -429,7 +381,7 @@ BM_LutGemmPackedSmoke(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 128 * 256 * 4);
     setLutReadRate(state, perCall);
 }
-BENCHMARK(BM_LutGemmPackedSmoke);
+BENCHMARK(BM_LutGemmSimdSmoke);
 
 void
 BM_ReferenceGemm(benchmark::State &state)

@@ -113,8 +113,7 @@ printUsage()
            "                    (default 0 = auto: FIGLUT_SHARDS, else "
            "unsharded; counts > 1\n"
            "                    suffix the record name with -s<N>)\n"
-           "  --backend B       reference | threaded | packed | simd "
-           "(default simd)\n"
+           "  --backend B       reference | simd (default simd)\n"
            "  --kv-budget-mb X  KV arena byte budget in MiB (0 = "
            "unbounded; overload\n"
            "                    sweeps its own computed budgets)\n"
@@ -220,8 +219,7 @@ parseArgs(int argc, char **argv, CliOptions &cli)
         } else if (flag == "--backend") {
             if (!parseLutGemmBackend(argv[++i], &cli.backend)) {
                 std::cerr << "unknown backend: " << argv[i]
-                          << " (want reference | threaded | packed |"
-                             " simd)\n";
+                          << " (want reference | simd)\n";
                 return false;
             }
         } else if (flag == "--kv-budget-mb") {

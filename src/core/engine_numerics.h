@@ -58,8 +58,8 @@ struct NumericsConfig
     // backend-invariant). Only figlutGemm honours these; the scalar
     // FPE/iFPU/FIGNA kernels ignore them.
     LutGemmBackend backend = LutGemmBackend::Reference;
-    int threads = 0;    ///< Threaded/Packed backend: workers, <= 0 = hw
-    int blockRows = 64; ///< Threaded/Packed backend: rows per work item
+    int threads = 0;    ///< Simd backend: workers, <= 0 = hw
+    int blockRows = 64; ///< Simd backend: rows per work item
     bool instrument = false; ///< per-read counters vs closed form
 };
 

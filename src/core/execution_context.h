@@ -2,7 +2,7 @@
  * @file
  * Long-lived execution resources for the functional kernels.
  *
- * Every lutGemm() call that runs a blocked backend needs a ThreadPool
+ * Every Simd-backend lutGemm() call needs a ThreadPool
  * and a set of scratch buffers (LUT arenas, column tables, staging
  * slots). Constructing those per call is correct but wasteful under
  * repeated traffic: worker spawn/join and arena reallocation dominate

@@ -53,10 +53,11 @@ struct LutArena
 };
 
 /**
- * Reusable per-worker scratch: LUT arenas, the mu-element chunk
- * staging slots, and the packed-backend tile accumulators. One
- * Scratch lives per worker thread (or per Reference call) so nothing
- * here is shared; reuse keeps the hot loops allocation-free.
+ * Reusable per-worker scratch: the Reference backend's group arenas,
+ * the mu-element chunk staging slots, and the Simd backend's tile
+ * accumulators. One Scratch lives per worker thread (or per Reference
+ * call) so nothing here is shared; reuse keeps the hot loops
+ * allocation-free.
  */
 struct Scratch
 {
@@ -65,20 +66,19 @@ struct Scratch
     std::vector<double> xs;        ///< mu activation slots of one chunk
     std::vector<int64_t> ms;       ///< mu mantissa slots of one chunk
     std::vector<double> groupVals; ///< group activations for preAlign
-    std::vector<double> fpPsum;    ///< packed tile: per-row plane sums
-    std::vector<int64_t> intPsum;  ///< packed tile: integer plane sums
-    std::vector<double> rowAcc;    ///< packed tile: per-row group accum
+    std::vector<double> fpPsum;    ///< row tile: per-row plane sums
+    std::vector<int64_t> intPsum;  ///< row tile: integer plane sums
+    std::vector<double> rowAcc;    ///< row tile: per-row group accum
     double sumx = 0.0;             ///< group sum(x) for the offset term
     int64_t sumMant = 0;           ///< integer-path mantissa sum
     double scale = 1.0;            ///< integer-path shared scale
 };
 
 /**
- * Packed-backend per-column tables: the LUT arenas of every chunk of
- * one activation column (indexed by global chunk), plus the per-group
+ * Simd-backend per-column tables: the LUT arenas of every chunk of one
+ * activation column (indexed by global chunk), plus the per-group
  * VPU-side terms. Built exactly once per (batch column) and then read
- * by every row tile — unlike the Threaded backend, no per-tile LUT
- * rebuild happens.
+ * by every row tile.
  */
 struct FpColumnTables
 {
@@ -95,7 +95,7 @@ struct IntColumnTables
 
 /**
  * Everything one lutGemm call reuses across its (batch, group) and
- * column iterations: the submitting thread's scratch plus the packed
+ * column iterations: the submitting thread's scratch plus the Simd
  * backend's column tables. Owned per call by default, or across calls
  * by an ExecutionContext so the arenas stop being reallocated under
  * repeated traffic.
@@ -137,13 +137,16 @@ chunkKey(const BcqTensor &w, int plane, std::size_t r, std::size_t c0,
     return key;
 }
 
+/** The span kernel of each domain, as core/simd.h declares it. */
+using FpSpanFn = decltype(SimdKernels::accumFpSpanFp32);
+using IntSpanFn = decltype(SimdKernels::accumIntSpan);
+
 /**
- * Shared kernel state for all backends. Reference and Threaded
- * execute processRows() — the cache-blocked (M-tile x chunk)
- * traversal that rebuilds each (column, group) LUT arena per tile.
- * The Packed backend instead reads pre-packed [plane][chunk][row] key
- * arrays and per-column LUT arenas built once, via
- * accumulatePacked*().
+ * Shared kernel state for both backends. Reference executes
+ * processRows(): per (column, group) it builds the LUT arena, then
+ * gathers each row's keys from the weight planes. Simd instead reads
+ * pre-packed [plane][chunk][row] key arrays and per-column LUT arenas
+ * built once, via accumulateTile*().
  *
  * Bit-identity across backends holds because each output element
  * y(r, b) is touched only by the work item owning row r, and its
@@ -272,17 +275,23 @@ class LutGemmKernel
     }
 
     /**
-     * Packed FP accumulate over one row tile: per (group, plane,
-     * chunk), a linear walk over the tile's pre-packed keys with one
-     * branch-free arena read each. Per-row operation order is
-     * identical to the Reference backend's (chunks, then planes, then
-     * offset, then the y fold), so outputs are bit-identical.
+     * Accumulate one row tile of activation column b: per (group,
+     * plane), walk the group's chunks over the tile's pre-packed keys,
+     * then fold alpha, the offset term and y. The chunk walk is the
+     * dispatched span kernel when one is given (core/simd.h), else the
+     * scalar loop: the only one that counts reads (Instr), and the one
+     * FpArith::Fp16/Bf16 run, since their per-add rounding has no
+     * vector equivalent. Rows are independent lanes of the span
+     * kernel, so each row's psum sequence is the scalar loop's, and
+     * per-row operation order is the Reference backend's (chunks, then
+     * planes, then offset, then the y fold): outputs are bit-identical.
      */
     template <bool Instr>
     void
-    accumulatePackedFp(BlockRange rows, std::size_t b,
-                       const PackedLutKeys &pk, const FpColumnTables &t,
-                       MatrixD &y, LutGemmCounters &cnt, Scratch &s) const
+    accumulateTileFp(BlockRange rows, std::size_t b,
+                     const PackedLutKeys &pk, const FpColumnTables &t,
+                     FpSpanFn span, MatrixD &y, LutGemmCounters &cnt,
+                     Scratch &s) const
     {
         const int q = w_.bits;
         const FpArith arith = config_.arith;
@@ -296,16 +305,28 @@ class LutGemmKernel
             std::fill(acc, acc + tile, 0.0);
             for (int i = 0; i < q; ++i) {
                 std::fill(psum, psum + tile, 0.0);
-                for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
-                    const std::size_t chunk = gg.chunkBase + ch;
-                    const uint32_t *keys =
-                        pk.chunkKeys(i, chunk) + rows.begin;
-                    const double *lut = t.arena.chunk(chunk);
-                    for (std::size_t r = 0; r < tile; ++r) {
-                        psum[r] = fpAdd(psum[r], lut[keys[r]], arith);
-                        if constexpr (Instr) {
-                            ++cnt.lutReads;
-                            ++cnt.racAccumulates;
+                if (!Instr && span) {
+                    // One span call walks every chunk of the group: the
+                    // group's arena slabs are contiguous (stride
+                    // t.arena.stride) and the per-chunk key arrays of
+                    // one plane are pk.rows apart (packing.h layout
+                    // note).
+                    span(psum, t.arena.chunk(gg.chunkBase),
+                         t.arena.stride,
+                         pk.chunkKeys(i, gg.chunkBase) + rows.begin,
+                         pk.rows, gg.chunks, tile);
+                } else {
+                    for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
+                        const std::size_t chunk = gg.chunkBase + ch;
+                        const uint32_t *keys =
+                            pk.chunkKeys(i, chunk) + rows.begin;
+                        const double *lut = t.arena.chunk(chunk);
+                        for (std::size_t r = 0; r < tile; ++r) {
+                            psum[r] = fpAdd(psum[r], lut[keys[r]], arith);
+                            if constexpr (Instr) {
+                                ++cnt.lutReads;
+                                ++cnt.racAccumulates;
+                            }
                         }
                     }
                 }
@@ -338,12 +359,13 @@ class LutGemmKernel
         }
     }
 
+    /** The integer-domain tile accumulate (FIGLUT-I); see above. */
     template <bool Instr>
     void
-    accumulatePackedInt(BlockRange rows, std::size_t b,
-                        const PackedLutKeys &pk,
-                        const IntColumnTables &t, MatrixD &y,
-                        LutGemmCounters &cnt, Scratch &s) const
+    accumulateTileInt(BlockRange rows, std::size_t b,
+                      const PackedLutKeys &pk, const IntColumnTables &t,
+                      IntSpanFn span, MatrixD &y, LutGemmCounters &cnt,
+                      Scratch &s) const
     {
         const int q = w_.bits;
         const FpArith arith = config_.arith;
@@ -358,16 +380,23 @@ class LutGemmKernel
             std::fill(acc, acc + tile, 0.0);
             for (int i = 0; i < q; ++i) {
                 std::fill(psum, psum + tile, int64_t{0});
-                for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
-                    const std::size_t chunk = gg.chunkBase + ch;
-                    const uint32_t *keys =
-                        pk.chunkKeys(i, chunk) + rows.begin;
-                    const int64_t *lut = t.arena.chunk(chunk);
-                    for (std::size_t r = 0; r < tile; ++r) {
-                        psum[r] += lut[keys[r]];
-                        if constexpr (Instr) {
-                            ++cnt.lutReads;
-                            ++cnt.racAccumulates;
+                if (!Instr && span) {
+                    span(psum, t.arena.chunk(gg.chunkBase),
+                         t.arena.stride,
+                         pk.chunkKeys(i, gg.chunkBase) + rows.begin,
+                         pk.rows, gg.chunks, tile);
+                } else {
+                    for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
+                        const std::size_t chunk = gg.chunkBase + ch;
+                        const uint32_t *keys =
+                            pk.chunkKeys(i, chunk) + rows.begin;
+                        const int64_t *lut = t.arena.chunk(chunk);
+                        for (std::size_t r = 0; r < tile; ++r) {
+                            psum[r] += lut[keys[r]];
+                            if constexpr (Instr) {
+                                ++cnt.lutReads;
+                                ++cnt.racAccumulates;
+                            }
                         }
                     }
                 }
@@ -397,133 +426,6 @@ class LutGemmKernel
                     if constexpr (Instr)
                         ++cnt.offsetOps;
                 }
-            }
-            for (std::size_t r = 0; r < tile; ++r)
-                y(rows.begin + r, b) =
-                    fpAdd(y(rows.begin + r, b), acc[r], arith);
-        }
-    }
-
-    /**
-     * Simd variants of the packed accumulates: same traversal, same
-     * per-row operation order, with the per-chunk key walk executed
-     * by the dispatched vector kernels (core/simd.h). Rows are
-     * independent lanes, so each row's psum sequence is exactly the
-     * Packed one; the FpArith::Fp32 per-add rounding is the binary32
-     * round-trip the kernels implement (the same conversion fpAdd
-     * applies — the 4-backend suite proves it), and Fp16/Bf16 —
-     * whose per-add rounding has no hardware vector equivalent —
-     * fall back to the scalar Packed loop entirely. The alpha /
-     * offset / y-fold stages reuse the exact Packed scalar code:
-     * they are O(groups) per row rather than O(chunks), and sharing
-     * them keeps bit-identity trivially true where it is cheap.
-     */
-    void
-    accumulateSimdFp(BlockRange rows, std::size_t b,
-                     const PackedLutKeys &pk, const FpColumnTables &t,
-                     MatrixD &y, Scratch &s,
-                     const SimdKernels &simd) const
-    {
-        const FpArith arith = config_.arith;
-        const auto accum = arith == FpArith::Fp32
-                               ? simd.accumFpSpanFp32
-                               : arith == FpArith::Exact
-                                     ? simd.accumFpSpanExact
-                                     : nullptr;
-        if (accum == nullptr) {
-            LutGemmCounters unused;
-            accumulatePackedFp<false>(rows, b, pk, t, y, unused, s);
-            return;
-        }
-        const int q = w_.bits;
-        const std::size_t tile = rows.size();
-        s.fpPsum.resize(tile);
-        s.rowAcc.resize(tile);
-        double *psum = s.fpPsum.data();
-        double *acc = s.rowAcc.data();
-        for (std::size_t g = 0; g < geom_.size(); ++g) {
-            const GroupGeom &gg = geom_[g];
-            std::fill(acc, acc + tile, 0.0);
-            for (int i = 0; i < q; ++i) {
-                std::fill(psum, psum + tile, 0.0);
-                // One span call walks every chunk of the group: the
-                // group's arena slabs are contiguous (stride
-                // t.arena.stride) and the per-chunk key arrays of one
-                // plane are pk.rows apart (packing.h layout note).
-                accum(psum, t.arena.chunk(gg.chunkBase),
-                      t.arena.stride,
-                      pk.chunkKeys(i, gg.chunkBase) + rows.begin,
-                      pk.rows, gg.chunks, tile);
-                const auto &alpha =
-                    w_.alphas[static_cast<std::size_t>(i)];
-                for (std::size_t r = 0; r < tile; ++r)
-                    acc[r] = fpAdd(acc[r],
-                                   fpRound(alpha(rows.begin + r, g) *
-                                               psum[r],
-                                           arith),
-                                   arith);
-            }
-            if (w_.hasOffset) {
-                for (std::size_t r = 0; r < tile; ++r)
-                    acc[r] = fpAdd(
-                        acc[r],
-                        fpRound(w_.offsets(rows.begin + r, g) *
-                                    t.sumx[g],
-                                arith),
-                        arith);
-            }
-            for (std::size_t r = 0; r < tile; ++r)
-                y(rows.begin + r, b) =
-                    fpAdd(y(rows.begin + r, b), acc[r], arith);
-        }
-    }
-
-    void
-    accumulateSimdInt(BlockRange rows, std::size_t b,
-                      const PackedLutKeys &pk, const IntColumnTables &t,
-                      MatrixD &y, Scratch &s,
-                      const SimdKernels &simd) const
-    {
-        const int q = w_.bits;
-        const FpArith arith = config_.arith;
-        const std::size_t tile = rows.size();
-        s.intPsum.resize(tile);
-        s.rowAcc.resize(tile);
-        int64_t *psum = s.intPsum.data();
-        double *acc = s.rowAcc.data();
-        for (std::size_t g = 0; g < geom_.size(); ++g) {
-            const GroupGeom &gg = geom_[g];
-            const double scale = t.scale[g];
-            std::fill(acc, acc + tile, 0.0);
-            for (int i = 0; i < q; ++i) {
-                std::fill(psum, psum + tile, int64_t{0});
-                // One span call per (group, plane); see the FP variant
-                // above for the stride facts.
-                simd.accumIntSpan(psum, t.arena.chunk(gg.chunkBase),
-                                  t.arena.stride,
-                                  pk.chunkKeys(i, gg.chunkBase) +
-                                      rows.begin,
-                                  pk.rows, gg.chunks, tile);
-                const auto &alpha =
-                    w_.alphas[static_cast<std::size_t>(i)];
-                for (std::size_t r = 0; r < tile; ++r)
-                    acc[r] = fpAdd(
-                        acc[r],
-                        fpRound(alpha(rows.begin + r, g) *
-                                    (static_cast<double>(psum[r]) *
-                                     scale),
-                                arith),
-                        arith);
-            }
-            if (w_.hasOffset) {
-                const double sumx =
-                    static_cast<double>(t.sumMant[g]) * scale;
-                for (std::size_t r = 0; r < tile; ++r)
-                    acc[r] = fpAdd(
-                        acc[r],
-                        fpRound(w_.offsets(rows.begin + r, g) * sumx,
-                                arith),
-                        arith);
             }
             for (std::size_t r = 0; r < tile; ++r)
                 y(rows.begin + r, b) =
@@ -761,7 +663,7 @@ resolveWorkers(const LutGemmConfig &config, std::size_t m)
 }
 
 /**
- * Runs the row tiles of one blocked-backend call. When a single worker
+ * Runs the row tiles of one Simd-backend call. When a single worker
  * would run them (threads = 1, or m fits one tile) the tiles run in
  * order on the calling thread and no pool is acquired: handing them to
  * a one-worker pool would only add a queue round trip per dispatch.
@@ -826,118 +728,63 @@ acquireWorkspace(ExecutionContext *ctx,
     return *local;
 }
 
+/**
+ * The Simd backend's runner. Each activation column's LUT arenas are
+ * built exactly once, on the submitting thread; every row tile then
+ * only reads them. The span kernels are resolved once per call, on the
+ * submitting thread, and shared read-only by the workers. Instrumented
+ * calls (Instr) run the scalar chunk walk with per-read counters
+ * instead, so the counter-equivalence proof covers the backend without
+ * threading counters through the vector kernels.
+ */
 template <bool Instr>
 void
-runThreadedBackend(const LutGemmKernel &kernel,
-                   const LutGemmConfig &config, std::size_t m,
-                   MatrixD &y, LutGemmCounters &cnt,
-                   ExecutionContext *ctx)
+runSimdTiles(const LutGemmKernel &kernel, const PackedLutKeys &pk,
+             const LutGemmConfig &config, std::size_t m,
+             std::size_t batch, MatrixD &y, LutGemmCounters &cnt,
+             ExecutionContext *ctx)
 {
-    RowTiles tiles(ctx, config, m);
-    std::mutex counterMutex;
-    tiles.run([&](BlockRange rows) {
-        // Rows partition the output: no two work items share an
-        // element of y, so only the counter merge needs a lock.
-        // The scratch (arenas included) persists per executing
-        // thread across tiles.
-        static thread_local Scratch s;
-        if constexpr (Instr) {
-            LutGemmCounters blockCnt;
-            kernel.processRows<true>(rows, y, blockCnt, s);
-            std::lock_guard<std::mutex> lock(counterMutex);
-            mergeCounters(cnt, blockCnt);
-        } else {
-            LutGemmCounters unused;
-            kernel.processRows<false>(rows, y, unused, s);
-        }
-    });
-}
-
-template <bool Instr>
-void
-runPackedBackend(const LutGemmKernel &kernel, const PackedLutKeys &pk,
-                 const LutGemmConfig &config, std::size_t m,
-                 std::size_t batch, MatrixD &y, LutGemmCounters &cnt,
-                 ExecutionContext *ctx)
-{
+    FpSpanFn fpSpan = nullptr;
+    IntSpanFn intSpan = nullptr;
+    if constexpr (!Instr) {
+        const SimdKernels &simd = simdKernels();
+        intSpan = simd.accumIntSpan;
+        if (config.arith == FpArith::Fp32)
+            fpSpan = simd.accumFpSpanFp32;
+        else if (config.arith == FpArith::Exact)
+            fpSpan = simd.accumFpSpanExact;
+    }
     RowTiles tiles(ctx, config, m);
     std::mutex counterMutex;
     std::optional<CallWorkspace> localWs;
     CallWorkspace &ws = acquireWorkspace(ctx, localWs);
-    FpColumnTables &fpTables = ws.fp;
-    IntColumnTables &intTables = ws.ig;
-    Scratch &buildScratch = ws.scratch;
     for (std::size_t b = 0; b < batch; ++b) {
-        // Build this column's LUT arenas exactly once, on the
-        // submitting thread — every row tile then only reads them.
         if (!config.preAligned)
-            kernel.buildFpColumn<Instr>(b, fpTables, buildScratch, cnt);
+            kernel.buildFpColumn<Instr>(b, ws.fp, ws.scratch, cnt);
         else
-            kernel.buildIntColumn<Instr>(b, intTables, buildScratch,
-                                         cnt);
+            kernel.buildIntColumn<Instr>(b, ws.ig, ws.scratch, cnt);
         tiles.run([&, b](BlockRange rows) {
+            // Rows partition the output: no two tiles share an element
+            // of y, so only the counter merge needs a lock.
             static thread_local Scratch s;
+            LutGemmCounters tileCnt;
+            if (!config.preAligned)
+                kernel.accumulateTileFp<Instr>(rows, b, pk, ws.fp, fpSpan,
+                                               y, tileCnt, s);
+            else
+                kernel.accumulateTileInt<Instr>(rows, b, pk, ws.ig,
+                                                intSpan, y, tileCnt, s);
             if constexpr (Instr) {
-                LutGemmCounters blockCnt;
-                if (!config.preAligned)
-                    kernel.accumulatePackedFp<true>(
-                        rows, b, pk, fpTables, y, blockCnt, s);
-                else
-                    kernel.accumulatePackedInt<true>(
-                        rows, b, pk, intTables, y, blockCnt, s);
                 std::lock_guard<std::mutex> lock(counterMutex);
-                mergeCounters(cnt, blockCnt);
-            } else {
-                LutGemmCounters unused;
-                if (!config.preAligned)
-                    kernel.accumulatePackedFp<false>(
-                        rows, b, pk, fpTables, y, unused, s);
-                else
-                    kernel.accumulatePackedInt<false>(
-                        rows, b, pk, intTables, y, unused, s);
+                mergeCounters(cnt, tileCnt);
             }
         });
     }
 }
 
 /**
- * The Simd backend's runner: the Packed column/tile structure with
- * the vectorized accumulates. Only the uninstrumented path lives
- * here — instrumented Simd calls run the Packed loops with per-read
- * counters instead (identical outputs by the backend's contract), so
- * the counter-equivalence proof covers Simd without threading
- * counters through the vector kernels. The kernel table is resolved
- * once on the submitting thread and shared read-only by the workers.
- */
-void
-runSimdBackend(const LutGemmKernel &kernel, const PackedLutKeys &pk,
-               const LutGemmConfig &config, std::size_t m,
-               std::size_t batch, MatrixD &y, ExecutionContext *ctx)
-{
-    const SimdKernels &simd = simdKernels();
-    RowTiles tiles(ctx, config, m);
-    std::optional<CallWorkspace> localWs;
-    CallWorkspace &ws = acquireWorkspace(ctx, localWs);
-    LutGemmCounters unused;
-    for (std::size_t b = 0; b < batch; ++b) {
-        if (!config.preAligned)
-            kernel.buildFpColumn<false>(b, ws.fp, ws.scratch, unused);
-        else
-            kernel.buildIntColumn<false>(b, ws.ig, ws.scratch,
-                                         unused);
-        tiles.run([&, b](BlockRange rows) {
-            static thread_local Scratch s;
-            if (!config.preAligned)
-                kernel.accumulateSimdFp(rows, b, pk, ws.fp, y, s, simd);
-            else
-                kernel.accumulateSimdInt(rows, b, pk, ws.ig, y, s, simd);
-        });
-    }
-}
-
-/**
  * Closed-form operation counts: every counter is an exact function of
- * the shapes and the backend's traversal, so the fast path derives
+ * the shapes and the chunk geometry, so the fast path derives
  * them after the loops instead of paying per-read increments. The
  * differential tests prove these equal the instrumented counts. The
  * math lives in the public addLutGemmClosedFormCounters() so the
@@ -974,10 +821,8 @@ lutGemmImpl(const BcqTensor &weights, const MatrixD &x,
         fatal("LUT-GEMM shape mismatch: weights are ", weights.rows, "x",
               weights.cols, " but activations have ", x.rows(), " rows");
     if (prepacked) {
-        if (config.backend != LutGemmBackend::Packed &&
-            config.backend != LutGemmBackend::Simd)
-            fatal("pre-packed LUT keys require the Packed or Simd "
-                  "backend");
+        if (config.backend != LutGemmBackend::Simd)
+            fatal("pre-packed LUT keys require the Simd backend");
         if (prepacked->mu != config.mu ||
             prepacked->rows != weights.rows ||
             prepacked->cols != weights.cols ||
@@ -1029,28 +874,6 @@ lutGemmImpl(const BcqTensor &weights, const MatrixD &x,
           }
           break;
       }
-      case LutGemmBackend::Threaded: {
-          if (config.instrument)
-              runThreadedBackend<true>(kernel, config, m, y, cnt, ctx);
-          else
-              runThreadedBackend<false>(kernel, config, m, y, cnt, ctx);
-          break;
-      }
-      case LutGemmBackend::Packed: {
-          PackedLutKeys localPack;
-          const PackedLutKeys *pk = prepacked;
-          if (!pk) {
-              localPack = packLutKeys(weights, config.mu);
-              pk = &localPack;
-          }
-          if (config.instrument)
-              runPackedBackend<true>(kernel, *pk, config, m, batch, y,
-                                     cnt, ctx);
-          else
-              runPackedBackend<false>(kernel, *pk, config, m, batch, y,
-                                      cnt, ctx);
-          break;
-      }
       case LutGemmBackend::Simd: {
           PackedLutKeys localPack;
           const PackedLutKeys *pk = prepacked;
@@ -1058,16 +881,12 @@ lutGemmImpl(const BcqTensor &weights, const MatrixD &x,
               localPack = packLutKeys(weights, config.mu);
               pk = &localPack;
           }
-          // Instrumented Simd runs the Packed loops (same outputs by
-          // the backend contract) so the per-read counter path stays
-          // scalar; the fast path uses the vector kernels and gets
-          // the closed-form counts below, which are backend-invariant
-          // between Packed and Simd (both build each LUT set once).
           if (config.instrument)
-              runPackedBackend<true>(kernel, *pk, config, m, batch, y,
-                                     cnt, ctx);
+              runSimdTiles<true>(kernel, *pk, config, m, batch, y, cnt,
+                                 ctx);
           else
-              runSimdBackend(kernel, *pk, config, m, batch, y, ctx);
+              runSimdTiles<false>(kernel, *pk, config, m, batch, y, cnt,
+                                  ctx);
           break;
       }
     }
@@ -1084,8 +903,6 @@ lutGemmBackendCode(LutGemmBackend backend)
 {
     switch (backend) {
       case LutGemmBackend::Reference: return 0;
-      case LutGemmBackend::Threaded: return 1;
-      case LutGemmBackend::Packed: return 2;
       case LutGemmBackend::Simd: return 3;
     }
     return 0;
@@ -1096,8 +913,6 @@ lutGemmBackendName(LutGemmBackend backend)
 {
     switch (backend) {
       case LutGemmBackend::Reference: return "reference";
-      case LutGemmBackend::Threaded: return "threaded";
-      case LutGemmBackend::Packed: return "packed";
       case LutGemmBackend::Simd: return "simd";
     }
     return "reference";
@@ -1108,10 +923,6 @@ parseLutGemmBackend(const std::string &name, LutGemmBackend *out)
 {
     if (name == "reference")
         *out = LutGemmBackend::Reference;
-    else if (name == "threaded")
-        *out = LutGemmBackend::Threaded;
-    else if (name == "packed")
-        *out = LutGemmBackend::Packed;
     else if (name == "simd")
         *out = LutGemmBackend::Simd;
     else
@@ -1129,10 +940,9 @@ validateLutGemmConfig(const LutGemmConfig &config)
         return Status::invalidArgument(
             "hFFLUT requires mu >= 2 (mu=1 tables have no half); ",
             "raise mu or set useHalfLut = false");
-    if (config.backend != LutGemmBackend::Reference &&
-        config.blockRows < 1)
+    if (config.backend == LutGemmBackend::Simd && config.blockRows < 1)
         return Status::invalidArgument(
-            "LUT-GEMM blocked backends need blockRows >= 1, got ",
+            "LUT-GEMM Simd backend needs blockRows >= 1, got ",
             config.blockRows);
     if (config.threads > kMaxLutGemmThreads)
         return Status::invalidArgument(
@@ -1172,15 +982,8 @@ addLutGemmClosedFormCounters(const BcqTensor &weights,
     const auto groups64 = static_cast<uint64_t>(groups);
     const auto bits64 = static_cast<uint64_t>(weights.bits);
 
-    // LUT-build passes over the (batch, group) table sets: Reference
-    // and Packed build each set once; Threaded rebuilds per row block.
-    uint64_t passes = 1;
-    if (config.backend == LutGemmBackend::Threaded) {
-        passes =
-            (rows64 + static_cast<uint64_t>(config.blockRows) - 1) /
-            static_cast<uint64_t>(config.blockRows);
-    }
-    const uint64_t builds = passes * batch64 * chunks64;
+    // Both backends build each (batch, chunk) table exactly once.
+    const uint64_t builds = batch64 * chunks64;
     counters.lutGenerations += builds;
     counters.generatorAdds += builds * addsPerGeneration;
 

@@ -39,39 +39,39 @@ namespace figlut {
 class ExecutionContext;
 
 /**
- * Execution backend of the functional kernel.
+ * Execution backend of the functional kernel: an oracle and a fast
+ * path, like FIGLUT's single fixed datapath for every precision.
  *
- * All backends produce bit-identical outputs: every output row
+ * Both backends produce bit-identical outputs: every output row
  * accumulates its (batch, group, plane) contributions in the same
  * order through the same emulated-FP operations, and LUT contents are
  * a deterministic function of the activations. They differ only in
- * traversal: Reference streams all M rows per (column, group) LUT set
- * on one thread; Threaded carves M into blockRows-row work items,
- * rebuilding the (column, group) LUT sets per block so each set stays
- * cache-hot for exactly the rows of its block; Packed builds each
- * activation column's LUT arenas exactly once, pre-packs (or reuses
- * pre-packed) per-(plane, chunk) key arrays, and streams row tiles as
- * linear key walks + table reads with zero per-read bit-gathering;
- * Simd is the Packed traversal with the per-chunk key walk executed
- * by the runtime-dispatched vector kernels of core/simd.h (AVX2
- * gathers / NEON lanes, scalar fallback) — rows are independent
- * vector lanes, so per-row accumulation order is unchanged and the
- * outputs remain bit-identical (FpArith::Fp16/Bf16 accumulate falls
- * back to the Packed scalar loop inside the backend, since only the
- * binary32 round-trip has a hardware vector equivalent).
+ * traversal. Reference streams all M rows per (column, group) LUT set
+ * on one thread, gathering each key from the weight planes. Simd
+ * builds each activation column's LUT arenas exactly once, pre-packs
+ * (or reuses pre-packed) per-(plane, chunk) key arrays, and streams
+ * blockRows-row tiles, on `threads` workers, through the
+ * runtime-dispatched span kernels of core/simd.h (AVX-512 register
+ * tables / AVX2 gathers / NEON lanes, or the portable scalar table).
+ * Rows are independent vector lanes, so per-row accumulation order is
+ * unchanged. Instrumented calls and FpArith::Fp16/Bf16 walk the chunks
+ * with a scalar loop instead, since only the binary32 round-trip has
+ * a hardware vector equivalent.
  */
 enum class LutGemmBackend
 {
     Reference, ///< single-threaded scalar loop (differential oracle)
-    Threaded,  ///< cache-blocked row tiles on a ThreadPool work queue
-    Packed,    ///< packed-key layout + flat LUT arenas
-    Simd,      ///< Packed layout + vectorized key walk (fastest)
+    Simd,      ///< packed keys + per-column LUT arenas + span kernels
 };
 
-/** Stable numeric code for JSON records ("gemm_backend" fields). */
+/**
+ * Stable numeric code for JSON records ("gemm_backend" fields):
+ * Reference 0, Simd 3. Codes 1 and 2 belonged to retired backends and
+ * are not reused.
+ */
 int lutGemmBackendCode(LutGemmBackend backend);
 
-/** Lower-case name ("reference", "threaded", "packed", "simd"). */
+/** Lower-case name ("reference", "simd"). */
 const char *lutGemmBackendName(LutGemmBackend backend);
 
 /** Parse a backend name as printed by lutGemmBackendName(). */
@@ -89,8 +89,8 @@ struct LutGemmConfig
     bool useGeneratorTree = true;          ///< tree generator vs direct
 
     LutGemmBackend backend = LutGemmBackend::Reference;
-    int threads = 0;   ///< blocked backends: workers, <= 0 = hardware
-    int blockRows = 64;///< blocked backends: rows per work item (M-tile)
+    int threads = 0;   ///< Simd: workers, <= 0 = hardware
+    int blockRows = 64;///< Simd: rows per work item (M-tile)
 
     /**
      * Count operations by per-read increments inside the hot loops
@@ -108,7 +108,7 @@ inline constexpr int kMaxLutGemmThreads = 1024;
 
 /**
  * Validate the shape-independent kernel knobs: mu in [1, kMaxMu],
- * hFFLUT needs mu >= 2, blocked backends need blockRows >= 1, threads
+ * hFFLUT needs mu >= 2, the Simd backend needs blockRows >= 1, threads
  * <= kMaxLutGemmThreads. lutGemm() enforces exactly these checks
  * fatally per call; construction-time callers (Session, the serve
  * Engine) use the Status form so a serving loop can reject a bad
@@ -119,17 +119,10 @@ Status validateLutGemmConfig(const LutGemmConfig &config);
 /**
  * Operation counters filled in by the kernel (drive energy models).
  *
- * Counts report the work the selected backend actually performed: the
- * Threaded backend rebuilds each (column, group) LUT set once per row
- * block, so its lutGenerations/generatorAdds are ceil(M / blockRows)
- * TIMES the Reference backend's, while the Packed and Simd backends
- * build each set exactly once and match Reference. Hardware energy
- * models must
- * derive LUT-build counts analytically (as sim/engine_sim does), never
- * from Threaded-backend counters. Read/accumulate/scale/offset counts
- * are identical across backends, and independent of
- * LutGemmConfig::instrument (closed-form and per-read accounting
- * agree exactly).
+ * Every count is identical across backends (both build each
+ * (column, chunk) LUT exactly once) and independent of
+ * LutGemmConfig::instrument: closed-form and per-read accounting agree
+ * exactly.
  */
 struct LutGemmCounters
 {
@@ -146,8 +139,8 @@ struct LutGemmCounters
  * x, config) call with a B-column activation matrix into `counters`,
  * without running the kernel. This is the exact accounting the fast
  * (non-instrumented) path applies after its loops: an analytic
- * function of the tensor shape, the group/chunk geometry, and the
- * backend's traversal (Threaded rebuilds LUT sets per row block).
+ * function of the tensor shape and the group/chunk geometry, the same
+ * for both backends.
  *
  * The shard layer uses it to keep counters execution-invariant: a
  * row-sharded run would otherwise rebuild each (column, group) LUT
@@ -170,10 +163,10 @@ void addLutGemmClosedFormCounters(const BcqTensor &weights,
  * @param counters optional op counters (accumulated, not reset)
  * @param ctx      optional long-lived execution resources
  *                 (core/execution_context.h). With a context, the
- *                 blocked backends run on its persistent ThreadPool
+ *                 Simd backend runs on its persistent ThreadPool
  *                 and reuse its scratch/arena workspace across calls;
  *                 without one, pool and scratch are constructed per
- *                 call. A blocked call that resolves to one worker
+ *                 call. A Simd call that resolves to one worker
  *                 (threads = 1, or M <= blockRows) runs its row tiles
  *                 on the calling thread and uses no pool at all.
  *                 Outputs are identical either way. A context must
@@ -186,8 +179,8 @@ MatrixD lutGemm(const BcqTensor &weights, const MatrixD &x,
                 ExecutionContext *ctx = nullptr);
 
 /**
- * Run the LUT-GEMM kernel with pre-packed weight keys (Packed and
- * Simd backends). packed must come from packLutKeys(weights, config.mu); the
+ * Run the LUT-GEMM kernel with pre-packed weight keys (Simd backend
+ * only). packed must come from packLutKeys(weights, config.mu); the
  * pre-packing is validated against the tensor's shape. Use this for
  * repeated-inference scenarios: keys depend only on the weights, so
  * packing once amortizes the layout pass across every call (pair it

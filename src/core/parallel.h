@@ -5,7 +5,7 @@
  * The simulator's hot loops (LUT-GEMM over large M) are embarrassingly
  * parallel across output rows. ThreadPool provides a small std::thread
  * work queue; parallelForBlocked() carves an index space into
- * fixed-size block work items (the M-tiles of the blocked LUT-GEMM
+ * fixed-size block work items (the M-tiles of the Simd LUT-GEMM
  * traversal) and executes them across the pool.
  *
  * Tasks that throw are captured: the first exception is rethrown from

@@ -15,7 +15,7 @@ namespace simd_detail {
  * reproduce. These are deliberately plain loops: the GEMM contract's
  * round-to-binary32 is the hardware double->float->double round-trip
  * (the same conversion fpRound() applies for FpArith::Fp32, which the
- * 4-backend differential suite proves), and the reductions follow the
+ * Reference-vs-Simd differential suite proves), and the reductions follow the
  * fixed kSimdReduceLanes-strided order documented in simd.h.
  */
 

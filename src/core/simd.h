@@ -127,7 +127,7 @@ struct SimdKernels
      *
      * The per-add rounding is the IEEE double->float->double
      * round-trip, the same Fp32 conversion fpAdd() applies (proven
-     * by the 4-backend differential suite). Spanning
+     * by the Reference-vs-Simd differential suite). Spanning
      * all chunks per call — rather than one kernel call per chunk —
      * is what lets every ISA keep the accumulator out of memory for
      * the whole walk; per-row accumulation order is chunk-sequential

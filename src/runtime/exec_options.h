@@ -29,9 +29,9 @@ namespace figlut {
 /** Host execution of the GEMM kernels (core/lut_gemm.h knobs). */
 struct ExecOptions
 {
-    /** Simd is bit-identical to Packed (and Reference) with the same
-     *  closed-form counters, so the fastest backend is the default;
-     *  dispatch degrades to the scalar table on non-SIMD hosts. */
+    /** Simd is bit-identical to Reference with the same closed-form
+     *  counters, so the fast path is the default; dispatch degrades
+     *  to the scalar table on non-SIMD hosts. */
     LutGemmBackend backend = LutGemmBackend::Simd;
     int threads = 0;    ///< workers, <= 0 = hardware concurrency
     int blockRows = 64; ///< rows per M-tile work item

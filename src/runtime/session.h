@@ -14,7 +14,7 @@
  * sized to the session batch and submits one unbounded request per
  * sequence; runDecodeStep() injects the caller's hidden columns with
  * Engine::provideInput() and runs one fused Engine::step(). The
- * numeric path (Packed LUT-GEMM kernels with pre-packed keys on one
+ * numeric path (Simd LUT-GEMM kernels with pre-packed keys on one
  * shared ExecutionContext, reference vector ops, per-sequence KvCache)
  * is therefore exactly the serving path, and the Session differential
  * suites pin the Engine's per-column arithmetic. Construction-time
@@ -92,7 +92,7 @@ class Session
     /**
      * Build the session: materialize + quantize + pack every layer's
      * weights (the one-time cost), spawn no threads yet (the pool is
-     * lazy in the first blocked GEMM call). Throws FatalError on an
+     * lazy in the first multi-worker GEMM call). Throws FatalError on an
      * invalid configuration (the recoverable form of the same checks
      * is serve::Engine::create).
      */

@@ -14,14 +14,13 @@ namespace serve {
 
 namespace {
 
-/** Only the Packed and Simd backends consume pre-packed keys; skip
- *  the materialization (roughly q bytes per weight) for the others. */
+/** Only the Simd backend consumes pre-packed keys; skip the
+ *  materialization (roughly q bytes per weight) for Reference. */
 ModelOptions
 modelOptionsFor(const EngineOptions &options)
 {
     ModelOptions model = options.model;
-    model.packKeys = options.exec.backend == LutGemmBackend::Packed ||
-                     options.exec.backend == LutGemmBackend::Simd;
+    model.packKeys = options.exec.backend == LutGemmBackend::Simd;
     return model;
 }
 
@@ -569,10 +568,9 @@ Engine::step()
         if (shardExec_ != nullptr)
             return shardExec_->run(l, op, in, gemmCfg, &stats.counters);
         const QuantizedLayer &layer = model_.layer(l);
-        // The pre-packed overload serves the Packed and Simd backends;
-        // the others gather keys from the bit planes themselves.
-        if (gemmCfg.backend == LutGemmBackend::Packed ||
-            gemmCfg.backend == LutGemmBackend::Simd)
+        // The pre-packed overload serves the Simd backend; Reference
+        // gathers keys from the bit planes itself.
+        if (gemmCfg.backend == LutGemmBackend::Simd)
             return lutGemm(layer.weights(op), in, gemmCfg,
                            layer.keys(op), &stats.counters, &ctx_);
         return lutGemm(layer.weights(op), in, gemmCfg, &stats.counters,

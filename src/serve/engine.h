@@ -18,7 +18,7 @@
  * hidden x batchWidth matrix — a request still prefilling contributes
  * its next chunk of prompt embedding columns (bounded per step by
  * prefillChunkTokens across the batch), a decoding request its one
- * hidden column — so each layer's weight GEMM hits the Packed LUT
+ * hidden column — so each layer's weight GEMM hits the Simd LUT
  * kernel exactly once per step: all requests share the model's
  * pre-packed keys and the engine's one ExecutionContext (the paper's
  * repeated-inference amortization, applied across clients). Attention
@@ -215,8 +215,7 @@ class Engine
   public:
     /**
      * Validate the architecture and every execution knob, then build
-     * the engine: materialize + quantize + (for the Packed and Simd
-     * backends)
+     * the engine: materialize + quantize + (for the Simd backend)
      * key-pack all layers — the one-time cost. Returns InvalidArgument
      * with an actionable message instead of constructing on bad input.
      */

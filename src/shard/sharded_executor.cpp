@@ -170,12 +170,10 @@ ShardedExecutor::runShard(std::size_t shard, const Job &job)
     ExecutionContext *ctx = contexts_[shard].get();
     // Per-shard counters are discarded (nullptr): run() adds the
     // full-tensor closed form once instead. Keys ride along only for
-    // the backends that consume them — Reference/Threaded reject
-    // pre-packed keys by contract.
-    const bool useKeys =
-        !operand.keys.empty() &&
-        (job.config->backend == LutGemmBackend::Packed ||
-         job.config->backend == LutGemmBackend::Simd);
+    // the Simd backend — Reference rejects pre-packed keys by
+    // contract.
+    const bool useKeys = !operand.keys.empty() &&
+                         job.config->backend == LutGemmBackend::Simd;
     MatrixD slice =
         useKeys ? lutGemm(weights, *job.x, *job.config,
                           operand.keys[shard], nullptr, ctx)

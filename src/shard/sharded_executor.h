@@ -10,13 +10,13 @@
  * each worker group stays on one NUMA node next to its key slab.
  *
  * run() executes one layer GEMM: every shard runs an ordinary
- * lutGemm() over its row slice (Packed/Simd consume the sliced key
- * slab; Reference/Threaded gather from the sliced planes), and the
+ * lutGemm() over its row slice (Simd consumes the sliced key slab;
+ * Reference gathers from the sliced planes), and the
  * combine step is pure concatenation — each shard writes its disjoint
  * output-row range of the shared result. No output element is touched
  * by more than one shard and per-row accumulation order is the
  * unsharded kernel's, so the result is bit-identical to a single
- * unsharded call by construction, for all four backends.
+ * unsharded call by construction, for both backends.
  *
  * Counters stay execution-invariant: a sharded run rebuilds each
  * (column, group) LUT set once per shard — executor overhead that the

@@ -82,11 +82,11 @@ InterconnectConfig::validate() const
 void
 ExecConfig::validate() const
 {
-    if (backend != LutGemmBackend::Reference && blockRows < 1)
-        fatal("blocked execution needs blockRows >= 1, got ", blockRows);
+    if (backend == LutGemmBackend::Simd && blockRows < 1)
+        fatal("Simd execution needs blockRows >= 1, got ", blockRows);
     if (threads > kMaxLutGemmThreads)
-        fatal("threaded execution supports at most ", kMaxLutGemmThreads,
-              " workers, got ", threads);
+        fatal("LUT-GEMM threads must be <= ", kMaxLutGemmThreads,
+              ", got ", threads);
 }
 
 NumericsConfig

@@ -54,8 +54,8 @@ struct GemmShape
 struct ExecConfig
 {
     LutGemmBackend backend = LutGemmBackend::Reference;
-    int threads = 0;    ///< Threaded/Packed: workers, <= 0 = hardware
-    int blockRows = 64; ///< Threaded/Packed: rows per M-tile work item
+    int threads = 0;    ///< Simd: workers, <= 0 = hardware
+    int blockRows = 64; ///< Simd: rows per M-tile work item
     /**
      * Per-read operation counting inside the kernel loops instead of
      * the default closed-form accounting (identical totals either

@@ -115,8 +115,7 @@ TEST(ExecutionContext, SharedContextMatchesFreshResourcesAllBackends)
     const auto xSmall = syntheticActivations(23, 2, rng);
 
     for (const auto backend :
-         {LutGemmBackend::Reference, LutGemmBackend::Threaded,
-          LutGemmBackend::Packed}) {
+         {LutGemmBackend::Reference, LutGemmBackend::Simd}) {
         for (const bool pre : {false, true}) {
             LutGemmConfig cfg;
             cfg.backend = backend;
@@ -155,7 +154,7 @@ TEST(ExecutionContext, PrepackedSharedContextSpawnsOnePool)
     const auto x = syntheticActivations(48, 2, rng);
 
     LutGemmConfig cfg;
-    cfg.backend = LutGemmBackend::Packed;
+    cfg.backend = LutGemmBackend::Simd;
     cfg.preAligned = true;
     cfg.threads = 2;
     cfg.blockRows = 16;

@@ -239,7 +239,7 @@ TEST(LutGemm, ValidateConfigReportsEachBadKnob)
     EXPECT_TRUE(validateLutGemmConfig(cfg).ok());
 
     cfg = LutGemmConfig{};
-    cfg.backend = LutGemmBackend::Threaded;
+    cfg.backend = LutGemmBackend::Simd;
     cfg.blockRows = 0;
     s = validateLutGemmConfig(cfg);
     EXPECT_EQ(s.code(), StatusCode::InvalidArgument);
@@ -257,13 +257,38 @@ TEST(LutGemm, ValidateConfigReportsEachBadKnob)
     EXPECT_TRUE(validateLutGemmConfig(cfg).ok());
 }
 
+TEST(LutGemm, BackendNamesCodesAndParsingRoundTrip)
+{
+    for (const auto backend :
+         {LutGemmBackend::Reference, LutGemmBackend::Simd}) {
+        LutGemmBackend parsed = LutGemmBackend::Reference;
+        EXPECT_TRUE(parseLutGemmBackend(lutGemmBackendName(backend),
+                                        &parsed));
+        EXPECT_EQ(parsed, backend);
+    }
+    EXPECT_STREQ(lutGemmBackendName(LutGemmBackend::Reference),
+                 "reference");
+    EXPECT_STREQ(lutGemmBackendName(LutGemmBackend::Simd), "simd");
+    // serving_load --json writes these as "gemm_backend"; recorded
+    // trajectories depend on them staying put.
+    EXPECT_EQ(lutGemmBackendCode(LutGemmBackend::Reference), 0);
+    EXPECT_EQ(lutGemmBackendCode(LutGemmBackend::Simd), 3);
+    // Retired backends and near-misses are rejected, leaving the
+    // output untouched.
+    for (const char *name : {"threaded", "packed", "Simd", "", "auto"}) {
+        LutGemmBackend parsed = LutGemmBackend::Simd;
+        EXPECT_FALSE(parseLutGemmBackend(name, &parsed)) << name;
+        EXPECT_EQ(parsed, LutGemmBackend::Simd) << name;
+    }
+}
+
 TEST(LutGemm, PrePackedKeyMismatchesThrow)
 {
-    // Only the happy path of the pre-packed overload was covered; the
-    // rejection paths guard against silently misindexed arenas.
+    // Every rejection path of the pre-packed overload: they guard
+    // against silently misindexed arenas.
     const auto tc = makeCase(6, 24, 2, 3, 0, true, 612);
     LutGemmConfig cfg;
-    cfg.backend = LutGemmBackend::Packed;
+    cfg.backend = LutGemmBackend::Simd;
     cfg.threads = 1;
     const auto packed = packLutKeys(tc.weights, cfg.mu);
     EXPECT_NO_THROW(lutGemm(tc.weights, tc.x, cfg, packed));
@@ -282,8 +307,14 @@ TEST(LutGemm, PrePackedKeyMismatchesThrow)
     const auto wrongBits = packLutKeys(fewerBits.weights, cfg.mu);
     EXPECT_THROW(lutGemm(tc.weights, tc.x, cfg, wrongBits), FatalError);
 
-    // Pre-packed keys are a Packed-backend contract.
-    cfg.backend = LutGemmBackend::Threaded;
+    // Keys packed from a tensor with a different scale-group size.
+    const auto grouped = makeCase(6, 24, 2, 3, 8, true, 612);
+    const auto wrongGroup = packLutKeys(grouped.weights, cfg.mu);
+    EXPECT_THROW(lutGemm(tc.weights, tc.x, cfg, wrongGroup), FatalError);
+
+    // Pre-packed keys are a Simd-backend contract: Reference gathers
+    // its keys from the bit planes and rejects them.
+    cfg.backend = LutGemmBackend::Reference;
     EXPECT_THROW(lutGemm(tc.weights, tc.x, cfg, packed), FatalError);
 }
 

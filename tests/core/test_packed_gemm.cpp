@@ -1,16 +1,20 @@
 /**
  * @file
- * Differential tests for the Packed LUT-GEMM backend: bit-identity of
- * Reference vs Packed vs Threaded over randomized shapes/configs, the
- * pre-packed key reuse API, and the closed-form-vs-instrumented
- * counter proof.
+ * Tests for the packed-key traversal of the Simd LUT-GEMM backend:
+ * bit-identity against Reference on tail chunks and odd shapes, the
+ * pre-packed key reuse API and its validation, the engine wrapper on
+ * the portable scalar span table, and the closed-form-vs-instrumented
+ * counter proof. The randomized Reference-vs-Simd suite lives in
+ * test_simd_gemm.cpp.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "core/engine_numerics.h"
+#include "core/execution_context.h"
 #include "core/lut_gemm.h"
+#include "core/simd.h"
 #include "model/synthetic.h"
 #include "quant/packing.h"
 
@@ -69,7 +73,7 @@ TEST(LutGemmPacked, BitIdenticalToReferenceBothPaths)
         cfg.threads = 4;
         cfg.blockRows = 8;
         const auto ref = runBackend(tc, cfg, LutGemmBackend::Reference);
-        const auto packed = runBackend(tc, cfg, LutGemmBackend::Packed);
+        const auto packed = runBackend(tc, cfg, LutGemmBackend::Simd);
         EXPECT_TRUE(compareMatrices(packed, ref).identical)
             << "preAligned=" << pre;
     }
@@ -85,77 +89,30 @@ TEST(LutGemmPacked, TailChunksAndOddShapes)
         cfg.preAligned = true;
         cfg.blockRows = 3;
         const auto ref = runBackend(tc, cfg, LutGemmBackend::Reference);
-        const auto packed = runBackend(tc, cfg, LutGemmBackend::Packed);
+        const auto packed = runBackend(tc, cfg, LutGemmBackend::Simd);
         EXPECT_TRUE(compareMatrices(packed, ref).identical)
             << "group=" << group;
     }
 }
 
-/**
- * The ISSUE's randomized differential suite: odd shapes, tail chunks,
- * mu in [1, kMaxMu], offset on/off, half-LUT on/off, generator
- * on/off, both numeric paths — Reference vs Packed vs Threaded must
- * agree bit for bit.
- */
-TEST(LutGemmPacked, RandomizedDifferentialSuite)
-{
-    Rng shapes(1003);
-    for (int trial = 0; trial < 16; ++trial) {
-        const auto m = static_cast<std::size_t>(shapes.uniformInt(1, 60));
-        const auto n = static_cast<std::size_t>(shapes.uniformInt(1, 80));
-        const auto batch =
-            static_cast<std::size_t>(shapes.uniformInt(1, 5));
-        const int bits = static_cast<int>(shapes.uniformInt(1, 4));
-        const bool grouped = shapes.uniformInt(0, 1) == 1;
-        const std::size_t group =
-            grouped ? static_cast<std::size_t>(
-                          shapes.uniformInt(1, static_cast<int64_t>(n)))
-                    : 0;
-        const bool offset = shapes.uniformInt(0, 1) == 1;
-
-        LutGemmConfig cfg;
-        cfg.mu = static_cast<int>(shapes.uniformInt(1, kMaxMu));
-        cfg.useHalfLut = cfg.mu >= 2 && shapes.uniformInt(0, 1) == 1;
-        cfg.useGeneratorTree = shapes.uniformInt(0, 1) == 1;
-        cfg.preAligned = shapes.uniformInt(0, 1) == 1;
-        cfg.threads = static_cast<int>(shapes.uniformInt(1, 8));
-        cfg.blockRows = static_cast<int>(shapes.uniformInt(1, 32));
-
-        const auto tc = makeCase(m, n, batch, bits, group, offset,
-                                 1100 + static_cast<uint64_t>(trial));
-        const auto ref = runBackend(tc, cfg, LutGemmBackend::Reference);
-        const auto thr = runBackend(tc, cfg, LutGemmBackend::Threaded);
-        const auto packed = runBackend(tc, cfg, LutGemmBackend::Packed);
-
-        const std::string what =
-            "trial " + std::to_string(trial) + ": " + std::to_string(m) +
-            "x" + std::to_string(n) + " batch " + std::to_string(batch) +
-            " bits " + std::to_string(bits) + " group " +
-            std::to_string(group) + " offset " + std::to_string(offset) +
-            " mu " + std::to_string(cfg.mu) + " half " +
-            std::to_string(cfg.useHalfLut) + " tree " +
-            std::to_string(cfg.useGeneratorTree) + " pre " +
-            std::to_string(cfg.preAligned) + " threads " +
-            std::to_string(cfg.threads) + " blockRows " +
-            std::to_string(cfg.blockRows);
-        EXPECT_TRUE(compareMatrices(thr, ref).identical) << what;
-        EXPECT_TRUE(compareMatrices(packed, ref).identical) << what;
-    }
-}
-
 TEST(LutGemmPacked, PrepackedKeysMatchInternalPacking)
 {
+    // The FP path on two workers, with one context carrying the
+    // arenas across calls (SimdGemm.PrepackedKeysReuse covers the
+    // integer path without a context).
     const auto tc = makeCase(24, 48, 2, 3, 12, true, 1004);
     LutGemmConfig cfg;
-    cfg.backend = LutGemmBackend::Packed;
-    cfg.preAligned = true;
+    cfg.backend = LutGemmBackend::Simd;
+    cfg.preAligned = false;
+    cfg.threads = 2;
     cfg.blockRows = 7;
     const auto packedKeys = packLutKeys(tc.weights, cfg.mu);
     const auto internal = lutGemm(tc.weights, tc.x, cfg);
     // Reuse the same pre-packing across repeated calls.
+    ExecutionContext ctx;
     for (int call = 0; call < 2; ++call) {
         const auto reused =
-            lutGemm(tc.weights, tc.x, cfg, packedKeys);
+            lutGemm(tc.weights, tc.x, cfg, packedKeys, nullptr, &ctx);
         EXPECT_TRUE(compareMatrices(reused, internal).identical)
             << "call " << call;
     }
@@ -163,31 +120,51 @@ TEST(LutGemmPacked, PrepackedKeysMatchInternalPacking)
 
 TEST(LutGemmPacked, PrepackedValidationThrows)
 {
+    // Mismatched keys are rejected before any work is scheduled: a
+    // two-worker call never spawns its context's pool, and the context
+    // stays usable for the next, valid call.
+    // (LutGemm.PrePackedKeyMismatchesThrow covers every mismatch kind.)
     const auto tc = makeCase(8, 16, 1, 2, 0, false, 1005);
     LutGemmConfig cfg;
-    cfg.backend = LutGemmBackend::Packed;
+    cfg.backend = LutGemmBackend::Simd;
+    cfg.threads = 2;
+    cfg.blockRows = 4;
+    ExecutionContext ctx;
     const auto mismatchedMu = packLutKeys(tc.weights, cfg.mu + 1);
-    EXPECT_THROW(lutGemm(tc.weights, tc.x, cfg, mismatchedMu),
+    EXPECT_THROW(lutGemm(tc.weights, tc.x, cfg, mismatchedMu, nullptr, &ctx),
                  FatalError);
 
     const auto other = makeCase(9, 16, 1, 2, 0, false, 1006);
     const auto wrongShape = packLutKeys(other.weights, cfg.mu);
-    EXPECT_THROW(lutGemm(tc.weights, tc.x, cfg, wrongShape), FatalError);
+    EXPECT_THROW(lutGemm(tc.weights, tc.x, cfg, wrongShape, nullptr, &ctx),
+                 FatalError);
 
-    // Pre-packed keys only make sense for the Packed backend.
+    // Pre-packed keys only make sense for the Simd backend.
     const auto good = packLutKeys(tc.weights, cfg.mu);
     LutGemmConfig refCfg = cfg;
     refCfg.backend = LutGemmBackend::Reference;
-    EXPECT_THROW(lutGemm(tc.weights, tc.x, refCfg, good), FatalError);
+    EXPECT_THROW(lutGemm(tc.weights, tc.x, refCfg, good, nullptr, &ctx),
+                 FatalError);
+    EXPECT_FALSE(ctx.hasPool());
+    EXPECT_EQ(ctx.poolSpawns(), 0u);
+
+    const auto y = lutGemm(tc.weights, tc.x, cfg, good, nullptr, &ctx);
+    EXPECT_TRUE(
+        compareMatrices(y, runBackend(tc, cfg, LutGemmBackend::Reference))
+            .identical);
+    EXPECT_EQ(ctx.poolSpawns(), 1u);
 }
 
 TEST(LutGemmPacked, InvalidBlockRowsThrows)
 {
+    // The pre-packed overload validates the tiling knob too
+    // (LutGemmThreaded.InvalidBlockRowsThrows covers the other one).
     const auto tc = makeCase(4, 16, 1, 2, 0, false, 1007);
     LutGemmConfig cfg;
-    cfg.backend = LutGemmBackend::Packed;
+    cfg.backend = LutGemmBackend::Simd;
     cfg.blockRows = 0;
-    EXPECT_THROW(lutGemm(tc.weights, tc.x, cfg), FatalError);
+    const auto packedKeys = packLutKeys(tc.weights, cfg.mu);
+    EXPECT_THROW(lutGemm(tc.weights, tc.x, cfg, packedKeys), FatalError);
 }
 
 // ---------------------------------------- closed-form counter proofs
@@ -195,8 +172,8 @@ TEST(LutGemmPacked, InvalidBlockRowsThrows)
 /**
  * The fast path's closed-form counters must equal the instrumented
  * per-read counts for every backend over the randomized suite — this
- * is the differential proof the ISSUE requires for stripping the
- * increments out of the hot loops.
+ * is the differential proof that licenses stripping the increments out
+ * of the hot loops.
  */
 TEST(LutGemmCounters, ClosedFormMatchesInstrumentedRandomized)
 {
@@ -225,8 +202,7 @@ TEST(LutGemmCounters, ClosedFormMatchesInstrumentedRandomized)
         const auto tc = makeCase(m, n, batch, bits, group, offset,
                                  1200 + static_cast<uint64_t>(trial));
         for (const auto backend :
-             {LutGemmBackend::Reference, LutGemmBackend::Threaded,
-              LutGemmBackend::Packed}) {
+             {LutGemmBackend::Reference, LutGemmBackend::Simd}) {
             LutGemmCounters closed, instrumented;
             cfg.instrument = false;
             (void)runBackend(tc, cfg, backend, &closed);
@@ -244,25 +220,23 @@ TEST(LutGemmCounters, ClosedFormMatchesInstrumentedRandomized)
 
 TEST(LutGemmCounters, PackedBuildsEachLutSetExactlyOnce)
 {
-    // Unlike Threaded (which rebuilds per row block), Packed must
-    // report batch x totalChunks LUT generations no matter how many
-    // row tiles execute: 32 rows / blockRows 4 = 8 tiles here.
+    // The Simd backend must report batch x totalChunks LUT generations
+    // no matter how many row tiles execute: 32 rows / blockRows 4 = 8
+    // tiles here.
     const auto tc = makeCase(32, 64, 2, 3, 0, true, 1009);
     LutGemmConfig cfg;
     cfg.mu = 4;
     cfg.blockRows = 4;
     cfg.threads = 4;
 
-    LutGemmCounters ref, thr, packed;
+    LutGemmCounters ref, packed;
     (void)runBackend(tc, cfg, LutGemmBackend::Reference, &ref);
-    (void)runBackend(tc, cfg, LutGemmBackend::Threaded, &thr);
-    (void)runBackend(tc, cfg, LutGemmBackend::Packed, &packed);
+    (void)runBackend(tc, cfg, LutGemmBackend::Simd, &packed);
 
     // 64 cols / mu 4 = 16 chunks, 2 columns -> 32 sets.
     EXPECT_EQ(ref.lutGenerations, 32u);
     EXPECT_EQ(packed.lutGenerations, ref.lutGenerations);
     EXPECT_EQ(packed.generatorAdds, ref.generatorAdds);
-    EXPECT_EQ(thr.lutGenerations, ref.lutGenerations * 8);
     // Row-space work is traversal-invariant.
     EXPECT_EQ(packed.lutReads, ref.lutReads);
     EXPECT_EQ(packed.racAccumulates, ref.racAccumulates);
@@ -312,17 +286,35 @@ TEST(LutGemmCounters, GeneratorAddsScaleWithGenerations)
 
 TEST(LutGemmPacked, EngineNumericsPlumbsPackedBackend)
 {
-    // The FIGLUT engine wrapper must honour the Packed backend and
-    // stay bit-identical to its Reference execution.
+    // With the dispatcher pinned to the scalar span table (the
+    // portable packed-key path on hosts without a vector ISA), the
+    // FIGLUT engine wrapper's Simd execution stays bit-identical to
+    // Reference, and its instrument knob and counters reach the kernel.
     const auto tc = makeCase(12, 40, 3, 3, 20, true, 1012);
+    struct ScalarIsaGuard
+    {
+        ScalarIsaGuard() { setSimdIsaOverride(SimdIsa::Scalar); }
+        ~ScalarIsaGuard() { clearSimdIsaOverride(); }
+    } scalar;
     NumericsConfig ref;
     NumericsConfig packed;
-    packed.backend = LutGemmBackend::Packed;
+    packed.backend = LutGemmBackend::Simd;
     packed.threads = 2;
-    for (const bool pre : {false, true}) {
-        const auto a = figlutGemm(tc.weights, tc.x, ref, pre);
-        const auto b = figlutGemm(tc.weights, tc.x, packed, pre);
-        EXPECT_TRUE(compareMatrices(a, b).identical) << "pre=" << pre;
+    for (const bool instrument : {false, true}) {
+        ref.instrument = instrument;
+        packed.instrument = instrument;
+        for (const bool pre : {false, true}) {
+            LutGemmCounters refCnt, packedCnt;
+            const auto a = figlutGemm(tc.weights, tc.x, ref, pre, &refCnt);
+            const auto b =
+                figlutGemm(tc.weights, tc.x, packed, pre, &packedCnt);
+            const std::string what = "instrument=" +
+                                     std::to_string(instrument) +
+                                     " pre=" + std::to_string(pre);
+            EXPECT_TRUE(compareMatrices(a, b).identical) << what;
+            EXPECT_GT(packedCnt.lutReads, 0u) << what;
+            expectCountersEqual(packedCnt, refCnt, what);
+        }
     }
 }
 

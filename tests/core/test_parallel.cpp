@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the ThreadPool work queue and the threaded LUT-GEMM
- * backend's bit-identity against the scalar Reference backend.
+ * Tests for the ThreadPool work queue and multi-threaded LUT-GEMM:
+ * the Simd backend's row tiles on 1..8 workers are bit-identical to
+ * the scalar Reference backend.
  */
 
 #include <gtest/gtest.h>
@@ -101,7 +102,7 @@ TEST(Parallel, TaskExceptionRethrownFromWait)
     EXPECT_EQ(calls.load(), 2);
 }
 
-// ------------------------------------------- threaded LUT-GEMM backend
+// ------------------------------------------------- threaded LUT-GEMM
 
 struct GemmCase
 {
@@ -146,7 +147,7 @@ TEST(LutGemmThreaded, OneThreadBitIdenticalToReference)
         const auto ref =
             runBackend(tc, LutGemmBackend::Reference, 0, 64, pre);
         const auto thr =
-            runBackend(tc, LutGemmBackend::Threaded, 1, 64, pre);
+            runBackend(tc, LutGemmBackend::Simd, 1, 64, pre);
         EXPECT_TRUE(compareMatrices(thr, ref).identical)
             << "preAligned=" << pre;
     }
@@ -159,7 +160,7 @@ TEST(LutGemmThreaded, ManyThreadsBitIdenticalToReference)
         const auto ref =
             runBackend(tc, LutGemmBackend::Reference, 0, 64, pre);
         const auto thr =
-            runBackend(tc, LutGemmBackend::Threaded, 8, 8, pre);
+            runBackend(tc, LutGemmBackend::Simd, 8, 8, pre);
         EXPECT_TRUE(compareMatrices(thr, ref).identical)
             << "preAligned=" << pre;
     }
@@ -171,76 +172,31 @@ TEST(LutGemmThreaded, BlockRowsSweepIsTilingInvariant)
     const auto ref = runBackend(tc, LutGemmBackend::Reference, 0, 64, true);
     // Including block sizes that do not divide M and exceed M.
     for (const int block_rows : {1, 3, 7, 16, 40, 64, 1000}) {
-        const auto thr = runBackend(tc, LutGemmBackend::Threaded, 4,
-                                    block_rows, true);
+        const auto thr =
+            runBackend(tc, LutGemmBackend::Simd, 4, block_rows, true);
         EXPECT_TRUE(compareMatrices(thr, ref).identical)
             << "blockRows=" << block_rows;
     }
-}
-
-TEST(LutGemmThreaded, RandomizedShapesDifferential)
-{
-    Rng shapes(904);
-    for (int trial = 0; trial < 12; ++trial) {
-        const auto m = static_cast<std::size_t>(shapes.uniformInt(1, 70));
-        const auto n = static_cast<std::size_t>(shapes.uniformInt(1, 90));
-        const auto batch =
-            static_cast<std::size_t>(shapes.uniformInt(1, 5));
-        const int bits = static_cast<int>(shapes.uniformInt(1, 4));
-        const bool grouped = shapes.uniformInt(0, 1) == 1;
-        const std::size_t group =
-            grouped ? static_cast<std::size_t>(
-                          shapes.uniformInt(1, static_cast<int64_t>(n)))
-                    : 0;
-        const bool offset = shapes.uniformInt(0, 1) == 1;
-        const bool pre = shapes.uniformInt(0, 1) == 1;
-        const int threads = static_cast<int>(shapes.uniformInt(1, 8));
-        const int block_rows = static_cast<int>(shapes.uniformInt(1, 32));
-
-        const auto tc = makeCase(m, n, batch, bits, group, offset,
-                                 905 + static_cast<uint64_t>(trial));
-        const auto ref =
-            runBackend(tc, LutGemmBackend::Reference, 0, 64, pre);
-        const auto thr = runBackend(tc, LutGemmBackend::Threaded, threads,
-                                    block_rows, pre);
-        EXPECT_TRUE(compareMatrices(thr, ref).identical)
-            << "trial " << trial << ": " << m << "x" << n << " batch "
-            << batch << " bits " << bits << " group " << group
-            << " offset " << offset << " pre " << pre << " threads "
-            << threads << " blockRows " << block_rows;
-    }
-}
-
-TEST(LutGemmThreaded, CountersMatchReferenceExceptLutBuilds)
-{
-    const auto tc = makeCase(32, 64, 2, 3, 0, true, 906);
-    LutGemmCounters ref_cnt, thr_cnt;
-    (void)runBackend(tc, LutGemmBackend::Reference, 0, 64, false, &ref_cnt);
-    (void)runBackend(tc, LutGemmBackend::Threaded, 4, 8, false, &thr_cnt);
-    // Row-space work is tiling-invariant.
-    EXPECT_EQ(thr_cnt.lutReads, ref_cnt.lutReads);
-    EXPECT_EQ(thr_cnt.racAccumulates, ref_cnt.racAccumulates);
-    EXPECT_EQ(thr_cnt.scaleMuls, ref_cnt.scaleMuls);
-    EXPECT_EQ(thr_cnt.offsetOps, ref_cnt.offsetOps);
-    // LUTs are rebuilt once per row block: 32 rows / 8 = 4 blocks.
-    EXPECT_EQ(thr_cnt.lutGenerations, ref_cnt.lutGenerations * 4);
-    EXPECT_EQ(thr_cnt.generatorAdds, ref_cnt.generatorAdds * 4);
 }
 
 TEST(LutGemmThreaded, InvalidBlockRowsThrows)
 {
     const auto tc = makeCase(4, 16, 1, 2, 0, false, 907);
     LutGemmConfig cfg;
-    cfg.backend = LutGemmBackend::Threaded;
-    cfg.blockRows = 0;
-    EXPECT_THROW(lutGemm(tc.weights, tc.x, cfg), FatalError);
+    cfg.backend = LutGemmBackend::Simd;
+    cfg.threads = 4;
+    for (const int block_rows : {0, -1}) {
+        cfg.blockRows = block_rows;
+        EXPECT_THROW(lutGemm(tc.weights, tc.x, cfg), FatalError)
+            << "blockRows=" << block_rows;
+    }
 }
 
 TEST(LutGemmThreaded, AbsurdThreadCountThrowsInsteadOfSpawning)
 {
     const auto tc = makeCase(4, 16, 1, 2, 0, false, 908);
     LutGemmConfig cfg;
-    cfg.backend = LutGemmBackend::Threaded;
+    cfg.backend = LutGemmBackend::Simd;
     cfg.threads = kMaxLutGemmThreads + 1;
     EXPECT_THROW(lutGemm(tc.weights, tc.x, cfg), FatalError);
 }

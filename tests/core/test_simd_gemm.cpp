@@ -2,8 +2,8 @@
  * @file
  * Differential tests for the Simd LUT-GEMM backend and the runtime
  * ISA dispatcher: span kernels of every ISA against the scalar table,
- * 4-backend bit-identity (Reference / Threaded / Packed / Simd) over
- * randomized shapes and configs, cross-ISA bit-identity under forced
+ * Reference-vs-Simd bit-identity under every ISA over randomized
+ * shapes and configs, cross-ISA bit-identity under forced
  * dispatch, counter equivalence, pre-packed key reuse, and the
  * guarantee that dispatch never selects an ISA the binary was not
  * compiled with (the CI scalar-build leg runs these same tests with
@@ -292,23 +292,34 @@ TEST(SimdSpanKernels, EveryIsaMatchesScalarTable)
     }
 }
 
-// ------------------------------------------------- 4-backend identity
+// ------------------------------------------ Reference-vs-Simd identity
 
 /**
- * The ISSUE's randomized 4-backend differential suite: odd shapes,
+ * The randomized Reference-vs-Simd differential suite: odd shapes,
  * tail chunks, mu in [1, kMaxMu], offset/half-LUT/generator on/off,
- * both numeric paths, and every FpArith accumulate mode (Fp16/Bf16
- * exercise the Simd backend's scalar-arith fallback) — Reference,
- * Threaded, Packed and Simd must agree bit for bit.
+ * both numeric paths, every activation format, every FpArith
+ * accumulate mode (Fp16/Bf16 take the scalar chunk walk), 1-8
+ * workers over 1-72-row tiles, and instrument on/off (instrumented
+ * calls take the scalar counting walk). Every uninstrumented Simd
+ * call runs once per supported ISA, Scalar included, and all of them
+ * must equal Reference bit for bit. Draws `trials` configurations
+ * from `shape_seed`; trial t quantizes its tensor with seed
+ * `case_seed + t`.
  */
-TEST(SimdGemm, RandomizedFourBackendBitIdentity)
+void
+expectRandomizedSimdMatchesReference(uint64_t shape_seed,
+                                     uint64_t case_seed, int trials)
 {
-    Rng shapes(2001);
+    Rng shapes(shape_seed);
     const FpArith ariths[] = {FpArith::Fp32, FpArith::Exact,
                               FpArith::Fp16, FpArith::Bf16};
-    for (int trial = 0; trial < 16; ++trial) {
-        const auto m = static_cast<std::size_t>(shapes.uniformInt(1, 60));
-        const auto n = static_cast<std::size_t>(shapes.uniformInt(1, 80));
+    std::vector<SimdIsa> isas = {SimdIsa::Scalar};
+    for (const auto isa : kVectorIsas)
+        if (simdIsaSupported(isa))
+            isas.push_back(isa);
+    for (int trial = 0; trial < trials; ++trial) {
+        const auto m = static_cast<std::size_t>(shapes.uniformInt(1, 70));
+        const auto n = static_cast<std::size_t>(shapes.uniformInt(1, 90));
         const auto batch =
             static_cast<std::size_t>(shapes.uniformInt(1, 5));
         const int bits = static_cast<int>(shapes.uniformInt(1, 4));
@@ -325,16 +336,14 @@ TEST(SimdGemm, RandomizedFourBackendBitIdentity)
         cfg.useGeneratorTree = shapes.uniformInt(0, 1) == 1;
         cfg.preAligned = shapes.uniformInt(0, 1) == 1;
         cfg.arith = ariths[shapes.uniformInt(0, 3)];
+        cfg.actFormat = kAllActFormats[shapes.uniformInt(0, 2)];
         cfg.threads = static_cast<int>(shapes.uniformInt(1, 8));
-        cfg.blockRows = static_cast<int>(shapes.uniformInt(1, 32));
+        // Up to 72 rows per tile: past one 32-row AVX-512 block, and
+        // past m (a single tile) in some trials.
+        cfg.blockRows = static_cast<int>(shapes.uniformInt(1, 72));
 
         const auto tc = makeCase(m, n, batch, bits, group, offset,
-                                 2100 + static_cast<uint64_t>(trial));
-        const auto ref = runBackend(tc, cfg, LutGemmBackend::Reference);
-        const auto thr = runBackend(tc, cfg, LutGemmBackend::Threaded);
-        const auto packed = runBackend(tc, cfg, LutGemmBackend::Packed);
-        const auto simd = runBackend(tc, cfg, LutGemmBackend::Simd);
-
+                                 case_seed + static_cast<uint64_t>(trial));
         const std::string what =
             "trial " + std::to_string(trial) + ": " + std::to_string(m) +
             "x" + std::to_string(n) + " batch " + std::to_string(batch) +
@@ -344,12 +353,43 @@ TEST(SimdGemm, RandomizedFourBackendBitIdentity)
             std::to_string(cfg.useHalfLut) + " tree " +
             std::to_string(cfg.useGeneratorTree) + " pre " +
             std::to_string(cfg.preAligned) + " arith " +
-            std::to_string(static_cast<int>(cfg.arith)) + " isa " +
-            simdIsaName(activeSimdIsa());
-        EXPECT_TRUE(compareMatrices(thr, ref).identical) << what;
-        EXPECT_TRUE(compareMatrices(packed, ref).identical) << what;
-        EXPECT_TRUE(compareMatrices(simd, ref).identical) << what;
+            std::to_string(static_cast<int>(cfg.arith)) + " act " +
+            std::to_string(static_cast<int>(cfg.actFormat)) + " threads " +
+            std::to_string(cfg.threads) + " blockRows " +
+            std::to_string(cfg.blockRows);
+        const auto ref = runBackend(tc, cfg, LutGemmBackend::Reference);
+
+        for (const auto isa : isas) {
+            IsaOverrideGuard guard(isa);
+            const auto simd = runBackend(tc, cfg, LutGemmBackend::Simd);
+            EXPECT_TRUE(compareMatrices(simd, ref).identical)
+                << what << " isa " << simdIsaName(isa);
+        }
+        cfg.instrument = true;
+        const auto refInstr = runBackend(tc, cfg, LutGemmBackend::Reference);
+        const auto simdInstr = runBackend(tc, cfg, LutGemmBackend::Simd);
+        EXPECT_TRUE(compareMatrices(refInstr, ref).identical) << what;
+        EXPECT_TRUE(compareMatrices(simdInstr, ref).identical)
+            << what << " instrumented";
     }
+}
+
+// Three seeded draws of 16 trials each. Each draw keeps the name and
+// seeds of the per-backend differential suite it grew out of.
+
+TEST(SimdGemm, RandomizedFourBackendBitIdentity)
+{
+    expectRandomizedSimdMatchesReference(2001, 2100, 16);
+}
+
+TEST(LutGemmPacked, RandomizedDifferentialSuite)
+{
+    expectRandomizedSimdMatchesReference(1003, 1100, 16);
+}
+
+TEST(LutGemmThreaded, RandomizedShapesDifferential)
+{
+    expectRandomizedSimdMatchesReference(904, 905, 16);
 }
 
 /**
@@ -369,35 +409,40 @@ TEST(SimdGemm, ForcedIsaSweepIsBitIdentical)
     // 70 rows in 64-row tiles run two register blocks plus tails.
     for (const Input in : {Input{33, 8, 2200}, Input{70, 64, 2210}}) {
         const auto tc = makeCase(in.m, 70, 3, 3, 24, true, in.seed);
-        for (const bool pre : {false, true}) {
-            LutGemmConfig cfg;
-            cfg.backend = LutGemmBackend::Simd;
-            cfg.preAligned = pre;
-            cfg.threads = 2;
-            cfg.blockRows = in.blockRows;
-            const std::string what = "m=" + std::to_string(in.m) +
-                                     " pre=" + std::to_string(pre);
+        // FP32 activations make the FP path's Fp32 accumulate round
+        // (the FP16 sums of this input fit binary32 exactly), so a
+        // Simd call running the Exact span kernel for Fp32 shows here.
+        for (const auto act : {ActFormat::FP16, ActFormat::FP32}) {
+            for (const bool pre : {false, true}) {
+                LutGemmConfig cfg;
+                cfg.backend = LutGemmBackend::Simd;
+                cfg.actFormat = act;
+                cfg.preAligned = pre;
+                cfg.threads = 2;
+                cfg.blockRows = in.blockRows;
+                const std::string what =
+                    "m=" + std::to_string(in.m) + " pre=" +
+                    std::to_string(pre) + " act=" + actFormatName(act);
 
-            MatrixD baseline;
-            {
-                IsaOverrideGuard guard(SimdIsa::Scalar);
-                baseline = lutGemm(tc.weights, tc.x, cfg);
+                MatrixD baseline;
+                {
+                    IsaOverrideGuard guard(SimdIsa::Scalar);
+                    baseline = lutGemm(tc.weights, tc.x, cfg);
+                }
+                for (const auto isa : kVectorIsas) {
+                    if (!simdIsaSupported(isa))
+                        continue;
+                    IsaOverrideGuard guard(isa);
+                    const auto vec = lutGemm(tc.weights, tc.x, cfg);
+                    EXPECT_TRUE(compareMatrices(vec, baseline).identical)
+                        << what << " isa=" << simdIsaName(isa);
+                }
+                // And the scalar-forced Simd backend equals Reference.
+                LutGemmConfig refCfg = cfg;
+                refCfg.backend = LutGemmBackend::Reference;
+                const auto ref = lutGemm(tc.weights, tc.x, refCfg);
+                EXPECT_TRUE(compareMatrices(baseline, ref).identical) << what;
             }
-            for (const auto isa : kVectorIsas) {
-                if (!simdIsaSupported(isa))
-                    continue;
-                IsaOverrideGuard guard(isa);
-                const auto vec = lutGemm(tc.weights, tc.x, cfg);
-                EXPECT_TRUE(compareMatrices(vec, baseline).identical)
-                    << what << " isa=" << simdIsaName(isa);
-            }
-            // And the scalar-forced Simd backend equals Packed exactly.
-            LutGemmConfig packedCfg = cfg;
-            packedCfg.backend = LutGemmBackend::Packed;
-            IsaOverrideGuard guard(SimdIsa::Scalar);
-            const auto packed = lutGemm(tc.weights, tc.x, packedCfg);
-            EXPECT_TRUE(compareMatrices(baseline, packed).identical)
-                << what;
         }
     }
 }
@@ -435,42 +480,35 @@ TEST(SimdGemm, SingleWorkerCallsRunOnCallerWithoutPool)
         int blockRows;
     };
     const Tiling single[] = {{1, 7}, {4, 40}, {4, 64}};
-    for (const auto backend : {LutGemmBackend::Threaded,
-                               LutGemmBackend::Packed,
-                               LutGemmBackend::Simd}) {
-        for (const bool pre : {false, true}) {
-            for (const bool instrument : {false, true}) {
-                LutGemmConfig cfg;
-                cfg.preAligned = pre;
-                cfg.instrument = instrument;
-                const auto ref =
-                    runBackend(tc, cfg, LutGemmBackend::Reference);
-                cfg.backend = backend;
-                const std::string what =
-                    "backend " + std::to_string(static_cast<int>(backend)) +
-                    " pre " + std::to_string(pre) + " instrument " +
-                    std::to_string(instrument);
+    for (const bool pre : {false, true}) {
+        for (const bool instrument : {false, true}) {
+            LutGemmConfig cfg;
+            cfg.preAligned = pre;
+            cfg.instrument = instrument;
+            const auto ref = runBackend(tc, cfg, LutGemmBackend::Reference);
+            cfg.backend = LutGemmBackend::Simd;
+            const std::string what = "pre " + std::to_string(pre) +
+                                     " instrument " +
+                                     std::to_string(instrument);
 
-                ExecutionContext ctx;
-                for (const Tiling t : single) {
-                    cfg.threads = t.threads;
-                    cfg.blockRows = t.blockRows;
-                    const auto y =
-                        lutGemm(tc.weights, tc.x, cfg, nullptr, &ctx);
-                    EXPECT_TRUE(compareMatrices(y, ref).identical)
-                        << what << " threads " << t.threads
-                        << " blockRows " << t.blockRows;
-                }
-                EXPECT_FALSE(ctx.hasPool()) << what;
-                EXPECT_EQ(ctx.poolSpawns(), 0u) << what;
-
-                cfg.threads = 2;
-                cfg.blockRows = 8;
+            ExecutionContext ctx;
+            for (const Tiling t : single) {
+                cfg.threads = t.threads;
+                cfg.blockRows = t.blockRows;
                 const auto y = lutGemm(tc.weights, tc.x, cfg, nullptr, &ctx);
-                EXPECT_TRUE(compareMatrices(y, ref).identical) << what;
-                EXPECT_EQ(ctx.poolSpawns(), 1u) << what;
-                EXPECT_EQ(ctx.poolThreads(), 2) << what;
+                EXPECT_TRUE(compareMatrices(y, ref).identical)
+                    << what << " threads " << t.threads << " blockRows "
+                    << t.blockRows;
             }
+            EXPECT_FALSE(ctx.hasPool()) << what;
+            EXPECT_EQ(ctx.poolSpawns(), 0u) << what;
+
+            cfg.threads = 2;
+            cfg.blockRows = 8;
+            const auto y = lutGemm(tc.weights, tc.x, cfg, nullptr, &ctx);
+            EXPECT_TRUE(compareMatrices(y, ref).identical) << what;
+            EXPECT_EQ(ctx.poolSpawns(), 1u) << what;
+            EXPECT_EQ(ctx.poolThreads(), 2) << what;
         }
     }
 }
@@ -489,21 +527,16 @@ TEST(SimdGemm, PrepackedKeysReuse)
         EXPECT_TRUE(compareMatrices(reused, internal).identical)
             << "call " << call;
     }
-    // Pre-packed keys stay rejected for the non-packed backends.
-    LutGemmConfig refCfg = cfg;
-    refCfg.backend = LutGemmBackend::Reference;
-    EXPECT_THROW(lutGemm(tc.weights, tc.x, refCfg, packedKeys),
-                 FatalError);
 }
 
 // --------------------------------------------------- counter identity
 
 /**
  * Counter equivalence for the Simd path: the closed-form counts of an
- * uninstrumented Simd call must equal both its own instrumented
- * per-read counts and the Packed backend's (Simd shares the
- * build-each-LUT-set-once traversal, so every counter is
- * backend-invariant between the two).
+ * uninstrumented Simd call must equal its own instrumented per-read
+ * counts, those of the pre-packed overload, and Reference's (both
+ * backends build each LUT set once, so every counter is
+ * backend-invariant).
  */
 TEST(SimdGemm, CountersMatchInstrumentedAndPacked)
 {
@@ -528,29 +561,37 @@ TEST(SimdGemm, CountersMatchInstrumentedAndPacked)
                                  2600 + static_cast<uint64_t>(trial));
         const std::string what = "trial " + std::to_string(trial);
 
-        LutGemmCounters closed, instrumented, packed;
+        LutGemmCounters closed, instrumented, packed, ref;
         cfg.instrument = false;
         (void)runBackend(tc, cfg, LutGemmBackend::Simd, &closed);
+        (void)runBackend(tc, cfg, LutGemmBackend::Reference, &ref);
+        (void)lutGemm(tc.weights, tc.x, cfg,
+                      packLutKeys(tc.weights, cfg.mu), &packed);
         cfg.instrument = true;
         (void)runBackend(tc, cfg, LutGemmBackend::Simd, &instrumented);
-        cfg.instrument = false;
-        (void)runBackend(tc, cfg, LutGemmBackend::Packed, &packed);
         expectCountersEqual(closed, instrumented, what + " instrumented");
-        expectCountersEqual(closed, packed, what + " vs packed");
+        expectCountersEqual(closed, packed, what + " pre-packed");
+        expectCountersEqual(closed, ref, what + " vs reference");
     }
 }
 
 TEST(SimdGemm, EngineNumericsPlumbsSimdBackend)
 {
+    // The FIGLUT engine wrapper must honour the Simd backend and its
+    // thread knob, and stay bit-identical to its Reference execution.
     const auto tc = makeCase(12, 40, 3, 3, 20, true, 2700);
     NumericsConfig ref;
     NumericsConfig simd;
     simd.backend = LutGemmBackend::Simd;
-    simd.threads = 2;
-    for (const bool pre : {false, true}) {
-        const auto a = figlutGemm(tc.weights, tc.x, ref, pre);
-        const auto b = figlutGemm(tc.weights, tc.x, simd, pre);
-        EXPECT_TRUE(compareMatrices(a, b).identical) << "pre=" << pre;
+    simd.blockRows = 4;
+    for (const int threads : {1, 2}) {
+        simd.threads = threads;
+        for (const bool pre : {false, true}) {
+            const auto a = figlutGemm(tc.weights, tc.x, ref, pre);
+            const auto b = figlutGemm(tc.weights, tc.x, simd, pre);
+            EXPECT_TRUE(compareMatrices(a, b).identical)
+                << "threads=" << threads << " pre=" << pre;
+        }
     }
 }
 

@@ -469,15 +469,13 @@ TEST(Engine, WorkloadTasksTrackTheLiveRaggedBatch)
 
 TEST(Engine, BackendsAgreeOnTheFusedPath)
 {
-    // The fused step through Reference/Threaded/Packed must be
-    // bit-identical (the Packed path is the only one consuming
-    // pre-packed keys).
+    // The fused step through Reference and Simd must be bit-identical
+    // (the Simd path is the only one consuming pre-packed keys).
     const auto model = tinyConfig(24, 1, 2, 48);
-    MatrixD outputs[3];
+    MatrixD outputs[2];
     const LutGemmBackend backends[] = {LutGemmBackend::Reference,
-                                       LutGemmBackend::Threaded,
-                                       LutGemmBackend::Packed};
-    for (int i = 0; i < 3; ++i) {
+                                       LutGemmBackend::Simd};
+    for (int i = 0; i < 2; ++i) {
         EngineOptions opts = tinyEngineOptions();
         opts.model.bcqIterations = 1;
         opts.exec.backend = backends[i];
@@ -486,7 +484,7 @@ TEST(Engine, BackendsAgreeOnTheFusedPath)
         auto created = Engine::create(model, opts);
         ASSERT_TRUE(created.ok());
         Engine &engine = *created.value();
-        if (backends[i] == LutGemmBackend::Packed)
+        if (backends[i] == LutGemmBackend::Simd)
             EXPECT_GT(engine.model().packedKeyBytes(), 0u);
         else
             EXPECT_EQ(engine.model().packedKeyBytes(), 0u);
@@ -501,7 +499,6 @@ TEST(Engine, BackendsAgreeOnTheFusedPath)
                   RequestState::Finished);
     }
     EXPECT_EQ(outputs[0], outputs[1]);
-    EXPECT_EQ(outputs[0], outputs[2]);
 }
 
 } // namespace

@@ -47,8 +47,6 @@ expectCountersEqual(const LutGemmCounters &a, const LutGemmCounters &b,
 
 const LutGemmBackend kBackends[] = {
     LutGemmBackend::Reference,
-    LutGemmBackend::Threaded,
-    LutGemmBackend::Packed,
     LutGemmBackend::Simd,
 };
 
@@ -92,8 +90,7 @@ TEST(ShardedExecutor, MatchesUnshardedKernelAllBackends)
                         syntheticActivations(w.cols, 3, rng);
                     LutGemmCounters plain, shardedCnt;
                     const MatrixD expected =
-                        backend == LutGemmBackend::Packed ||
-                                backend == LutGemmBackend::Simd
+                        backend == LutGemmBackend::Simd
                             ? lutGemm(w, x, cfg,
                                       quantized.layer(l).keys(op),
                                       &plain)
