@@ -584,6 +584,46 @@ BENCHMARK(BM_GemmColumnStage)
     ->DenseRange(0, 5)
     ->Unit(benchmark::kMicrosecond);
 
+/**
+ * Chunk-causal attention at the perfbench model's shape (h = 128,
+ * 4 heads): one span of C query columns over P stride-1 tokens, so
+ * column j attends to the first P - C + j + 1 of them. C = 128 is a
+ * longdoc prefill chunk; C = 1 is a decode step. Items are attended
+ * (column, token) pairs per head-set.
+ */
+void
+BM_ChunkAttention(benchmark::State &state)
+{
+    const auto C = static_cast<std::size_t>(state.range(0));
+    const auto P = static_cast<std::size_t>(state.range(1));
+    const std::size_t h = 128, heads = 4;
+    Rng rng(31);
+    MatrixD q(h, C);
+    for (auto &v : q)
+        v = rng.normal();
+    std::vector<double> slab(P * 2 * h);
+    for (auto &v : slab)
+        v = rng.normal();
+    std::vector<KvTokenRef> tokens(P);
+    for (std::size_t t = 0; t < P; ++t)
+        tokens[t] = KvTokenRef{slab.data() + t * 2 * h,
+                               slab.data() + t * 2 * h + h, 1};
+    const std::vector<AttentionSpan> spans = {
+        AttentionSpan{tokens.data(), P, 0, C}};
+    for (auto _ : state) {
+        auto out = referenceChunkAttention(q, spans, heads);
+        benchmark::DoNotOptimize(out.data());
+    }
+    const std::size_t pairs = C * (P - C) + C * (C + 1) / 2;
+    state.SetItemsProcessed(
+        static_cast<int64_t>(state.iterations() * pairs));
+}
+BENCHMARK(BM_ChunkAttention)
+    ->Args({128, 256})
+    ->Args({128, 1024})
+    ->Args({1, 600})
+    ->Unit(benchmark::kMicrosecond);
+
 void
 BM_SimulateGemm(benchmark::State &state)
 {

@@ -23,8 +23,9 @@
  *
  * Reads are bit-identical to the contiguous cache by construction:
  * appendToken() hands back the exact slab doubles a token's K/V land
- * in, tokenRefs() exposes them as stride-1 KvTokenRef views consumed
- * by referenceDecodeAttention(), and materialize() copies a sequence
+ * in, tokenRefs() exposes them as stride-1 KvTokenRef views that the
+ * serve Engine passes to referenceChunkAttention() as one span per
+ * sequence, and materialize() copies a sequence
  * back into a KvCache (the differential suite in
  * tests/runtime/test_kv_arena.cpp pins all three against the
  * contiguous oracle).
@@ -192,7 +193,8 @@ class KvArena
 
     /**
      * Stride-1 attention views over every appended token of
-     * (seq, layer), oldest first, for referenceDecodeAttention().
+     * (seq, layer), oldest first: the token list of the sequence's
+     * referenceChunkAttention() span.
      */
     void tokenRefs(SeqId seq, std::size_t layer,
                    std::vector<KvTokenRef> &out) const;

@@ -1,5 +1,6 @@
 #include "runtime/reference_ops.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -45,8 +46,10 @@ referenceSoftmaxInPlace(double *v, std::size_t n)
     const SimdKernels &k = simdKernels();
     const double mx = k.maxFlat(v, n);
     // exp and the running sum stay scalar: the sum is a sequential
-    // fold here (score counts are small), and there is no vector exp
-    // under the bit-identity contract.
+    // fold, and there is no vector exp under the bit-identity
+    // contract. Score counts reach a column's full context (over a
+    // thousand on long prompts), so this loop is a real share of
+    // attention time.
     double sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
         v[i] = std::exp(v[i] - mx);
@@ -213,56 +216,192 @@ referenceDecodeAttention(const MatrixD &q,
     return referenceDecodeAttention(q, views, heads);
 }
 
+namespace {
+
+/**
+ * Per-thread buffers of referenceChunkAttention, grown to the largest
+ * call seen and reused, so a steady stream of attention calls does
+ * not allocate.
+ */
+struct AttentionScratch
+{
+    std::vector<double> q;      // a head's queries, [d][column]
+    std::vector<double> scores; // [column][token], one row per column
+    std::vector<double> acc;    // [column][d] output accumulators
+    std::vector<double> row;    // a strided K or V row, made contiguous
+};
+
+void
+growTo(std::vector<double> &v, std::size_t n)
+{
+    if (v.size() < n)
+        v.resize(n);
+}
+
+/** Elements [r0, r0 + n) of a token's K or V as a contiguous row. */
+const double *
+headRow(const double *base, std::size_t stride, std::size_t r0,
+        std::size_t n, double *stage)
+{
+    if (stride == 1)
+        return base + r0;
+    for (std::size_t d = 0; d < n; ++d)
+        stage[d] = base[(r0 + d) * stride];
+    return stage;
+}
+
+// Columns whose dot products run together in registers: independent
+// accumulators, so the block vectorizes without reordering any sum.
+constexpr std::size_t kColumnBlock = 8;
+
+} // namespace
+
+MatrixD
+referenceChunkAttention(const MatrixD &q,
+                        const std::vector<AttentionSpan> &spans,
+                        std::size_t heads)
+{
+    const std::size_t h = q.rows();
+    const std::size_t width = q.cols();
+    if (heads == 0 || h % heads != 0)
+        fatal("attention needs hidden divisible by heads, got ", h,
+              " / ", heads);
+    std::size_t covered = 0;
+    for (std::size_t s = 0; s < spans.size(); ++s) {
+        const AttentionSpan &span = spans[s];
+        if (span.firstColumn != covered)
+            fatal("attention span ", s, " starts at column ",
+                  span.firstColumn, ", expected ", covered,
+                  " (spans must cover the query columns in order, "
+                  "each once)");
+        if (span.columns == 0)
+            fatal("attention span ", s, " has no columns");
+        if (span.columns > width - covered)
+            fatal("attention span ", s, " runs past the ", width,
+                  " query columns");
+        if (span.tokenCount < span.columns)
+            fatal("attention span ", s, " has ", span.tokenCount,
+                  " tokens for ", span.columns,
+                  " columns; each column needs its own token");
+        if (span.tokens == nullptr)
+            fatal("attention span ", s, " has no token refs");
+        for (std::size_t t = 0; t < span.tokenCount; ++t)
+            if (span.tokens[t].k == nullptr ||
+                span.tokens[t].v == nullptr)
+                fatal("attention span ", s, " token ", t,
+                      " has null storage");
+        covered += span.columns;
+    }
+    if (covered != width)
+        fatal("attention spans cover ", covered, " of ", width,
+              " query columns");
+
+    const std::size_t headDim = h / heads;
+    const double scale = 1.0 / std::sqrt(static_cast<double>(headDim));
+    MatrixD out(h, width);
+    thread_local AttentionScratch scratch;
+    growTo(scratch.row, headDim);
+    const double *qData = q.data();
+    double *outData = out.data();
+    for (const AttentionSpan &span : spans) {
+        const std::size_t P = span.tokenCount;
+        const std::size_t C = span.columns;
+        const std::size_t held = P - C;
+        growTo(scratch.q, headDim * C);
+        growTo(scratch.scores, C * P);
+        growTo(scratch.acc, C * headDim);
+        double *qs = scratch.q.data();
+        double *scores = scratch.scores.data();
+        double *acc = scratch.acc.data();
+        for (std::size_t hd = 0; hd < heads; ++hd) {
+            const std::size_t r0 = hd * headDim;
+            for (std::size_t d = 0; d < headDim; ++d)
+                for (std::size_t j = 0; j < C; ++j)
+                    qs[d * C + j] =
+                        qData[(r0 + d) * width + span.firstColumn + j];
+
+            // Scores: token t is seen by columns j >= t - held. Each
+            // (column, token) dot is its own chain over d in order.
+            for (std::size_t t = 0; t < P; ++t) {
+                const KvTokenRef &tok = span.tokens[t];
+                const double *k = headRow(tok.k, tok.stride, r0, headDim,
+                                          scratch.row.data());
+                std::size_t j = t > held ? t - held : 0;
+                for (; j + kColumnBlock <= C; j += kColumnBlock) {
+                    double dot[kColumnBlock] = {};
+                    for (std::size_t d = 0; d < headDim; ++d) {
+                        const double kd = k[d];
+                        const double *qd = qs + d * C + j;
+                        for (std::size_t u = 0; u < kColumnBlock; ++u)
+                            dot[u] += qd[u] * kd;
+                    }
+                    for (std::size_t u = 0; u < kColumnBlock; ++u)
+                        scores[(j + u) * P + t] = dot[u] * scale;
+                }
+                for (; j < C; ++j) {
+                    double dot = 0.0;
+                    for (std::size_t d = 0; d < headDim; ++d)
+                        dot += qs[d * C + j] * k[d];
+                    scores[j * P + t] = dot * scale;
+                }
+            }
+            for (std::size_t j = 0; j < C; ++j)
+                referenceSoftmaxInPlace(scores + j * P, held + j + 1);
+
+            // V blend: each column's accumulators add p * v in token
+            // order, starting from 0.
+            std::fill(acc, acc + C * headDim, 0.0);
+            for (std::size_t t = 0; t < P; ++t) {
+                const KvTokenRef &tok = span.tokens[t];
+                const double *v = headRow(tok.v, tok.stride, r0, headDim,
+                                          scratch.row.data());
+                for (std::size_t j = t > held ? t - held : 0; j < C; ++j) {
+                    const double p = scores[j * P + t];
+                    double *a = acc + j * headDim;
+                    for (std::size_t d = 0; d < headDim; ++d)
+                        a[d] += p * v[d];
+                }
+            }
+            for (std::size_t d = 0; d < headDim; ++d)
+                for (std::size_t j = 0; j < C; ++j)
+                    outData[(r0 + d) * width + span.firstColumn + j] =
+                        acc[j * headDim + d];
+        }
+    }
+    return out;
+}
+
 MatrixD
 referenceDecodeAttention(const MatrixD &q,
                          const std::vector<std::vector<KvTokenRef>> &kv,
                          std::size_t heads)
 {
-    const std::size_t h = q.rows();
     const std::size_t batch = q.cols();
-    if (heads == 0 || h % heads != 0)
-        fatal("attention needs hidden divisible by heads, got ", h,
-              " / ", heads);
     if (kv.size() != batch)
         fatal("attention needs one KV history per query column, got ",
               kv.size(), " for ", batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-        if (kv[b].empty())
-            fatal("attention KV history ", b,
-                  " needs at least one cached step");
-        for (std::size_t t = 0; t < kv[b].size(); ++t)
-            if (kv[b][t].k == nullptr || kv[b][t].v == nullptr)
-                fatal("attention KV history ", b, " token ", t,
-                      " has null storage");
-    }
 
-    const std::size_t headDim = h / heads;
-    const double scale = 1.0 / std::sqrt(static_cast<double>(headDim));
-    MatrixD out(h, batch, 0.0);
-    std::vector<double> scores;
+    // Column b joins the previous column's span when its view extends
+    // that view by exactly one token; a span's token list is its last
+    // column's view, of which every earlier column's view is a prefix.
+    const auto sameRef = [](const KvTokenRef &x, const KvTokenRef &y) {
+        return x.k == y.k && x.v == y.v && x.stride == y.stride;
+    };
+    std::vector<AttentionSpan> spans;
     for (std::size_t b = 0; b < batch; ++b) {
-        const std::vector<KvTokenRef> &toks = kv[b];
-        const std::size_t steps = toks.size();
-        scores.resize(steps);
-        for (std::size_t hd = 0; hd < heads; ++hd) {
-            const std::size_t r0 = hd * headDim;
-            for (std::size_t t = 0; t < steps; ++t) {
-                double dot = 0.0;
-                for (std::size_t d = 0; d < headDim; ++d)
-                    dot += q(r0 + d, b) *
-                           toks[t].k[(r0 + d) * toks[t].stride];
-                scores[t] = dot * scale;
-            }
-            referenceSoftmaxInPlace(scores.data(), steps);
-            for (std::size_t t = 0; t < steps; ++t) {
-                const double p = scores[t];
-                for (std::size_t d = 0; d < headDim; ++d)
-                    out(r0 + d, b) +=
-                        p * toks[t].v[(r0 + d) * toks[t].stride];
-            }
+        const std::vector<KvTokenRef> &view = kv[b];
+        if (b > 0 && view.size() == kv[b - 1].size() + 1 &&
+            std::equal(kv[b - 1].begin(), kv[b - 1].end(), view.begin(),
+                       sameRef)) {
+            AttentionSpan &span = spans.back();
+            span.tokens = view.data();
+            span.tokenCount = view.size();
+            span.columns += 1;
+            continue;
         }
+        spans.push_back(AttentionSpan{view.data(), view.size(), b, 1});
     }
-    return out;
+    return referenceChunkAttention(q, spans, heads);
 }
 
 } // namespace figlut

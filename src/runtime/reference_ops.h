@@ -112,12 +112,53 @@ struct KvTokenRef
 };
 
 /**
+ * One sequence's columns in a chunk-causal attention call: the
+ * `columns` consecutive query columns starting at `firstColumn` all
+ * read one token list of `tokenCount` tokens, oldest first. Column j
+ * of the span (0-based) attends to the first
+ * tokenCount - columns + j + 1 tokens, so the last column sees every
+ * token: a decode step is a span of one column, and a C-column
+ * prefill chunk over P tokens is one span whose columns see
+ * P - C + 1 ... P tokens. The token refs are borrowed.
+ */
+struct AttentionSpan
+{
+    const KvTokenRef *tokens = nullptr;
+    std::size_t tokenCount = 0;
+    std::size_t firstColumn = 0;
+    std::size_t columns = 0;
+};
+
+/**
+ * Chunk-causal multi-head attention over spans: the arithmetic core
+ * every attention entry point runs. Spans must list q's columns in
+ * order, each column exactly once, with tokenCount >= columns and
+ * non-null storage; anything else is fatal.
+ *
+ * Per column and head the arithmetic is fixed: each score is
+ * dot = 0, dot += q[d] * k[d] for d = 0..headDim-1, times
+ * 1/sqrt(headDim); referenceSoftmaxInPlace runs over the column's
+ * causal prefix; each output element starts at 0 and adds p * v[d] in
+ * token order. Only the loop order differs from a column-at-a-time
+ * walk: tokens are the outer loop and a span's columns the inner one,
+ * so each K and V row is read once per span rather than once per
+ * column, while every sum keeps its order. A column's result therefore
+ * depends only on its own query and causal prefix — bit-identical to
+ * the same column in a span of one.
+ */
+MatrixD referenceChunkAttention(const MatrixD &q,
+                                const std::vector<AttentionSpan> &spans,
+                                std::size_t heads);
+
+/**
  * Ragged-batch decode attention over raw token views: kv[b] holds
- * column b's cached tokens, oldest first. This is the arithmetic core
- * both cache layouts share — the KvColumn overload above converts its
- * matrix columns to strided views and delegates here, so a paged-arena
- * read (stride 1) is bit-identical to the contiguous KvCache read
- * (stride = snapshot width) by construction.
+ * column b's cached tokens, oldest first. An adapter onto
+ * referenceChunkAttention: column b + 1 joins column b's span when
+ * its view is column b's view plus one token, compared ref by ref;
+ * otherwise it starts a span of its own. The KvColumn overload above
+ * converts its matrix columns to strided views and delegates here, so
+ * a paged-arena read (stride 1) is bit-identical to the contiguous
+ * KvCache read (stride = snapshot width).
  */
 MatrixD
 referenceDecodeAttention(const MatrixD &q,

@@ -583,8 +583,8 @@ Engine::step()
     // this) — and a prefill chunked any which way is bit-identical to
     // the whole prompt in one step (the prefill suite pins that).
     MatrixD ln, qkv, attn, proj, ffn;
-    std::vector<std::vector<KvTokenRef>> views(W);
-    std::vector<KvTokenRef> full;
+    std::vector<std::vector<KvTokenRef>> refs(b);
+    std::vector<AttentionSpan> spans(b);
     for (std::size_t l = 0; l < model_.layers(); ++l) {
         for (const LayerOp op : layerOps_) {
             switch (op) {
@@ -600,11 +600,11 @@ Engine::step()
                 std::size_t c0 = 0;
                 for (std::size_t w = 0; w < b; ++w) {
                     // Every column's K/V go straight into reserved
-                    // arena slots — then each column attends causally
-                    // over the prefix ending at itself: position
-                    // held + j sees held + j + 1 entries. For a decode
-                    // column that prefix is the full sequence, exactly
-                    // the old decode attention.
+                    // arena slots (reserveStep backed them, so the
+                    // refs taken after the appends stay valid). The
+                    // request's columns then form one causal span:
+                    // position held + j sees held + j + 1 tokens, and
+                    // a decode column sees the full sequence.
                     for (std::size_t j = 0; j < columns[w]; ++j) {
                         const std::size_t c = c0 + j;
                         const KvArena::TokenSlot slot =
@@ -615,15 +615,13 @@ Engine::step()
                             slot.v[r] = qkv(2 * h + r, c);
                         }
                     }
-                    arena_.tokenRefs(live[w]->seq, l, full);
-                    for (std::size_t j = 0; j < columns[w]; ++j)
-                        views[c0 + j].assign(
-                            full.begin(),
-                            full.begin() +
-                                (full.size() - columns[w] + j + 1));
+                    arena_.tokenRefs(live[w]->seq, l, refs[w]);
+                    spans[w] = AttentionSpan{refs[w].data(),
+                                             refs[w].size(), c0,
+                                             columns[w]};
                     c0 += columns[w];
                 }
-                attn = referenceDecodeAttention(q, views, cfg.heads);
+                attn = referenceChunkAttention(q, spans, cfg.heads);
                 break;
               }
               case LayerOp::OutProj:

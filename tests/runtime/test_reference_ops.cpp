@@ -5,15 +5,20 @@
  * cross-ISA bit-identity of layer norm, softmax, residual add, and
  * the LUT GELU against the forced-scalar table over odd and tail
  * lengths, softmax normalization/stability properties, and the LUT
- * GELU's bounded approximation error vs the exact tanh GELU. The CI
- * scalar-build leg runs this suite with FIGLUT_SIMD_AVX2=OFF.
+ * GELU's bounded approximation error vs the exact tanh GELU, and the
+ * chunk-causal attention core against the column-at-a-time oracle.
+ * The CI scalar-build leg runs this suite with FIGLUT_SIMD_AVX2=OFF.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
+#include "attention_oracle.h"
 #include "common/rng.h"
 #include "core/simd.h"
 #include "runtime/reference_ops.h"
@@ -210,6 +215,114 @@ TEST(ReferenceOps, GeluLutMatchesTanhGeluWithinTolerance)
     MatrixD big(1, 1);
     big.at(0) = 100.0;
     EXPECT_EQ(referenceGeluLut(big).at(0), 100.0);
+}
+
+// ------------------------------------------- chunk-causal attention
+
+/**
+ * K/V storage for one span's tokens. Stride 1 packs each token as
+ * [k | v], the paged arena's slab layout; a larger stride interleaves
+ * that many columns, like one column of an h x stride KvCache
+ * snapshot.
+ */
+struct SpanTokens
+{
+    std::vector<std::vector<double>> storage;
+    std::vector<KvTokenRef> refs;
+};
+
+SpanTokens
+makeSpanTokens(std::size_t count, std::size_t h, std::size_t stride,
+               Rng &rng)
+{
+    SpanTokens s;
+    for (std::size_t t = 0; t < count; ++t) {
+        std::vector<double> buf(2 * h * stride);
+        for (auto &x : buf)
+            x = rng.normal();
+        s.storage.push_back(std::move(buf));
+        const double *base = s.storage.back().data();
+        const std::size_t col = t % stride;
+        s.refs.push_back(
+            KvTokenRef{base + col, base + h * stride + col, stride});
+    }
+    return s;
+}
+
+void
+expectSameBits(const MatrixD &a, const MatrixD &b, const std::string &what)
+{
+    ASSERT_EQ(a.rows(), b.rows()) << what;
+    ASSERT_EQ(a.cols(), b.cols()) << what;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        std::uint64_t x, y;
+        std::memcpy(&x, &a.at(i), sizeof x);
+        std::memcpy(&y, &b.at(i), sizeof y);
+        ASSERT_EQ(x, y) << what << " element " << i;
+    }
+}
+
+TEST(ChunkAttention, MatchesPerColumnOracle)
+{
+    // Every (chunk width, held tokens) pair runs as one call with four
+    // spans: a decode span, the span under test, a short prefill span
+    // and a single-token decode span, with arena (stride 1) and
+    // KvCache-style (stride > 1) refs mixed across spans. Heads run
+    // 1..8 and headDim includes odd sizes and ones below a column
+    // block.
+    const std::size_t chunkColumns[] = {1, 2, 17, 130};
+    const std::size_t heldTokens[] = {0, 1, 300};
+    const std::size_t headDims[] = {1, 3, 5, 8, 7};
+    Rng rng(2718);
+    std::size_t call = 0;
+    for (const std::size_t C : chunkColumns) {
+        for (const std::size_t held : heldTokens) {
+            const std::size_t heads = 1 + call % 8;
+            const std::size_t headDim = headDims[call % 5];
+            const std::size_t h = heads * headDim;
+            struct Shape
+            {
+                std::size_t columns, held, stride;
+            };
+            const Shape shapes[] = {{1, 2 + call % 7, 1 + call % 3},
+                                    {C, held, 1 + 2 * (call % 2)},
+                                    {1 + call % 4, call % 3, 2},
+                                    {1, 0, 1}};
+            ++call;
+
+            std::vector<SpanTokens> tokens;
+            std::size_t width = 0;
+            for (const Shape &sh : shapes) {
+                tokens.push_back(makeSpanTokens(sh.held + sh.columns, h,
+                                                sh.stride, rng));
+                width += sh.columns;
+            }
+            std::vector<AttentionSpan> spans;
+            std::vector<std::vector<KvTokenRef>> views;
+            for (std::size_t s = 0; s < tokens.size(); ++s) {
+                const std::vector<KvTokenRef> &refs = tokens[s].refs;
+                spans.push_back(AttentionSpan{refs.data(), refs.size(),
+                                              views.size(),
+                                              shapes[s].columns});
+                for (std::size_t j = 0; j < shapes[s].columns; ++j) {
+                    const auto prefix = static_cast<std::ptrdiff_t>(
+                        shapes[s].held + j + 1);
+                    views.emplace_back(refs.begin(), refs.begin() + prefix);
+                }
+            }
+            const MatrixD q = randomMatrix(h, width, 9000 + call, 1.0);
+            const MatrixD oracle =
+                perColumnAttentionOracle(q, views, heads);
+            const std::string what = "C=" + std::to_string(C) +
+                                     " held=" + std::to_string(held) +
+                                     " heads=" + std::to_string(heads) +
+                                     " headDim=" + std::to_string(headDim);
+            expectSameBits(referenceChunkAttention(q, spans, heads), oracle,
+                           "spans " + what);
+            expectSameBits(referenceDecodeAttention(q, views, heads),
+                           oracle, "views " + what);
+        }
+    }
 }
 
 TEST(ReferenceOps, ActiveIsaMatchesDispatcher)
