@@ -417,9 +417,10 @@ BM_QuantizeBcq(benchmark::State &state)
 BENCHMARK(BM_QuantizeBcq)->Arg(2)->Arg(4);
 
 /**
- * The activation rounding one LUT-GEMM column pays per 128-element
- * group: lutGemm's storage-format pass (quantizeToFormat per element),
- * then preAlign, which rounds each value again before aligning it.
+ * The activation rounding and alignment one FIGLUT-I LUT-GEMM column
+ * pays per 128-element group: preAlignInto over the raw activations,
+ * which rounds each value to the format once and aligns it into a
+ * reused mantissa buffer, as lutGemm's integer path does.
  * ns_per_iter is one group; the ns_per_element counter divides it by
  * the group size.
  */
@@ -429,12 +430,11 @@ BM_QuantizeActivations(benchmark::State &state, ActFormat fmt)
     constexpr std::size_t kGroup = 128;
     Rng rng(8);
     const auto x = rng.normalVector(kGroup);
-    std::vector<double> xq(kGroup);
+    std::vector<int64_t> mant(kGroup);
     for (auto _ : state) {
-        for (std::size_t i = 0; i < kGroup; ++i)
-            xq[i] = quantizeToFormat(x[i], fmt);
-        auto block = preAlign(xq, fmt);
-        benchmark::DoNotOptimize(block.mantissas.data());
+        preAlignInto(x.data(), kGroup, 1, fmt, 24,
+                     AlignRounding::NearestEven, mant.data());
+        benchmark::DoNotOptimize(mant.data());
     }
     state.SetItemsProcessed(state.iterations() * kGroup);
     // Inverted iteration-invariant rate: seconds per (kGroup * 1e-9)
@@ -454,13 +454,15 @@ BENCHMARK_CAPTURE(BM_QuantizeActivations, bf16, ActFormat::BF16);
  * per row, mu 4, FP16 activations, FP32 arithmetic), split into the
  * stages lutGemm runs for it. Each stage repeats the kernel's work for
  * the column through the same library calls:
- *   0 round     quantizeToFormat of every activation (lutGemm's pass)
- *   1 align     preAlign of each GEMM's activations
+ *   0 round     quantizeToFormat of every activation: the rounding
+ *               share of stage 1, which rounds each activation once
+ *   1 align     preAlignInto of each GEMM's raw activation column
  *   2 lutgen    generateFullIntInto for every mu-chunk
  *   3 reads     the dispatched accumIntSpan walk per (GEMM, plane)
- *   4 epilogue  the per-row alpha / offset / y-fold fpAdd chain
+ *   4 epilogue  the dispatched alpha and offset folds, then the
+ *               scalar y fold
  *   5 column    the whole lutGemm calls (threads 1, packed keys)
- * ns_per_iter is one column. Stages 0-4 sum to roughly stage 5; the
+ * ns_per_iter is one column. Stages 1-4 sum to roughly stage 5; the
  * rest is per-call setup.
  */
 void
@@ -473,8 +475,8 @@ BM_GemmColumnStage(benchmark::State &state)
         BcqTensor w;
         PackedLutKeys keys;
         MatrixD x;
-        std::vector<double> xq;
-        AlignedBlock block;
+        std::vector<int64_t> mant; // aligned mantissas, whole chunks
+        double scale = 1.0;
         std::vector<int64_t> arena; // decoded 2^mu tables, one per chunk
         std::vector<std::vector<int64_t>> psums; // per plane
         double sumx = 0.0;
@@ -494,18 +496,19 @@ BM_GemmColumnStage(benchmark::State &state)
             g.w = benchTensor(shape[0], shape[1], 4);
             g.keys = packLutKeys(g.w, cfg.mu);
             g.x = syntheticActivations(shape[1], 1, rng);
-            for (std::size_t c = 0; c < shape[1]; ++c)
-                g.xq.push_back(quantizeToFormat(g.x(c, 0), cfg.actFormat));
-            g.block = preAlign(g.xq, cfg.actFormat, cfg.alignFracBits);
+            g.mant.assign(g.keys.totalChunks * cfg.mu, 0);
+            const AlignHeader header = preAlignInto(
+                g.x.data(), shape[1], 1, cfg.actFormat, cfg.alignFracBits,
+                AlignRounding::NearestEven, g.mant.data());
+            g.scale = alignScale(header.sharedExp, cfg.alignFracBits);
             g.arena.resize(g.keys.totalChunks * entries);
             for (std::size_t ch = 0; ch < g.keys.totalChunks; ++ch)
-                gen.generateFullIntInto(
-                    g.block.mantissas.data() + ch * cfg.mu,
-                    g.arena.data() + ch * entries);
+                gen.generateFullIntInto(g.mant.data() + ch * cfg.mu,
+                                        g.arena.data() + ch * entries);
             int64_t sum_mant = 0;
-            for (const int64_t v : g.block.mantissas)
+            for (const int64_t v : g.mant)
                 sum_mant += v;
-            g.sumx = static_cast<double>(sum_mant) * g.block.scale();
+            g.sumx = static_cast<double>(sum_mant) * g.scale;
             for (int i = 0; i < g.w.bits; ++i) {
                 g.psums.emplace_back(shape[0], 0);
                 simd.accumIntSpan(g.psums.back().data(), g.arena.data(),
@@ -530,13 +533,15 @@ BM_GemmColumnStage(benchmark::State &state)
                 benchmark::DoNotOptimize(xq.data());
                 break;
               case 1:
-                g.block = preAlign(g.xq, cfg.actFormat, cfg.alignFracBits);
+                preAlignInto(g.x.data(), n, 1, cfg.actFormat,
+                             cfg.alignFracBits, AlignRounding::NearestEven,
+                             g.mant.data());
+                benchmark::DoNotOptimize(g.mant.data());
                 break;
               case 2:
                 for (std::size_t ch = 0; ch < g.keys.totalChunks; ++ch)
-                    gen.generateFullIntInto(
-                        g.block.mantissas.data() + ch * cfg.mu,
-                        g.arena.data() + ch * entries);
+                    gen.generateFullIntInto(g.mant.data() + ch * cfg.mu,
+                                            g.arena.data() + ch * entries);
                 break;
               case 3:
                 psum.assign(m, 0);
@@ -546,30 +551,18 @@ BM_GemmColumnStage(benchmark::State &state)
                                       g.keys.totalChunks, m);
                 benchmark::DoNotOptimize(psum.data());
                 break;
-              case 4: {
-                const double scale = g.block.scale();
+              case 4:
                 acc.assign(m, 0.0);
                 y.assign(m, 0.0);
                 for (int i = 0; i < g.w.bits; ++i)
-                    for (std::size_t r = 0; r < m; ++r)
-                        acc[r] = fpAdd(
-                            acc[r],
-                            fpRound(g.w.alphas[i](r, 0) *
-                                        (static_cast<double>(
-                                             g.psums[i][r]) *
-                                         scale),
-                                    cfg.arith),
-                            cfg.arith);
-                for (std::size_t r = 0; r < m; ++r) {
-                    acc[r] = fpAdd(acc[r],
-                                   fpRound(g.w.offsets(r, 0) * g.sumx,
-                                           cfg.arith),
-                                   cfg.arith);
+                    simd.foldIntPlaneFp32(acc.data(), g.w.alphas[i].data(),
+                                          g.psums[i].data(), g.scale, m);
+                simd.foldOffsetFp32(acc.data(), g.w.offsets.data(), g.sumx,
+                                    m);
+                for (std::size_t r = 0; r < m; ++r)
                     y[r] = fpAdd(y[r], acc[r], cfg.arith);
-                }
                 benchmark::DoNotOptimize(y.data());
                 break;
-              }
               default: {
                 auto out = lutGemm(g.w, g.x, cfg, g.keys, nullptr, &ctx);
                 benchmark::DoNotOptimize(out.data());

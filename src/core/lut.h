@@ -33,7 +33,9 @@ enum class FpArith
 
 /**
  * Round a value into the representation used by the mode. Inline: the
- * LUT-GEMM epilogue calls it once per (row, group, plane).
+ * scalar LUT-GEMM loops call it once per add; in FpArith::Fp32 the
+ * Simd backend's span and epilogue kernels (core/simd.h) apply the
+ * same rounding instead.
  */
 inline double
 fpRound(double v, FpArith mode)

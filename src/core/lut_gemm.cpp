@@ -54,21 +54,22 @@ struct LutArena
 
 /**
  * Reusable per-worker scratch: the Reference backend's group arenas,
- * the mu-element chunk staging slots, and the Simd backend's tile
- * accumulators. One Scratch lives per worker thread (or per Reference
- * call) so nothing here is shared; reuse keeps the hot loops
- * allocation-free.
+ * the mu-element chunk staging slots, the integer path's aligned
+ * mantissas, and the Simd backend's tile accumulators. One Scratch
+ * lives per worker thread (or per Reference call) so nothing here is
+ * shared; reuse keeps the hot loops allocation-free.
  */
 struct Scratch
 {
     LutArena<double> fp;           ///< FP group arena
     LutArena<int64_t> ig;          ///< integer group arena
     std::vector<double> xs;        ///< mu activation slots of one chunk
-    std::vector<int64_t> ms;       ///< mu mantissa slots of one chunk
-    std::vector<double> groupVals; ///< group activations for preAlign
+    std::vector<int64_t> mant;     ///< group mantissas, whole chunks
     std::vector<double> fpPsum;    ///< row tile: per-row plane sums
     std::vector<int64_t> intPsum;  ///< row tile: integer plane sums
     std::vector<double> rowAcc;    ///< row tile: per-row group accum
+    std::vector<double> alphaCol;  ///< row tile: staged alpha column
+    std::vector<double> offCol;    ///< row tile: staged offset column
     double sumx = 0.0;             ///< group sum(x) for the offset term
     int64_t sumMant = 0;           ///< integer-path mantissa sum
     double scale = 1.0;            ///< integer-path shared scale
@@ -137,9 +138,24 @@ chunkKey(const BcqTensor &w, int plane, std::size_t r, std::size_t c0,
     return key;
 }
 
-/** The span kernel of each domain, as core/simd.h declares it. */
-using FpSpanFn = decltype(SimdKernels::accumFpSpanFp32);
-using IntSpanFn = decltype(SimdKernels::accumIntSpan);
+/**
+ * Column g of a per-(row, group) weight matrix (alphas, offsets) over
+ * the tile's rows: a pointer into the matrix when it has one group, so
+ * the column is contiguous, else the column staged into buf.
+ */
+const double *
+tileColumn(const MatrixD &a, BlockRange rows, std::size_t g,
+           std::vector<double> &buf)
+{
+    const std::size_t stride = a.cols();
+    const double *col = a.data() + rows.begin * stride + g;
+    if (stride == 1)
+        return col;
+    buf.resize(rows.size());
+    for (std::size_t r = 0; r < rows.size(); ++r)
+        buf[r] = col[r * stride];
+    return buf.data();
+}
 
 /**
  * Shared kernel state for both backends. Reference executes
@@ -162,9 +178,9 @@ using IntSpanFn = decltype(SimdKernels::accumIntSpan);
 class LutGemmKernel
 {
   public:
-    LutGemmKernel(const BcqTensor &weights, const MatrixD &xq,
+    LutGemmKernel(const BcqTensor &weights, const MatrixD &x,
                   const LutGemmConfig &config)
-        : w_(weights), xq_(xq), config_(config)
+        : w_(weights), x_(x), config_(config)
     {
         if (config_.useGeneratorTree && config_.mu >= 2)
             generator_.emplace(config_.mu, config_.arith);
@@ -202,7 +218,7 @@ class LutGemmKernel
     processRows(BlockRange rows, MatrixD &y, LutGemmCounters &cnt,
                 Scratch &s) const
     {
-        const std::size_t batch = xq_.cols();
+        const std::size_t batch = x_.cols();
         for (std::size_t b = 0; b < batch; ++b) {
             for (std::size_t g = 0; g < geom_.size(); ++g) {
                 const GroupGeom &gg = geom_[g];
@@ -235,12 +251,8 @@ class LutGemmKernel
                     cnt.generatorAdds += addsPerGeneration_;
                 }
             }
-            if (w_.hasOffset) {
-                double sx = 0.0;
-                for (std::size_t c = gg.c0; c < gg.c1; ++c)
-                    sx = fpAdd(sx, xq_(c, b), config_.arith);
-                t.sumx[g] = sx;
-            }
+            if (w_.hasOffset)
+                t.sumx[g] = groupSum(b, gg);
         }
     }
 
@@ -254,47 +266,50 @@ class LutGemmKernel
         t.scale.assign(geom_.size(), 1.0);
         for (std::size_t g = 0; g < geom_.size(); ++g) {
             const GroupGeom &gg = geom_[g];
-            const AlignedBlock block = alignGroup(b, gg, s);
+            t.scale[g] = alignGroup(b, gg, s);
             for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
-                loadChunkMantissas(block, ch, s.ms);
-                fillIntChunk(s.ms.data(),
+                fillIntChunk(chunkMantissas(s, ch),
                              t.arena.chunk(gg.chunkBase + ch));
                 if constexpr (Instr) {
                     ++cnt.lutGenerations;
                     cnt.generatorAdds += addsPerGeneration_;
                 }
             }
-            if (w_.hasOffset) {
-                int64_t sm = 0;
-                for (const auto mv : block.mantissas)
-                    sm += mv;
-                t.sumMant[g] = sm;
-            }
-            t.scale[g] = block.scale();
+            if (w_.hasOffset)
+                t.sumMant[g] = mantissaSum(s);
         }
     }
 
     /**
      * Accumulate one row tile of activation column b: per (group,
      * plane), walk the group's chunks over the tile's pre-packed keys,
-     * then fold alpha, the offset term and y. The chunk walk is the
-     * dispatched span kernel when one is given (core/simd.h), else the
-     * scalar loop: the only one that counts reads (Instr), and the one
-     * FpArith::Fp16/Bf16 run, since their per-add rounding has no
-     * vector equivalent. Rows are independent lanes of the span
-     * kernel, so each row's psum sequence is the scalar loop's, and
-     * per-row operation order is the Reference backend's (chunks, then
-     * planes, then offset, then the y fold): outputs are bit-identical.
+     * then fold alpha, the offset term and y. `simd` is the call's
+     * kernel table, or null for instrumented calls. With a table, the
+     * chunk walk is its span kernel and, in FpArith::Fp32, the offset
+     * fold (and, in accumulateTileInt, the alpha fold) is its epilogue
+     * kernel (core/simd.h). Otherwise the scalar loops run: the only
+     * ones that count operations (Instr), and the ones FpArith::Fp16/
+     * Bf16 run, since their per-add rounding has no vector equivalent.
+     * Rows are independent lanes of every kernel, so each row's
+     * operation sequence is the scalar loop's, and per-row operation
+     * order is the Reference backend's (chunks, then planes, then
+     * offset, then the y fold): outputs are bit-identical.
      */
     template <bool Instr>
     void
     accumulateTileFp(BlockRange rows, std::size_t b,
                      const PackedLutKeys &pk, const FpColumnTables &t,
-                     FpSpanFn span, MatrixD &y, LutGemmCounters &cnt,
-                     Scratch &s) const
+                     const SimdKernels *simd, MatrixD &y,
+                     LutGemmCounters &cnt, Scratch &s) const
     {
         const int q = w_.bits;
         const FpArith arith = config_.arith;
+        const bool fold = simd && arith == FpArith::Fp32;
+        const auto span =
+            !simd ? nullptr
+            : arith == FpArith::Fp32  ? simd->accumFpSpanFp32
+            : arith == FpArith::Exact ? simd->accumFpSpanExact
+                                      : nullptr;
         const std::size_t tile = rows.size();
         s.fpPsum.resize(tile);
         s.rowAcc.resize(tile);
@@ -305,7 +320,7 @@ class LutGemmKernel
             std::fill(acc, acc + tile, 0.0);
             for (int i = 0; i < q; ++i) {
                 std::fill(psum, psum + tile, 0.0);
-                if (!Instr && span) {
+                if (span) {
                     // One span call walks every chunk of the group: the
                     // group's arena slabs are contiguous (stride
                     // t.arena.stride) and the per-chunk key arrays of
@@ -330,32 +345,21 @@ class LutGemmKernel
                         }
                     }
                 }
-                const auto &alpha =
-                    w_.alphas[static_cast<std::size_t>(i)];
+                const double *alpha = tileColumn(
+                    w_.alphas[static_cast<std::size_t>(i)], rows, g,
+                    s.alphaCol);
                 for (std::size_t r = 0; r < tile; ++r) {
                     acc[r] = fpAdd(acc[r],
-                                   fpRound(alpha(rows.begin + r, g) *
-                                               psum[r],
-                                           arith),
+                                   fpRound(alpha[r] * psum[r], arith),
                                    arith);
                     if constexpr (Instr)
                         ++cnt.scaleMuls;
                 }
             }
-            if (w_.hasOffset) {
-                for (std::size_t r = 0; r < tile; ++r) {
-                    acc[r] = fpAdd(
-                        acc[r],
-                        fpRound(w_.offsets(rows.begin + r, g) * t.sumx[g],
-                                arith),
-                        arith);
-                    if constexpr (Instr)
-                        ++cnt.offsetOps;
-                }
-            }
-            for (std::size_t r = 0; r < tile; ++r)
-                y(rows.begin + r, b) =
-                    fpAdd(y(rows.begin + r, b), acc[r], arith);
+            if (w_.hasOffset)
+                foldOffset<Instr>(rows, g, t.sumx[g], fold ? simd : nullptr,
+                                  acc, cnt, s);
+            foldIntoY(rows, b, acc, y);
         }
     }
 
@@ -364,11 +368,12 @@ class LutGemmKernel
     void
     accumulateTileInt(BlockRange rows, std::size_t b,
                       const PackedLutKeys &pk, const IntColumnTables &t,
-                      IntSpanFn span, MatrixD &y, LutGemmCounters &cnt,
-                      Scratch &s) const
+                      const SimdKernels *simd, MatrixD &y,
+                      LutGemmCounters &cnt, Scratch &s) const
     {
         const int q = w_.bits;
         const FpArith arith = config_.arith;
+        const bool fold = simd && arith == FpArith::Fp32;
         const std::size_t tile = rows.size();
         s.intPsum.resize(tile);
         s.rowAcc.resize(tile);
@@ -380,11 +385,12 @@ class LutGemmKernel
             std::fill(acc, acc + tile, 0.0);
             for (int i = 0; i < q; ++i) {
                 std::fill(psum, psum + tile, int64_t{0});
-                if (!Instr && span) {
-                    span(psum, t.arena.chunk(gg.chunkBase),
-                         t.arena.stride,
-                         pk.chunkKeys(i, gg.chunkBase) + rows.begin,
-                         pk.rows, gg.chunks, tile);
+                if (simd) {
+                    simd->accumIntSpan(psum, t.arena.chunk(gg.chunkBase),
+                                       t.arena.stride,
+                                       pk.chunkKeys(i, gg.chunkBase) +
+                                           rows.begin,
+                                       pk.rows, gg.chunks, tile);
                 } else {
                     for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
                         const std::size_t chunk = gg.chunkBase + ch;
@@ -400,40 +406,79 @@ class LutGemmKernel
                         }
                     }
                 }
-                const auto &alpha =
-                    w_.alphas[static_cast<std::size_t>(i)];
-                for (std::size_t r = 0; r < tile; ++r) {
-                    acc[r] = fpAdd(
-                        acc[r],
-                        fpRound(alpha(rows.begin + r, g) *
-                                    (static_cast<double>(psum[r]) *
-                                     scale),
-                                arith),
-                        arith);
-                    if constexpr (Instr)
-                        ++cnt.scaleMuls;
+                const double *alpha = tileColumn(
+                    w_.alphas[static_cast<std::size_t>(i)], rows, g,
+                    s.alphaCol);
+                if (fold) {
+                    simd->foldIntPlaneFp32(acc, alpha, psum, scale, tile);
+                } else {
+                    for (std::size_t r = 0; r < tile; ++r) {
+                        acc[r] = fpAdd(
+                            acc[r],
+                            fpRound(alpha[r] *
+                                        (static_cast<double>(psum[r]) *
+                                         scale),
+                                    arith),
+                            arith);
+                        if constexpr (Instr)
+                            ++cnt.scaleMuls;
+                    }
                 }
             }
-            if (w_.hasOffset) {
-                const double sumx =
-                    static_cast<double>(t.sumMant[g]) * scale;
-                for (std::size_t r = 0; r < tile; ++r) {
-                    acc[r] = fpAdd(
-                        acc[r],
-                        fpRound(w_.offsets(rows.begin + r, g) * sumx,
-                                arith),
-                        arith);
-                    if constexpr (Instr)
-                        ++cnt.offsetOps;
-                }
-            }
-            for (std::size_t r = 0; r < tile; ++r)
-                y(rows.begin + r, b) =
-                    fpAdd(y(rows.begin + r, b), acc[r], arith);
+            if (w_.hasOffset)
+                foldOffset<Instr>(rows, g,
+                                  static_cast<double>(t.sumMant[g]) * scale,
+                                  fold ? simd : nullptr, acc, cnt, s);
+            foldIntoY(rows, b, acc, y);
         }
     }
 
   private:
+    /**
+     * acc[r] += the offset term of group g over the tile's rows: the
+     * fold kernel of `simd` when one is given (FpArith::Fp32 only),
+     * else the scalar loop.
+     */
+    template <bool Instr>
+    void
+    foldOffset(BlockRange rows, std::size_t g, double sumx,
+               const SimdKernels *simd, double *acc, LutGemmCounters &cnt,
+               Scratch &s) const
+    {
+        const double *off = tileColumn(w_.offsets, rows, g, s.offCol);
+        if (simd) {
+            simd->foldOffsetFp32(acc, off, sumx, rows.size());
+            return;
+        }
+        for (std::size_t r = 0; r < rows.size(); ++r) {
+            acc[r] = fpAdd(acc[r], fpRound(off[r] * sumx, config_.arith),
+                           config_.arith);
+            if constexpr (Instr)
+                ++cnt.offsetOps;
+        }
+    }
+
+    /** y(rows, b) += acc in the accumulate mode, on y's raw storage. */
+    void
+    foldIntoY(BlockRange rows, std::size_t b, const double *acc,
+              MatrixD &y) const
+    {
+        const std::size_t stride = y.cols();
+        double *col = y.data() + rows.begin * stride + b;
+        for (std::size_t r = 0; r < rows.size(); ++r)
+            col[r * stride] = fpAdd(col[r * stride], acc[r], config_.arith);
+    }
+
+    /** sum(x) over group gg of column b in the accumulate mode. */
+    double
+    groupSum(std::size_t b, const GroupGeom &gg) const
+    {
+        double sx = 0.0;
+        for (std::size_t c = gg.c0; c < gg.c1; ++c)
+            sx = fpAdd(sx, x_(c, b), config_.arith);
+        return sx;
+    }
+
     /** Stage the padded mu-chunk of activations into s (reused). */
     void
     loadChunkValues(std::size_t b, const GroupGeom &gg, std::size_t ch,
@@ -446,34 +491,46 @@ class LutGemmKernel
         for (int j = 0; j < mu; ++j) {
             const std::size_t c = cBase + static_cast<std::size_t>(j);
             xs[static_cast<std::size_t>(j)] =
-                c < gg.c1 ? xq_(c, b) : 0.0;
+                c < gg.c1 ? x_(c, b) : 0.0;
         }
     }
 
-    /** Stage the padded mu-chunk of aligned mantissas into s (reused). */
-    void
-    loadChunkMantissas(const AlignedBlock &block, std::size_t ch,
-                       std::vector<int64_t> &ms) const
-    {
-        const int mu = config_.mu;
-        ms.resize(static_cast<std::size_t>(mu));
-        for (int j = 0; j < mu; ++j) {
-            const std::size_t c = ch * static_cast<std::size_t>(mu) +
-                                  static_cast<std::size_t>(j);
-            ms[static_cast<std::size_t>(j)] =
-                c < block.mantissas.size() ? block.mantissas[c] : 0;
-        }
-    }
-
-    /** Pre-align one group's activations (integer path). */
-    AlignedBlock
+    /**
+     * Pre-align group gg of activation column b (integer path) into
+     * s.mant, zero-padded to whole chunks, straight from x's storage:
+     * each activation is rounded to its format exactly once, here.
+     * Returns the group's scale 2^(sharedExp - fracBits).
+     */
+    double
     alignGroup(std::size_t b, const GroupGeom &gg, Scratch &s) const
     {
-        s.groupVals.resize(gg.c1 - gg.c0);
-        for (std::size_t c = gg.c0; c < gg.c1; ++c)
-            s.groupVals[c - gg.c0] = xq_(c, b);
-        return preAlign(s.groupVals, config_.actFormat,
-                        config_.alignFracBits);
+        const std::size_t count = gg.c1 - gg.c0;
+        const std::size_t stride = x_.cols();
+        s.mant.resize(gg.chunks * static_cast<std::size_t>(config_.mu));
+        const AlignHeader header = preAlignInto(
+            x_.data() + gg.c0 * stride + b, count, stride,
+            config_.actFormat, config_.alignFracBits,
+            AlignRounding::NearestEven, s.mant.data());
+        std::fill(s.mant.begin() + static_cast<std::ptrdiff_t>(count),
+                  s.mant.end(), int64_t{0});
+        return alignScale(header.sharedExp, config_.alignFracBits);
+    }
+
+    /** The mu mantissas of chunk ch of the group alignGroup() staged. */
+    const int64_t *
+    chunkMantissas(const Scratch &s, std::size_t ch) const
+    {
+        return s.mant.data() + ch * static_cast<std::size_t>(config_.mu);
+    }
+
+    /** Sum of the staged group's mantissas (the offset's sum(x)). */
+    static int64_t
+    mantissaSum(const Scratch &s)
+    {
+        int64_t sum = 0;
+        for (const int64_t m : s.mant)
+            sum += m;
+        return sum;
     }
 
     /**
@@ -523,11 +580,7 @@ class LutGemmKernel
             }
         }
         // Offset needs sum(x) over the group (VPU side).
-        s.sumx = 0.0;
-        if (w_.hasOffset) {
-            for (std::size_t c = gg.c0; c < gg.c1; ++c)
-                s.sumx = fpAdd(s.sumx, xq_(c, b), config_.arith);
-        }
+        s.sumx = w_.hasOffset ? groupSum(b, gg) : 0.0;
     }
 
     template <bool Instr>
@@ -535,22 +588,16 @@ class LutGemmKernel
     buildIntGroup(std::size_t b, const GroupGeom &gg, Scratch &s,
                   LutGemmCounters &cnt) const
     {
-        const AlignedBlock block = alignGroup(b, gg, s);
+        s.scale = alignGroup(b, gg, s);
         s.ig.ensure(gg.chunks, lutEntries(config_.mu));
         for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
-            loadChunkMantissas(block, ch, s.ms);
-            fillIntChunk(s.ms.data(), s.ig.chunk(ch));
+            fillIntChunk(chunkMantissas(s, ch), s.ig.chunk(ch));
             if constexpr (Instr) {
                 ++cnt.lutGenerations;
                 cnt.generatorAdds += addsPerGeneration_;
             }
         }
-        s.sumMant = 0;
-        if (w_.hasOffset) {
-            for (const auto mv : block.mantissas)
-                s.sumMant += mv;
-        }
-        s.scale = block.scale();
+        s.sumMant = w_.hasOffset ? mantissaSum(s) : 0;
     }
 
     template <bool Instr>
@@ -642,7 +689,11 @@ class LutGemmKernel
     }
 
     const BcqTensor &w_;
-    const MatrixD &xq_;
+    /**
+     * Activations: rounded to their storage format on the FP path;
+     * raw on the integer path, whose alignment rounds them.
+     */
+    const MatrixD &x_;
     const LutGemmConfig &config_;
     std::optional<LutGenerator> generator_;
     uint64_t addsPerGeneration_ = 0;
@@ -731,11 +782,12 @@ acquireWorkspace(ExecutionContext *ctx,
 /**
  * The Simd backend's runner. Each activation column's LUT arenas are
  * built exactly once, on the submitting thread; every row tile then
- * only reads them. The span kernels are resolved once per call, on the
+ * only reads them. The kernel table is resolved once per call, on the
  * submitting thread, and shared read-only by the workers. Instrumented
- * calls (Instr) run the scalar chunk walk with per-read counters
- * instead, so the counter-equivalence proof covers the backend without
- * threading counters through the vector kernels.
+ * calls (Instr) run the scalar chunk walk and epilogue with
+ * per-operation counters instead, so the counter-equivalence proof
+ * covers the backend without threading counters through the vector
+ * kernels.
  */
 template <bool Instr>
 void
@@ -744,16 +796,7 @@ runSimdTiles(const LutGemmKernel &kernel, const PackedLutKeys &pk,
              std::size_t batch, MatrixD &y, LutGemmCounters &cnt,
              ExecutionContext *ctx)
 {
-    FpSpanFn fpSpan = nullptr;
-    IntSpanFn intSpan = nullptr;
-    if constexpr (!Instr) {
-        const SimdKernels &simd = simdKernels();
-        intSpan = simd.accumIntSpan;
-        if (config.arith == FpArith::Fp32)
-            fpSpan = simd.accumFpSpanFp32;
-        else if (config.arith == FpArith::Exact)
-            fpSpan = simd.accumFpSpanExact;
-    }
+    const SimdKernels *simd = Instr ? nullptr : &simdKernels();
     RowTiles tiles(ctx, config, m);
     std::mutex counterMutex;
     std::optional<CallWorkspace> localWs;
@@ -769,11 +812,11 @@ runSimdTiles(const LutGemmKernel &kernel, const PackedLutKeys &pk,
             static thread_local Scratch s;
             LutGemmCounters tileCnt;
             if (!config.preAligned)
-                kernel.accumulateTileFp<Instr>(rows, b, pk, ws.fp, fpSpan,
-                                               y, tileCnt, s);
+                kernel.accumulateTileFp<Instr>(rows, b, pk, ws.fp, simd, y,
+                                               tileCnt, s);
             else
-                kernel.accumulateTileInt<Instr>(rows, b, pk, ws.ig,
-                                                intSpan, y, tileCnt, s);
+                kernel.accumulateTileInt<Instr>(rows, b, pk, ws.ig, simd,
+                                                y, tileCnt, s);
             if constexpr (Instr) {
                 std::lock_guard<std::mutex> lock(counterMutex);
                 mergeCounters(cnt, tileCnt);
@@ -844,12 +887,16 @@ lutGemmImpl(const BcqTensor &weights, const MatrixD &x,
     LutGemmCounters local;
     LutGemmCounters &cnt = counters ? *counters : local;
 
-    // Activations in their storage format, shared by every work item.
-    MatrixD xq(n, batch);
-    for (std::size_t i = 0; i < xq.size(); ++i)
-        xq.at(i) = quantizeToFormat(x.at(i), config.actFormat);
-
-    const LutGemmKernel kernel(weights, xq, config);
+    // The FP path reads activations in their storage format, shared by
+    // every work item. The integer path reads x itself: alignment
+    // rounds each activation exactly once.
+    MatrixD xq;
+    if (!config.preAligned) {
+        xq = MatrixD(n, batch);
+        for (std::size_t i = 0; i < xq.size(); ++i)
+            xq.data()[i] = quantizeToFormat(x.data()[i], config.actFormat);
+    }
+    const LutGemmKernel kernel(weights, config.preAligned ? x : xq, config);
     MatrixD y(m, batch, 0.0);
 
     // Geometry cross-check: the packing pass derives the chunk layout

@@ -76,6 +76,32 @@ accumIntSpanScalar(std::int64_t *psum, const std::int64_t *lut,
     }
 }
 
+/** The binary32 round-trip of FpArith::Fp32. */
+inline double
+f32(double v)
+{
+    return static_cast<double>(static_cast<float>(v));
+}
+
+void
+foldIntPlaneFp32Scalar(double *acc, const double *alpha,
+                       const std::int64_t *psum, double scale,
+                       std::size_t n)
+{
+    for (std::size_t r = 0; r < n; ++r) {
+        const double p = static_cast<double>(psum[r]) * scale;
+        acc[r] = f32(acc[r] + f32(alpha[r] * p));
+    }
+}
+
+void
+foldOffsetFp32Scalar(double *acc, const double *off, double sumx,
+                     std::size_t n)
+{
+    for (std::size_t r = 0; r < n; ++r)
+        acc[r] = f32(acc[r] + f32(off[r] * sumx));
+}
+
 void
 addFlatScalar(double *out, const double *a, const double *b,
               std::size_t n)
@@ -159,11 +185,12 @@ geluLutFlatScalar(double *out, const double *v, std::size_t n,
 }
 
 const SimdKernels kScalarKernels = {
-    SimdIsa::Scalar,       accumFpSpanFp32Scalar,
+    SimdIsa::Scalar,        accumFpSpanFp32Scalar,
     accumFpSpanExactScalar, accumIntSpanScalar,
-    addFlatScalar,         divFlatScalar,
-    maxFlatScalar,         sumLanesScalar,
-    sumSqDevLanesScalar,   normalizeFlatScalar,
+    foldIntPlaneFp32Scalar, foldOffsetFp32Scalar,
+    addFlatScalar,          divFlatScalar,
+    maxFlatScalar,          sumLanesScalar,
+    sumSqDevLanesScalar,    normalizeFlatScalar,
     geluLutFlatScalar,
 };
 

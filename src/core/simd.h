@@ -153,6 +153,27 @@ struct SimdKernels
                          std::size_t keyStride, std::size_t chunks,
                          std::size_t n);
 
+    /**
+     * The LUT-GEMM epilogue in FpArith::Fp32: each integer-domain
+     * plane's partial sum scaled by its alpha, then the offset term
+     * (either domain), folded into the row accumulators. With f32(v)
+     * the binary32 round-trip and double() the static_cast conversion,
+     * for every row r < n:
+     *
+     *   foldIntPlaneFp32: acc[r] = f32(acc[r] + f32(alpha[r] *
+     *                              (double(psum[r]) * scale)))
+     *   foldOffsetFp32:   acc[r] = f32(acc[r] + f32(off[r] * sumx))
+     *
+     * the fpAdd(acc, fpRound(...)) chain of the scalar epilogue. Each
+     * row is one lane and sees exactly these operations in this order,
+     * so every ISA produces the same bits.
+     */
+    void (*foldIntPlaneFp32)(double *acc, const double *alpha,
+                             const std::int64_t *psum, double scale,
+                             std::size_t n);
+    void (*foldOffsetFp32)(double *acc, const double *off, double sumx,
+                           std::size_t n);
+
     /** out[i] = a[i] + b[i]. */
     void (*addFlat)(double *out, const double *a, const double *b,
                     std::size_t n);

@@ -12,9 +12,11 @@
  * bit: vector lanes hold independent rows/elements (or the fixed
  * strided reduction lanes), the FpArith::Fp32 rounding is the
  * VCVTPD2PS/VCVTPS2PD round-trip (IEEE round-to-nearest-even to
- * binary32, the same rounding fpRound() applies), and no
- * multiply-add is fused (-ffp-contract=off build-wide, and only
- * explicit mul/add intrinsics here).
+ * binary32, the same rounding fpRound() applies), the epilogue
+ * fold's int64 -> double conversion is exact (a bias trick below
+ * 2^51, the scalar fold beyond), and no multiply-add is fused
+ * (-ffp-contract=off build-wide, and only explicit mul/add
+ * intrinsics here).
  */
 
 #include "core/simd.h"
@@ -27,6 +29,14 @@
 
 namespace figlut {
 namespace simd_detail {
+
+// Scalar contract implementations (simd.cpp): the epilogue folds run
+// them on tail rows and on int64 lanes outside the exact conversion.
+void foldIntPlaneFp32Scalar(double *acc, const double *alpha,
+                            const std::int64_t *psum, double scale,
+                            std::size_t n);
+void foldOffsetFp32Scalar(double *acc, const double *off, double sumx,
+                          std::size_t n);
 
 namespace {
 
@@ -203,6 +213,79 @@ accumIntSpanAvx2(std::int64_t *psum, const std::int64_t *lut,
     }
 }
 
+/** The binary32 round-trip of FpArith::Fp32 (VCVTPD2PS/VCVTPS2PD). */
+inline __m256d
+roundF32(__m256d v)
+{
+    return _mm256_cvtps_pd(_mm256_cvtpd_ps(v));
+}
+
+/** The int64 -> double conversion is exact below 2^51 in magnitude. */
+constexpr long long kExactCvtBound = 1LL << 51;
+
+/** True when every lane lies in [-2^51, 2^51). */
+inline bool
+inExactCvtRange(__m256i v)
+{
+    const __m256i biased =
+        _mm256_add_epi64(v, _mm256_set1_epi64x(kExactCvtBound));
+    const __m256i high = _mm256_srli_epi64(biased, 52);
+    return _mm256_testz_si256(high, high) != 0;
+}
+
+/**
+ * AVX2 has no int64 -> double conversion. For lanes in [-2^51, 2^51),
+ * v + bits(2^52 + 2^51) is the bit pattern of the double
+ * 2^52 + 2^51 + v, so subtracting 2^52 + 2^51 yields v exactly, which
+ * is what static_cast<double> returns for these values.
+ */
+inline __m256d
+int64ToDouble(__m256i v)
+{
+    const __m256d magic = _mm256_set1_pd(6755399441055744.0);
+    return _mm256_sub_pd(
+        _mm256_castsi256_pd(
+            _mm256_add_epi64(v, _mm256_castpd_si256(magic))),
+        magic);
+}
+
+void
+foldIntPlaneFp32Avx2(double *acc, const double *alpha,
+                     const std::int64_t *psum, double scale, std::size_t n)
+{
+    const __m256d s = _mm256_set1_pd(scale);
+    std::size_t r = 0;
+    for (; r + 4 <= n; r += 4) {
+        const __m256i v = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(psum + r));
+        if (!inExactCvtRange(v)) {
+            foldIntPlaneFp32Scalar(acc + r, alpha + r, psum + r, scale, 4);
+            continue;
+        }
+        const __m256d p = _mm256_mul_pd(int64ToDouble(v), s);
+        const __m256d t =
+            roundF32(_mm256_mul_pd(_mm256_loadu_pd(alpha + r), p));
+        _mm256_storeu_pd(
+            acc + r, roundF32(_mm256_add_pd(_mm256_loadu_pd(acc + r), t)));
+    }
+    foldIntPlaneFp32Scalar(acc + r, alpha + r, psum + r, scale, n - r);
+}
+
+void
+foldOffsetFp32Avx2(double *acc, const double *off, double sumx,
+                   std::size_t n)
+{
+    const __m256d sx = _mm256_set1_pd(sumx);
+    std::size_t r = 0;
+    for (; r + 4 <= n; r += 4) {
+        const __m256d t =
+            roundF32(_mm256_mul_pd(_mm256_loadu_pd(off + r), sx));
+        _mm256_storeu_pd(
+            acc + r, roundF32(_mm256_add_pd(_mm256_loadu_pd(acc + r), t)));
+    }
+    foldOffsetFp32Scalar(acc + r, off + r, sumx, n - r);
+}
+
 void
 addFlatAvx2(double *out, const double *a, const double *b,
             std::size_t n)
@@ -346,6 +429,7 @@ geluLutFlatAvx2(double *out, const double *v, std::size_t n,
 const SimdKernels kAvx2Kernels = {
     SimdIsa::Avx2,        accumFpSpanFp32Avx2,
     accumFpSpanExactAvx2, accumIntSpanAvx2,
+    foldIntPlaneFp32Avx2, foldOffsetFp32Avx2,
     addFlatAvx2,          divFlatAvx2,
     maxFlatAvx2,          sumLanesAvx2,
     sumSqDevLanesAvx2,    normalizeFlatAvx2,

@@ -25,9 +25,16 @@ namespace figlut {
 namespace simd_detail {
 
 // Scalar contract implementations (simd.cpp) reused for table-lookup
-// kernels that NEON cannot accelerate.
+// kernels that NEON cannot accelerate, and for the epilogue folds,
+// which have no NEON version yet: none has been built and run on an
+// aarch64 toolchain against SimdEpilogue.EveryIsaMatchesScalarTable.
 void geluLutFlatScalar(double *out, const double *v, std::size_t n,
                        const GeluLutTable &t);
+void foldIntPlaneFp32Scalar(double *acc, const double *alpha,
+                            const std::int64_t *psum, double scale,
+                            std::size_t n);
+void foldOffsetFp32Scalar(double *acc, const double *off, double sumx,
+                          std::size_t n);
 
 namespace {
 
@@ -252,9 +259,10 @@ normalizeFlatNeon(double *out, const double *v, double mean,
 const SimdKernels kNeonKernels = {
     SimdIsa::Neon,        accumFpSpanFp32Neon,
     accumFpSpanExactNeon, accumIntSpanNeon,
-    addFlatNeon,          divFlatNeon,
-    maxFlatNeon,          sumLanesNeon,
-    sumSqDevLanesNeon,    normalizeFlatNeon,
+    foldIntPlaneFp32Scalar, foldOffsetFp32Scalar,
+    addFlatNeon,            divFlatNeon,
+    maxFlatNeon,            sumLanesNeon,
+    sumSqDevLanesNeon,      normalizeFlatNeon,
     geluLutFlatScalar,
 };
 

@@ -1,5 +1,6 @@
 #include "numerics/prealign.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -7,10 +8,36 @@
 
 namespace figlut {
 
+namespace {
+
+/**
+ * Round to the nearest integer, ties to even, without a libm call.
+ * Below 2^52, adding and subtracting 2^52 (signed like v) lands v on
+ * the integer grid under the default round-to-nearest-even mode, as
+ * nearbyint() does; larger magnitudes are integers already.
+ */
+inline double
+roundHalfEven(double v)
+{
+    constexpr double kTwo52 = 4503599627370496.0;
+    if (!(std::fabs(v) < kTwo52))
+        return v;
+    const double big = std::copysign(kTwo52, v);
+    return (v + big) - big;
+}
+
+} // namespace
+
+double
+alignScale(int shared_exp, int frac_bits)
+{
+    return std::ldexp(1.0, shared_exp - frac_bits);
+}
+
 double
 AlignedBlock::scale() const
 {
-    return std::ldexp(1.0, sharedExp - fracBits);
+    return alignScale(sharedExp, fracBits);
 }
 
 double
@@ -20,70 +47,71 @@ AlignedBlock::valueAt(std::size_t i) const
     return static_cast<double>(mantissas[i]) * scale();
 }
 
-AlignedBlock
-preAlign(const std::vector<double> &values, ActFormat fmt, int frac_bits,
-         AlignRounding rounding)
+AlignHeader
+preAlignInto(const double *values, std::size_t count, std::size_t stride,
+             ActFormat fmt, int frac_bits, AlignRounding rounding,
+             int64_t *mantissas)
 {
     if (frac_bits < 2 || frac_bits > 60)
         fatal("pre-alignment fraction bits must be in [2, 60], got ",
               frac_bits);
 
-    AlignedBlock block;
-    block.fracBits = frac_bits;
-    block.mantissas.resize(values.size(), 0);
-
-    // Find the maximum exponent across the block.
+    // Round each value to fmt once and find the maximum exponent. The
+    // rounded double's bit pattern is parked in its mantissa slot, so
+    // the shift pass below needs no second buffer.
+    AlignHeader header;
     int max_exp = 0;
-    bool any = false;
-    std::vector<double> quantized(values.size());
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        const double q = quantizeToFormat(values[i], fmt);
-        if (std::isnan(q) || std::isinf(q))
+    for (std::size_t i = 0; i < count; ++i) {
+        const double q = quantizeToFormat(values[i * stride], fmt);
+        if (!std::isfinite(q))
             fatal("pre-alignment input ", i, " is not finite");
-        quantized[i] = q;
+        uint64_t bits = 0;
+        std::memcpy(&bits, &q, sizeof(bits));
+        std::memcpy(&mantissas[i], &bits, sizeof(bits));
         if (q != 0.0) {
             // Every non-zero FP16/BF16/FP32 value is a normal double,
             // so the unbiased exponent is the biased field minus 1023.
-            uint64_t bits = 0;
-            std::memcpy(&bits, &q, sizeof(bits));
             const int unbiased =
                 static_cast<int>((bits >> 52) & 0x7ffu) - 1023;
-            max_exp = any ? std::max(max_exp, unbiased) : unbiased;
-            any = true;
+            max_exp =
+                header.allZero ? unbiased : std::max(max_exp, unbiased);
+            header.allZero = false;
         }
     }
-    if (!any) {
-        block.allZero = true;
-        block.sharedExp = 0;
-        return block;
+    if (header.allZero) {
+        std::fill(mantissas, mantissas + count, int64_t{0});
+        return header;
     }
-    block.allZero = false;
-    block.sharedExp = max_exp;
+    header.sharedExp = max_exp;
 
-    // Express each value as m * 2^(sharedExp - fracBits).
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        const double scaled =
-            std::ldexp(quantized[i], frac_bits - max_exp);
-        double m = 0.0;
-        switch (rounding) {
-          case AlignRounding::Truncate:
-            m = std::trunc(scaled);
-            break;
-          case AlignRounding::NearestEven: {
-            const double f = std::floor(scaled);
-            const double d = scaled - f;
-            if (d > 0.5) {
-                m = f + 1.0;
-            } else if (d < 0.5) {
-                m = f;
-            } else {
-                m = (std::fmod(f, 2.0) == 0.0) ? f : f + 1.0;
-            }
-            break;
-          }
-        }
-        block.mantissas[i] = static_cast<int64_t>(m);
+    // Express each value as m * 2^(sharedExp - fracBits). |q| spans
+    // [2^-149, 2^(max_exp + 1)), so q * shift lies in [2^-274, 2^61):
+    // a normal double, making the multiply exact (it is ldexp), and
+    // within int64 range for the truncating conversion.
+    const double shift = std::ldexp(1.0, frac_bits - max_exp);
+    for (std::size_t i = 0; i < count; ++i) {
+        double q = 0.0;
+        std::memcpy(&q, &mantissas[i], sizeof(q));
+        const double scaled = q * shift;
+        mantissas[i] = static_cast<int64_t>(
+            rounding == AlignRounding::NearestEven ? roundHalfEven(scaled)
+                                                   : scaled);
     }
+    return header;
+}
+
+AlignedBlock
+preAlign(const std::vector<double> &values, ActFormat fmt, int frac_bits,
+         AlignRounding rounding)
+{
+    AlignedBlock block;
+    block.fracBits = frac_bits;
+    block.mantissas.resize(values.size());
+    const AlignHeader header =
+        preAlignInto(values.data(), values.size(), 1, fmt, frac_bits,
+                     rounding, block.mantissas.data());
+    block.sharedExp = header.sharedExp;
+    block.allZero = header.allZero;
     return block;
 }
 

@@ -47,11 +47,34 @@ struct AlignedBlock
     double scale() const;
 };
 
+/** The block-wide fields preAlignInto() returns beside its mantissas. */
+struct AlignHeader
+{
+    int sharedExp = 0;   ///< unbiased exponent of the block maximum
+    bool allZero = true; ///< no non-zero finite input present
+};
+
 /**
- * Pre-align a block of format-`fmt` activations.
+ * Allocation-free core of preAlign(): rounds each of the `count`
+ * values values[0], values[stride], ... to `fmt` exactly once, then
+ * writes its aligned mantissa to mantissas[0..count). The shift is
+ * one exact power-of-two multiply per value, and NearestEven rounds
+ * ties to even without a libm call. Non-finite inputs (after
+ * rounding) and frac_bits outside [2, 60] are fatal.
+ */
+AlignHeader preAlignInto(const double *values, std::size_t count,
+                         std::size_t stride, ActFormat fmt, int frac_bits,
+                         AlignRounding rounding, int64_t *mantissas);
+
+/** The block scale 2^(sharedExp - fracBits), an exact power of two. */
+double alignScale(int shared_exp, int frac_bits);
+
+/**
+ * Pre-align a block of format-`fmt` activations (preAlignInto() into
+ * a freshly allocated block).
  *
- * @param values     activation values (assumed already representable in
- *                   fmt; they are re-quantized defensively)
+ * @param values     activation values (rounded to fmt first, so values
+ *                   already representable in fmt are unchanged)
  * @param fmt        activation format (decides the input mantissa width)
  * @param frac_bits  aligned datapath fraction width; defaults (24) give
  *                   the near-lossless behaviour reported by iFPU/FIGNA

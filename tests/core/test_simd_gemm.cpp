@@ -292,6 +292,115 @@ TEST(SimdSpanKernels, EveryIsaMatchesScalarTable)
     }
 }
 
+/**
+ * One epilogue fold input. Besides random values the draw makes
+ * binary32 ties (acc = 1, term = an odd multiple of 2^-24, or an
+ * inner product on a tie), signed zeros that meet (-0.0 + +0.0),
+ * negative alphas, and int64 psums out to and past 2^51, where AVX2's
+ * exact int64 -> double conversion ends.
+ */
+struct FoldDraw
+{
+    double acc, alpha;
+    std::int64_t psum;
+};
+
+FoldDraw
+drawFold(Rng &rng)
+{
+    const double sign = rng.uniformInt(0, 1) == 1 ? -1.0 : 1.0;
+    const std::int64_t odd = 2 * rng.uniformInt(0, 1000) + 1;
+    const std::int64_t bound = std::int64_t{1} << 51;
+    FoldDraw d{rng.normal() * 100.0, sign * rng.normal(),
+               rng.uniformInt(-1000000, 1000000)};
+    switch (rng.uniformInt(0, 6)) {
+      case 0: // outer tie: 1 + odd * 2^-24 with scale 2^-24
+        d.acc = 1.0;
+        d.alpha = 1.0;
+        d.psum = odd;
+        break;
+      case 1: // inner tie: alpha * 1 lies halfway between two floats
+        d.alpha = sign * (1.0 + static_cast<double>(odd) *
+                                    std::ldexp(1.0, -24));
+        d.psum = std::int64_t{1} << 24;
+        break;
+      case 2: // -0.0 + +0.0 (and the other signed-zero pairs)
+        d.acc = rng.uniformInt(0, 1) == 1 ? -0.0 : 0.0;
+        d.alpha = sign * 0.0;
+        d.psum = 0;
+        break;
+      case 3: // around the exact-conversion bound
+        d.psum = static_cast<std::int64_t>(sign) *
+                 (bound + rng.uniformInt(-2, 1));
+        break;
+      case 4: // far past it, up to 2^62
+        d.psum = static_cast<std::int64_t>(sign) *
+                 rng.uniformInt(bound, std::int64_t{1} << 62);
+        break;
+      default:
+        break;
+    }
+    return d;
+}
+
+/**
+ * The epilogue folds of every supported ISA against the scalar
+ * table, for n = 0..70 (many 4-row vectors and every tail). Each
+ * input ends at a guard page, so a fold that reads or writes one row
+ * past n faults.
+ */
+TEST(SimdEpilogue, EveryIsaMatchesScalarTable)
+{
+    const SimdKernels &scalar = simdKernelsFor(SimdIsa::Scalar);
+    Rng rng(4500);
+    for (const auto isa : kVectorIsas) {
+        if (!simdIsaSupported(isa))
+            continue;
+        const SimdKernels &vec = simdKernelsFor(isa);
+        ASSERT_EQ(vec.isa, isa);
+        for (std::size_t n = 0; n <= 70; ++n) {
+            for (int trial = 0; trial < 4; ++trial) {
+                GuardPagedArray<double> alpha(n), acc(n);
+                GuardPagedArray<std::int64_t> psum(n);
+                std::vector<double> seed(n);
+                for (std::size_t r = 0; r < n; ++r) {
+                    const FoldDraw d = drawFold(rng);
+                    seed[r] = d.acc;
+                    alpha[r] = d.alpha;
+                    psum[r] = d.psum;
+                }
+                // Trial 0 uses the tie scale; the others the shared
+                // power-of-two scales alignment produces, and one
+                // non-power-of-two.
+                const double scales[] = {std::ldexp(1.0, -24),
+                                         std::ldexp(1.0, -30), 1.0, 0.75};
+                const double scale = scales[trial];
+                const double sumx = trial == 2 ? -0.0 : rng.normal();
+                const std::string what = std::string(simdIsaName(isa)) +
+                                         " n=" + std::to_string(n) +
+                                         " trial=" + std::to_string(trial);
+
+                const auto run = [&](const SimdKernels &k, int fold) {
+                    std::copy(seed.begin(), seed.end(), acc.data());
+                    if (fold == 0)
+                        k.foldIntPlaneFp32(acc.data(), alpha.data(),
+                                           psum.data(), scale, n);
+                    else
+                        k.foldOffsetFp32(acc.data(), alpha.data(), sumx, n);
+                    return std::vector<double>(acc.data(), acc.data() + n);
+                };
+                const char *names[] = {"int plane ", "offset "};
+                for (int fold = 0; fold < 2; ++fold) {
+                    const auto want = run(scalar, fold);
+                    const auto got = run(vec, fold);
+                    EXPECT_EQ(firstBitMismatch(got, want), n)
+                        << names[fold] << what;
+                }
+            }
+        }
+    }
+}
+
 // ------------------------------------------ Reference-vs-Simd identity
 
 /**
@@ -403,12 +512,17 @@ TEST(SimdGemm, ForcedIsaSweepIsBitIdentical)
     {
         std::size_t m;
         int blockRows;
+        std::size_t group;
         uint64_t seed;
     };
     // blockRows 8 keeps every tile below one 32-row AVX-512 block;
-    // 70 rows in 64-row tiles run two register blocks plus tails.
-    for (const Input in : {Input{33, 8, 2200}, Input{70, 64, 2210}}) {
-        const auto tc = makeCase(in.m, 70, 3, 3, 24, true, in.seed);
+    // 70 rows in 64-row tiles run two register blocks plus tails. The
+    // single 70-row tile over five 16-column groups runs the epilogue
+    // folds on staged (strided) alpha and offset columns, through
+    // seventeen full 4-row vectors and a 2-row tail.
+    for (const Input in : {Input{33, 8, 24, 2200}, Input{70, 64, 24, 2210},
+                           Input{70, 72, 16, 2220}}) {
+        const auto tc = makeCase(in.m, 70, 3, 3, in.group, true, in.seed);
         // FP32 activations make the FP path's Fp32 accumulate round
         // (the FP16 sums of this input fit binary32 exactly), so a
         // Simd call running the Exact span kernel for Fp32 shows here.

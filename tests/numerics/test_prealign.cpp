@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -137,6 +139,203 @@ TEST(AlignedSignedSum, RejectsBadSigns)
 {
     const auto block = preAlign({1.0}, ActFormat::FP16, 24);
     EXPECT_THROW(alignedSignedSum(block, {0}), PanicError);
+}
+
+/**
+ * The libm formulation of preAlign() that preAlignInto() replaced,
+ * copied verbatim as the oracle: a defensive re-quantization into a
+ * scratch vector, ldexp for the shift, and floor/fmod for the
+ * ties-to-even rounding.
+ */
+AlignedBlock
+oraclePreAlign(const std::vector<double> &values, ActFormat fmt,
+               int frac_bits, AlignRounding rounding)
+{
+    if (frac_bits < 2 || frac_bits > 60)
+        fatal("pre-alignment fraction bits must be in [2, 60], got ",
+              frac_bits);
+
+    AlignedBlock block;
+    block.fracBits = frac_bits;
+    block.mantissas.resize(values.size(), 0);
+
+    // Find the maximum exponent across the block.
+    int max_exp = 0;
+    bool any = false;
+    std::vector<double> quantized(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        const double q = quantizeToFormat(values[i], fmt);
+        if (std::isnan(q) || std::isinf(q))
+            fatal("pre-alignment input ", i, " is not finite");
+        quantized[i] = q;
+        if (q != 0.0) {
+            // Every non-zero FP16/BF16/FP32 value is a normal double,
+            // so the unbiased exponent is the biased field minus 1023.
+            uint64_t bits = 0;
+            std::memcpy(&bits, &q, sizeof(bits));
+            const int unbiased =
+                static_cast<int>((bits >> 52) & 0x7ffu) - 1023;
+            max_exp = any ? std::max(max_exp, unbiased) : unbiased;
+            any = true;
+        }
+    }
+    if (!any) {
+        block.allZero = true;
+        block.sharedExp = 0;
+        return block;
+    }
+    block.allZero = false;
+    block.sharedExp = max_exp;
+
+    // Express each value as m * 2^(sharedExp - fracBits).
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        const double scaled =
+            std::ldexp(quantized[i], frac_bits - max_exp);
+        double m = 0.0;
+        switch (rounding) {
+          case AlignRounding::Truncate:
+            m = std::trunc(scaled);
+            break;
+          case AlignRounding::NearestEven: {
+            const double f = std::floor(scaled);
+            const double d = scaled - f;
+            if (d > 0.5) {
+                m = f + 1.0;
+            } else if (d < 0.5) {
+                m = f;
+            } else {
+                m = (std::fmod(f, 2.0) == 0.0) ? f : f + 1.0;
+            }
+            break;
+          }
+        }
+        block.mantissas[i] = static_cast<int64_t>(m);
+    }
+    return block;
+}
+
+/**
+ * One activation drawn for the oracle test. The block maximum is
+ * 2^top, so kind 1 lands exactly on a shift-out tie and kind 2 one
+ * quantum off it; the rest cover random magnitudes, signed zeros,
+ * FP16 subnormals, and values that round to zero in the format.
+ */
+double
+drawAlignValue(Rng &rng, int top, int frac_bits)
+{
+    const double sign = rng.uniformInt(0, 1) == 1 ? -1.0 : 1.0;
+    const double odd = static_cast<double>(2 * rng.uniformInt(0, 40) + 1);
+    switch (rng.uniformInt(0, 6)) {
+      case 0: {
+        const int below = static_cast<int>(rng.uniformInt(0, 30));
+        return rng.normal() * std::ldexp(1.0, top - below);
+      }
+      case 1: // (k + 1/2) quanta: an exact tie when fmt can hold it
+        return sign * odd * std::ldexp(1.0, top - frac_bits - 1);
+      case 2:
+        return sign * (odd * std::ldexp(1.0, top - frac_bits - 1) +
+                       std::ldexp(1.0, top - frac_bits - 12));
+      case 3:
+        return sign * 0.0;
+      case 4: // FP16 subnormals: k * 2^-24
+        return sign * static_cast<double>(rng.uniformInt(1, 1023)) *
+               std::ldexp(1.0, -24);
+      case 5:
+        return sign * 1e-300;
+      default:
+        return sign * std::ldexp(1.0, top);
+    }
+}
+
+TEST(PreAlign, CoreMatchesFloorFmodOracle)
+{
+    Rng rng(4400);
+    const AlignRounding roundings[] = {AlignRounding::Truncate,
+                                       AlignRounding::NearestEven};
+    std::size_t ties = 0;
+    for (const auto fmt : kAllActFormats) {
+        for (int fb = 2; fb <= 60; ++fb) {
+            for (const auto rounding : roundings) {
+                for (int trial = 0; trial < 6; ++trial) {
+                    const auto count =
+                        static_cast<std::size_t>(rng.uniformInt(1, 40));
+                    const auto stride =
+                        static_cast<std::size_t>(rng.uniformInt(1, 3));
+                    // FP16 tops stay below 2^13 so no draw overflows.
+                    const int top = static_cast<int>(
+                        fmt == ActFormat::FP16 ? rng.uniformInt(-14, 12)
+                                               : rng.uniformInt(-60, 60));
+                    // Trial 0 is an all-zero group of signed zeros.
+                    std::vector<double> vals(count);
+                    for (auto &v : vals)
+                        v = trial == 0
+                                ? (rng.uniformInt(0, 1) == 1 ? -0.0 : 0.0)
+                                : drawAlignValue(rng, top, fb);
+                    const std::string what =
+                        actFormatName(fmt) + " fracBits " +
+                        std::to_string(fb) + " rounding " +
+                        std::to_string(static_cast<int>(rounding)) +
+                        " trial " + std::to_string(trial);
+
+                    const AlignedBlock want =
+                        oraclePreAlign(vals, fmt, fb, rounding);
+                    // The core reads a strided column: interleave the
+                    // block with poison that must never be read.
+                    std::vector<double> strided(
+                        count * stride,
+                        std::numeric_limits<double>::quiet_NaN());
+                    for (std::size_t i = 0; i < count; ++i)
+                        strided[i * stride] = vals[i];
+                    std::vector<int64_t> got(count, -7);
+                    const AlignHeader header =
+                        preAlignInto(strided.data(), count, stride, fmt,
+                                     fb, rounding, got.data());
+                    EXPECT_EQ(got, want.mantissas) << what;
+                    EXPECT_EQ(header.sharedExp, want.sharedExp) << what;
+                    EXPECT_EQ(header.allZero, want.allZero) << what;
+                    EXPECT_EQ(alignScale(header.sharedExp, fb),
+                              want.scale())
+                        << what;
+
+                    const AlignedBlock wrapped =
+                        preAlign(vals, fmt, fb, rounding);
+                    EXPECT_EQ(wrapped.mantissas, want.mantissas) << what;
+                    EXPECT_EQ(wrapped.sharedExp, want.sharedExp) << what;
+                    EXPECT_EQ(wrapped.allZero, want.allZero) << what;
+                    EXPECT_EQ(wrapped.scale(), want.scale()) << what;
+
+                    // Count the exact shift-out ties the draw produced.
+                    for (const double v : vals) {
+                        const double q = quantizeToFormat(v, fmt);
+                        if (want.allZero || q == 0.0)
+                            continue;
+                        const double scaled =
+                            std::ldexp(q, fb - want.sharedExp);
+                        if (scaled - std::floor(scaled) == 0.5)
+                            ++ties;
+                    }
+                }
+            }
+        }
+    }
+    // The tie path is the one floor/fmod and the new rounding could
+    // disagree on; make sure the draw exercised it.
+    EXPECT_GT(ties, 500u);
+
+    int64_t slot = 0;
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double bad : {inf, -inf, nan})
+        EXPECT_THROW(preAlignInto(&bad, 1, 1, ActFormat::FP32, 24,
+                                  AlignRounding::NearestEven, &slot),
+                     FatalError);
+    const double one = 1.0;
+    EXPECT_THROW(preAlignInto(&one, 1, 1, ActFormat::FP16, 1,
+                              AlignRounding::NearestEven, &slot),
+                 FatalError);
+    EXPECT_THROW(preAlignInto(&one, 1, 1, ActFormat::FP16, 61,
+                              AlignRounding::NearestEven, &slot),
+                 FatalError);
 }
 
 TEST(PreAlign, WorksForAllFormats)
