@@ -462,8 +462,12 @@ BENCHMARK_CAPTURE(BM_QuantizeActivations, bf16, ActFormat::BF16);
  *   4 epilogue  the dispatched alpha and offset folds, then the
  *               scalar y fold
  *   5 column    the whole lutGemm calls (threads 1, packed keys)
- * ns_per_iter is one column. Stages 1-4 sum to roughly stage 5; the
- * rest is per-call setup.
+ *   6 blocked   the dispatched accumIntSpanCols walk per (GEMM, plane)
+ *               over a block of kSpanCols columns with their own
+ *               tables, run once every kSpanCols iterations
+ * ns_per_iter is one column (stage 6: one column's share of the
+ * block walk, so it reads directly against stage 3). Stages 1-4 sum
+ * to roughly stage 5; the rest is per-call setup.
  */
 void
 BM_GemmColumnStage(benchmark::State &state)
@@ -480,6 +484,8 @@ BM_GemmColumnStage(benchmark::State &state)
         std::vector<int64_t> arena; // decoded 2^mu tables, one per chunk
         std::vector<std::vector<int64_t>> psums; // per plane
         double sumx = 0.0;
+        // Stage 6: kSpanCols columns' tables and plane sums.
+        std::vector<std::vector<int64_t>> blockArenas, blockPsums;
     };
     LutGemmConfig cfg;
     cfg.preAligned = true;
@@ -489,6 +495,7 @@ BM_GemmColumnStage(benchmark::State &state)
     const std::size_t entries = lutEntries(cfg.mu);
     const SimdKernels &simd = simdKernels();
     Rng rng(12);
+    Rng blockRng(13); // stage 6's columns; rng's draws stay as they were
     std::vector<Gemm> gemms;
     for (int layer = 0; layer < 2; ++layer) {
         for (const auto &shape : kShapes) {
@@ -515,6 +522,20 @@ BM_GemmColumnStage(benchmark::State &state)
                                   entries, g.keys.chunkKeys(i, 0),
                                   shape[0], g.keys.totalChunks, shape[0]);
             }
+            const auto xBlock =
+                syntheticActivations(shape[1], kSpanCols, blockRng);
+            std::vector<int64_t> mant(g.mant.size(), 0);
+            for (std::size_t j = 0; j < kSpanCols; ++j) {
+                preAlignInto(xBlock.data() + j, shape[1], kSpanCols,
+                             cfg.actFormat, cfg.alignFracBits,
+                             AlignRounding::NearestEven, mant.data());
+                g.blockArenas.emplace_back(g.arena.size());
+                for (std::size_t ch = 0; ch < g.keys.totalChunks; ++ch)
+                    gen.generateFullIntInto(
+                        mant.data() + ch * cfg.mu,
+                        g.blockArenas.back().data() + ch * entries);
+                g.blockPsums.emplace_back(shape[0], 0);
+            }
             gemms.push_back(std::move(g));
         }
     }
@@ -522,7 +543,9 @@ BM_GemmColumnStage(benchmark::State &state)
     std::vector<double> xq, acc, y;
     std::vector<int64_t> psum;
     const auto stage = state.range(0);
+    std::size_t tick = 0;
     for (auto _ : state) {
+        const bool blockTurn = tick++ % kSpanCols == 0;
         for (Gemm &g : gemms) {
             const std::size_t m = g.w.rows, n = g.w.cols;
             switch (stage) {
@@ -563,7 +586,24 @@ BM_GemmColumnStage(benchmark::State &state)
                     y[r] = fpAdd(y[r], acc[r], cfg.arith);
                 benchmark::DoNotOptimize(y.data());
                 break;
-              default: {
+              case 6: {
+                if (!blockTurn)
+                    break;
+                int64_t *psums[kSpanCols];
+                const int64_t *luts[kSpanCols];
+                for (std::size_t j = 0; j < kSpanCols; ++j) {
+                    g.blockPsums[j].assign(m, 0);
+                    psums[j] = g.blockPsums[j].data();
+                    luts[j] = g.blockArenas[j].data();
+                }
+                for (int i = 0; i < g.w.bits; ++i)
+                    simd.accumIntSpanCols(psums, luts, entries,
+                                          g.keys.chunkKeys(i, 0), m,
+                                          g.keys.totalChunks, m, kSpanCols);
+                benchmark::DoNotOptimize(psums[0]);
+                break;
+              }
+              case 5: {
                 auto out = lutGemm(g.w, g.x, cfg, g.keys, nullptr, &ctx);
                 benchmark::DoNotOptimize(out.data());
               }
@@ -574,7 +614,7 @@ BM_GemmColumnStage(benchmark::State &state)
 }
 BENCHMARK(BM_GemmColumnStage)
     ->ArgName("stage")
-    ->DenseRange(0, 5)
+    ->DenseRange(0, 6)
     ->Unit(benchmark::kMicrosecond);
 
 /**

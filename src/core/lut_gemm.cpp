@@ -1,6 +1,7 @@
 #include "core/lut_gemm.h"
 
 #include <algorithm>
+#include <array>
 #include <mutex>
 #include <optional>
 
@@ -78,8 +79,8 @@ struct Scratch
 /**
  * Simd-backend per-column tables: the LUT arenas of every chunk of one
  * activation column (indexed by global chunk), plus the per-group
- * VPU-side terms. Built exactly once per (batch column) and then read
- * by every row tile.
+ * VPU-side terms. Built exactly once per (batch column), kSpanCols
+ * columns at a time, and then read by every row tile.
  */
 struct FpColumnTables
 {
@@ -97,15 +98,22 @@ struct IntColumnTables
 /**
  * Everything one lutGemm call reuses across its (batch, group) and
  * column iterations: the submitting thread's scratch plus the Simd
- * backend's column tables. Owned per call by default, or across calls
- * by an ExecutionContext so the arenas stop being reallocated under
- * repeated traffic.
+ * backend's tables for one block of up to kSpanCols columns. Owned per
+ * call by default, or across calls by an ExecutionContext so the
+ * arenas stop being reallocated under repeated traffic.
  */
 struct CallWorkspace
 {
     Scratch scratch;
-    FpColumnTables fp;
-    IntColumnTables ig;
+    std::array<FpColumnTables, kSpanCols> fp;
+    std::array<IntColumnTables, kSpanCols> ig;
+};
+
+/** Activation columns [first, first + count) of one Simd block. */
+struct ColumnBlock
+{
+    std::size_t first = 0;
+    std::size_t count = 0;
 };
 
 void
@@ -281,24 +289,30 @@ class LutGemmKernel
     }
 
     /**
-     * Accumulate one row tile of activation column b: per (group,
-     * plane), walk the group's chunks over the tile's pre-packed keys,
-     * then fold alpha, the offset term and y. `simd` is the call's
-     * kernel table, or null for instrumented calls. With a table, the
-     * chunk walk is its span kernel and, in FpArith::Fp32, the offset
-     * fold (and, in accumulateTileInt, the alpha fold) is its epilogue
-     * kernel (core/simd.h). Otherwise the scalar loops run: the only
-     * ones that count operations (Instr), and the ones FpArith::Fp16/
-     * Bf16 run, since their per-add rounding has no vector equivalent.
-     * Rows are independent lanes of every kernel, so each row's
-     * operation sequence is the scalar loop's, and per-row operation
-     * order is the Reference backend's (chunks, then planes, then
-     * offset, then the y fold): outputs are bit-identical.
+     * Accumulate one row tile of a block of activation columns, whose
+     * tables are t[0..block.count): per (group, plane), walk the
+     * group's chunks over the tile's pre-packed keys, then fold alpha,
+     * the offset term and y. `simd` is the call's kernel table, or
+     * null for instrumented calls. With a table, the chunk walk is its
+     * span kernel and, in FpArith::Fp32, the offset fold (and, in
+     * accumulateTileInt, the alpha fold) is its epilogue kernel
+     * (core/simd.h). Otherwise the scalar loops run: the only ones
+     * that count operations (Instr), and the ones FpArith::Fp16/Bf16
+     * run, since their per-add rounding has no vector equivalent. Rows
+     * and columns are independent lanes of every kernel, so each
+     * element's operation sequence is the scalar loop's, and per-row
+     * operation order is the Reference backend's (chunks, then planes,
+     * then offset, then the y fold, per column): outputs are
+     * bit-identical.
+     *
+     * The FP path (FIGLUT-F) runs its columns one after another; the
+     * integer path walks each key span once for the whole block
+     * (accumIntSpanCols).
      */
     template <bool Instr>
     void
-    accumulateTileFp(BlockRange rows, std::size_t b,
-                     const PackedLutKeys &pk, const FpColumnTables &t,
+    accumulateTileFp(BlockRange rows, ColumnBlock block,
+                     const PackedLutKeys &pk, const FpColumnTables *t,
                      const SimdKernels *simd, MatrixD &y,
                      LutGemmCounters &cnt, Scratch &s) const
     {
@@ -315,59 +329,64 @@ class LutGemmKernel
         s.rowAcc.resize(tile);
         double *psum = s.fpPsum.data();
         double *acc = s.rowAcc.data();
-        for (std::size_t g = 0; g < geom_.size(); ++g) {
-            const GroupGeom &gg = geom_[g];
-            std::fill(acc, acc + tile, 0.0);
-            for (int i = 0; i < q; ++i) {
-                std::fill(psum, psum + tile, 0.0);
-                if (span) {
-                    // One span call walks every chunk of the group: the
-                    // group's arena slabs are contiguous (stride
-                    // t.arena.stride) and the per-chunk key arrays of
-                    // one plane are pk.rows apart (packing.h layout
-                    // note).
-                    span(psum, t.arena.chunk(gg.chunkBase),
-                         t.arena.stride,
-                         pk.chunkKeys(i, gg.chunkBase) + rows.begin,
-                         pk.rows, gg.chunks, tile);
-                } else {
-                    for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
-                        const std::size_t chunk = gg.chunkBase + ch;
-                        const uint32_t *keys =
-                            pk.chunkKeys(i, chunk) + rows.begin;
-                        const double *lut = t.arena.chunk(chunk);
-                        for (std::size_t r = 0; r < tile; ++r) {
-                            psum[r] = fpAdd(psum[r], lut[keys[r]], arith);
-                            if constexpr (Instr) {
-                                ++cnt.lutReads;
-                                ++cnt.racAccumulates;
+        for (std::size_t j = 0; j < block.count; ++j) {
+            const FpColumnTables &tj = t[j];
+            for (std::size_t g = 0; g < geom_.size(); ++g) {
+                const GroupGeom &gg = geom_[g];
+                std::fill(acc, acc + tile, 0.0);
+                for (int i = 0; i < q; ++i) {
+                    std::fill(psum, psum + tile, 0.0);
+                    if (span) {
+                        // One span call walks every chunk of the group:
+                        // the group's arena slabs are contiguous (stride
+                        // arena.stride) and the per-chunk key arrays of
+                        // one plane are pk.rows apart (packing.h layout
+                        // note).
+                        span(psum, tj.arena.chunk(gg.chunkBase),
+                             tj.arena.stride,
+                             pk.chunkKeys(i, gg.chunkBase) + rows.begin,
+                             pk.rows, gg.chunks, tile);
+                    } else {
+                        for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
+                            const std::size_t chunk = gg.chunkBase + ch;
+                            const uint32_t *keys =
+                                pk.chunkKeys(i, chunk) + rows.begin;
+                            const double *lut = tj.arena.chunk(chunk);
+                            for (std::size_t r = 0; r < tile; ++r) {
+                                psum[r] =
+                                    fpAdd(psum[r], lut[keys[r]], arith);
+                                if constexpr (Instr) {
+                                    ++cnt.lutReads;
+                                    ++cnt.racAccumulates;
+                                }
                             }
                         }
                     }
+                    const double *alpha = tileColumn(
+                        w_.alphas[static_cast<std::size_t>(i)], rows, g,
+                        s.alphaCol);
+                    for (std::size_t r = 0; r < tile; ++r) {
+                        acc[r] = fpAdd(acc[r],
+                                       fpRound(alpha[r] * psum[r], arith),
+                                       arith);
+                        if constexpr (Instr)
+                            ++cnt.scaleMuls;
+                    }
                 }
-                const double *alpha = tileColumn(
-                    w_.alphas[static_cast<std::size_t>(i)], rows, g,
-                    s.alphaCol);
-                for (std::size_t r = 0; r < tile; ++r) {
-                    acc[r] = fpAdd(acc[r],
-                                   fpRound(alpha[r] * psum[r], arith),
-                                   arith);
-                    if constexpr (Instr)
-                        ++cnt.scaleMuls;
-                }
+                if (w_.hasOffset)
+                    foldOffset<Instr>(
+                        tileColumn(w_.offsets, rows, g, s.offCol), tile,
+                        tj.sumx[g], fold ? simd : nullptr, acc, cnt);
+                foldIntoY(rows, block.first + j, acc, y);
             }
-            if (w_.hasOffset)
-                foldOffset<Instr>(rows, g, t.sumx[g], fold ? simd : nullptr,
-                                  acc, cnt, s);
-            foldIntoY(rows, b, acc, y);
         }
     }
 
     /** The integer-domain tile accumulate (FIGLUT-I); see above. */
     template <bool Instr>
     void
-    accumulateTileInt(BlockRange rows, std::size_t b,
-                      const PackedLutKeys &pk, const IntColumnTables &t,
+    accumulateTileInt(BlockRange rows, ColumnBlock block,
+                      const PackedLutKeys &pk, const IntColumnTables *t,
                       const SimdKernels *simd, MatrixD &y,
                       LutGemmCounters &cnt, Scratch &s) const
     {
@@ -375,33 +394,46 @@ class LutGemmKernel
         const FpArith arith = config_.arith;
         const bool fold = simd && arith == FpArith::Fp32;
         const std::size_t tile = rows.size();
-        s.intPsum.resize(tile);
-        s.rowAcc.resize(tile);
-        int64_t *psum = s.intPsum.data();
-        double *acc = s.rowAcc.data();
+        const std::size_t cols = block.count;
+        s.intPsum.resize(cols * tile);
+        s.rowAcc.resize(cols * tile);
+        // Column j's plane sums and group accumulators.
+        int64_t *psum[kSpanCols] = {};
+        double *acc[kSpanCols] = {};
+        const int64_t *lut[kSpanCols] = {};
+        for (std::size_t j = 0; j < cols; ++j) {
+            psum[j] = s.intPsum.data() + j * tile;
+            acc[j] = s.rowAcc.data() + j * tile;
+        }
         for (std::size_t g = 0; g < geom_.size(); ++g) {
             const GroupGeom &gg = geom_[g];
-            const double scale = t.scale[g];
-            std::fill(acc, acc + tile, 0.0);
+            for (std::size_t j = 0; j < cols; ++j) {
+                std::fill(acc[j], acc[j] + tile, 0.0);
+                lut[j] = t[j].arena.chunk(gg.chunkBase);
+            }
             for (int i = 0; i < q; ++i) {
-                std::fill(psum, psum + tile, int64_t{0});
+                std::fill(psum[0], psum[0] + cols * tile, int64_t{0});
+                const uint32_t *keys =
+                    pk.chunkKeys(i, gg.chunkBase) + rows.begin;
                 if (simd) {
-                    simd->accumIntSpan(psum, t.arena.chunk(gg.chunkBase),
-                                       t.arena.stride,
-                                       pk.chunkKeys(i, gg.chunkBase) +
-                                           rows.begin,
-                                       pk.rows, gg.chunks, tile);
+                    // One walk of the plane's keys serves every column
+                    // of the block.
+                    simd->accumIntSpanCols(psum, lut, t[0].arena.stride,
+                                           keys, pk.rows, gg.chunks, tile,
+                                           cols);
                 } else {
-                    for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
-                        const std::size_t chunk = gg.chunkBase + ch;
-                        const uint32_t *keys =
-                            pk.chunkKeys(i, chunk) + rows.begin;
-                        const int64_t *lut = t.arena.chunk(chunk);
-                        for (std::size_t r = 0; r < tile; ++r) {
-                            psum[r] += lut[keys[r]];
-                            if constexpr (Instr) {
-                                ++cnt.lutReads;
-                                ++cnt.racAccumulates;
+                    for (std::size_t j = 0; j < cols; ++j) {
+                        for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
+                            const std::size_t chunk = gg.chunkBase + ch;
+                            const uint32_t *k =
+                                pk.chunkKeys(i, chunk) + rows.begin;
+                            const int64_t *l = t[j].arena.chunk(chunk);
+                            for (std::size_t r = 0; r < tile; ++r) {
+                                psum[j][r] += l[k[r]];
+                                if constexpr (Instr) {
+                                    ++cnt.lutReads;
+                                    ++cnt.racAccumulates;
+                                }
                             }
                         }
                     }
@@ -409,14 +441,18 @@ class LutGemmKernel
                 const double *alpha = tileColumn(
                     w_.alphas[static_cast<std::size_t>(i)], rows, g,
                     s.alphaCol);
-                if (fold) {
-                    simd->foldIntPlaneFp32(acc, alpha, psum, scale, tile);
-                } else {
+                for (std::size_t j = 0; j < cols; ++j) {
+                    const double scale = t[j].scale[g];
+                    if (fold) {
+                        simd->foldIntPlaneFp32(acc[j], alpha, psum[j],
+                                               scale, tile);
+                        continue;
+                    }
                     for (std::size_t r = 0; r < tile; ++r) {
-                        acc[r] = fpAdd(
-                            acc[r],
+                        acc[j][r] = fpAdd(
+                            acc[j][r],
                             fpRound(alpha[r] *
-                                        (static_cast<double>(psum[r]) *
+                                        (static_cast<double>(psum[j][r]) *
                                          scale),
                                     arith),
                             arith);
@@ -425,32 +461,39 @@ class LutGemmKernel
                     }
                 }
             }
-            if (w_.hasOffset)
-                foldOffset<Instr>(rows, g,
-                                  static_cast<double>(t.sumMant[g]) * scale,
-                                  fold ? simd : nullptr, acc, cnt, s);
-            foldIntoY(rows, b, acc, y);
+            const double *off =
+                w_.hasOffset ? tileColumn(w_.offsets, rows, g, s.offCol)
+                             : nullptr;
+            for (std::size_t j = 0; j < cols; ++j) {
+                if (off)
+                    foldOffset<Instr>(
+                        off, tile,
+                        static_cast<double>(t[j].sumMant[g]) *
+                            t[j].scale[g],
+                        fold ? simd : nullptr, acc[j], cnt);
+                foldIntoY(rows, block.first + j, acc[j], y);
+            }
         }
     }
 
   private:
     /**
-     * acc[r] += the offset term of group g over the tile's rows: the
-     * fold kernel of `simd` when one is given (FpArith::Fp32 only),
-     * else the scalar loop.
+     * acc[r] += off[r] * sumx over the tile's n rows, the offset term
+     * of one group (off: the group's offsets, staged by tileColumn):
+     * the fold kernel of `simd` when one is given (FpArith::Fp32
+     * only), else the scalar loop.
      */
     template <bool Instr>
     void
-    foldOffset(BlockRange rows, std::size_t g, double sumx,
-               const SimdKernels *simd, double *acc, LutGemmCounters &cnt,
-               Scratch &s) const
+    foldOffset(const double *off, std::size_t n, double sumx,
+               const SimdKernels *simd, double *acc,
+               LutGemmCounters &cnt) const
     {
-        const double *off = tileColumn(w_.offsets, rows, g, s.offCol);
         if (simd) {
-            simd->foldOffsetFp32(acc, off, sumx, rows.size());
+            simd->foldOffsetFp32(acc, off, sumx, n);
             return;
         }
-        for (std::size_t r = 0; r < rows.size(); ++r) {
+        for (std::size_t r = 0; r < n; ++r) {
             acc[r] = fpAdd(acc[r], fpRound(off[r] * sumx, config_.arith),
                            config_.arith);
             if constexpr (Instr)
@@ -780,14 +823,16 @@ acquireWorkspace(ExecutionContext *ctx,
 }
 
 /**
- * The Simd backend's runner. Each activation column's LUT arenas are
- * built exactly once, on the submitting thread; every row tile then
- * only reads them. The kernel table is resolved once per call, on the
- * submitting thread, and shared read-only by the workers. Instrumented
- * calls (Instr) run the scalar chunk walk and epilogue with
- * per-operation counters instead, so the counter-equivalence proof
- * covers the backend without threading counters through the vector
- * kernels.
+ * The Simd backend's runner. It walks the batch in blocks of up to
+ * kSpanCols columns. Each block's LUT arenas are built exactly once,
+ * on the submitting thread; every row tile then only reads them, and
+ * walks each of its key spans once for the whole block. With a pool,
+ * the tiles of one block end in one barrier. The kernel table is
+ * resolved once per call, on the submitting thread, and shared
+ * read-only by the workers. Instrumented calls (Instr) run the scalar
+ * chunk walk and epilogue with per-operation counters instead, so the
+ * counter-equivalence proof covers the backend without threading
+ * counters through the vector kernels.
  */
 template <bool Instr>
 void
@@ -801,22 +846,30 @@ runSimdTiles(const LutGemmKernel &kernel, const PackedLutKeys &pk,
     std::mutex counterMutex;
     std::optional<CallWorkspace> localWs;
     CallWorkspace &ws = acquireWorkspace(ctx, localWs);
-    for (std::size_t b = 0; b < batch; ++b) {
-        if (!config.preAligned)
-            kernel.buildFpColumn<Instr>(b, ws.fp, ws.scratch, cnt);
-        else
-            kernel.buildIntColumn<Instr>(b, ws.ig, ws.scratch, cnt);
-        tiles.run([&, b](BlockRange rows) {
+    for (std::size_t first = 0; first < batch; first += kSpanCols) {
+        const ColumnBlock block{first,
+                                std::min(kSpanCols, batch - first)};
+        for (std::size_t j = 0; j < block.count; ++j) {
+            if (!config.preAligned)
+                kernel.buildFpColumn<Instr>(first + j, ws.fp[j], ws.scratch,
+                                            cnt);
+            else
+                kernel.buildIntColumn<Instr>(first + j, ws.ig[j],
+                                             ws.scratch, cnt);
+        }
+        tiles.run([&, block](BlockRange rows) {
             // Rows partition the output: no two tiles share an element
             // of y, so only the counter merge needs a lock.
             static thread_local Scratch s;
             LutGemmCounters tileCnt;
             if (!config.preAligned)
-                kernel.accumulateTileFp<Instr>(rows, b, pk, ws.fp, simd, y,
+                kernel.accumulateTileFp<Instr>(rows, block, pk,
+                                               ws.fp.data(), simd, y,
                                                tileCnt, s);
             else
-                kernel.accumulateTileInt<Instr>(rows, b, pk, ws.ig, simd,
-                                                y, tileCnt, s);
+                kernel.accumulateTileInt<Instr>(rows, block, pk,
+                                                ws.ig.data(), simd, y,
+                                                tileCnt, s);
             if constexpr (Instr) {
                 std::lock_guard<std::mutex> lock(counterMutex);
                 mergeCounters(cnt, tileCnt);

@@ -48,20 +48,22 @@ class ExecutionContext;
  * a deterministic function of the activations. They differ only in
  * traversal. Reference streams all M rows per (column, group) LUT set
  * on one thread, gathering each key from the weight planes. Simd
- * builds each activation column's LUT arenas exactly once, pre-packs
- * (or reuses pre-packed) per-(plane, chunk) key arrays, and streams
- * blockRows-row tiles, on `threads` workers, through the
- * runtime-dispatched span kernels of core/simd.h (AVX-512 register
- * tables / AVX2 gathers / NEON lanes, or the portable scalar table).
- * Rows are independent vector lanes, so per-row accumulation order is
- * unchanged. Instrumented calls and FpArith::Fp16/Bf16 walk the chunks
+ * walks the batch in blocks of up to kSpanCols (core/simd.h) columns,
+ * builds each column's LUT arenas exactly once, pre-packs (or reuses
+ * pre-packed) per-(plane, chunk) key arrays, and streams blockRows-row
+ * tiles, on `threads` workers, through the runtime-dispatched span
+ * kernels of core/simd.h (AVX-512 register tables / AVX2 gathers /
+ * NEON lanes, or the portable scalar table). On the integer path each
+ * key span is walked once per block, with each key looked up in every
+ * column's tables. Rows and columns are independent lanes, so per-row
+ * accumulation order is unchanged. Instrumented calls and FpArith::Fp16/Bf16 walk the chunks
  * with a scalar loop instead, since only the binary32 round-trip has
  * a hardware vector equivalent.
  */
 enum class LutGemmBackend
 {
     Reference, ///< single-threaded scalar loop (differential oracle)
-    Simd,      ///< packed keys + per-column LUT arenas + span kernels
+    Simd,      ///< packed keys + column-block LUT arenas + span kernels
 };
 
 /**

@@ -67,7 +67,9 @@ class LutGenerator
      * MSB = 1 half holds the tree-generated entries and every MSB = 0
      * entry is the negated complement, so out[key] is bit-identical to
      * the hFFLUT decoder read of generateHalf() for every key. Backs
-     * the flat LUT arenas of the LUT-GEMM kernel (no allocation).
+     * the flat LUT arenas of the LUT-GEMM kernel (no allocation). The
+     * body is compiled once per mu in [2, kMaxMu]; the constructor
+     * picks this generator's.
      */
     void generateFullInto(const double *xs, double *out) const;
 
@@ -77,10 +79,16 @@ class LutGenerator
     /** Adder accounting for this generator's mu. */
     const GeneratorStats &stats() const { return stats_; }
 
+    /** The fills at one compile-time mu (see lut_generator.cpp). */
+    using FpFill = void (*)(const double *, double *, FpArith);
+    using IntFill = void (*)(const int64_t *, int64_t *);
+
   private:
     int mu_;
     FpArith mode_;
     GeneratorStats stats_;
+    FpFill fpFill_;   ///< generateFullInto body for mu_
+    IntFill intFill_; ///< generateFullIntInto body for mu_
 };
 
 } // namespace figlut

@@ -76,6 +76,33 @@ accumIntSpanScalar(std::int64_t *psum, const std::int64_t *lut,
     }
 }
 
+/**
+ * accumIntSpanCols for every table without a blocked kernel (scalar,
+ * AVX2, NEON, and the AVX-512 table's wide-table and tail-row
+ * fallback): the table's single-column span, once per column.
+ */
+void
+accumIntSpanColsEach(decltype(SimdKernels::accumIntSpan) span,
+                     std::int64_t *const *psum,
+                     const std::int64_t *const *lut, std::size_t lutStride,
+                     const std::uint32_t *keys, std::size_t keyStride,
+                     std::size_t chunks, std::size_t n, std::size_t cols)
+{
+    for (std::size_t j = 0; j < cols; ++j)
+        span(psum[j], lut[j], lutStride, keys, keyStride, chunks, n);
+}
+
+void
+accumIntSpanColsScalar(std::int64_t *const *psum,
+                       const std::int64_t *const *lut,
+                       std::size_t lutStride, const std::uint32_t *keys,
+                       std::size_t keyStride, std::size_t chunks,
+                       std::size_t n, std::size_t cols)
+{
+    accumIntSpanColsEach(accumIntSpanScalar, psum, lut, lutStride, keys,
+                         keyStride, chunks, n, cols);
+}
+
 /** The binary32 round-trip of FpArith::Fp32. */
 inline double
 f32(double v)
@@ -187,11 +214,11 @@ geluLutFlatScalar(double *out, const double *v, std::size_t n,
 const SimdKernels kScalarKernels = {
     SimdIsa::Scalar,        accumFpSpanFp32Scalar,
     accumFpSpanExactScalar, accumIntSpanScalar,
-    foldIntPlaneFp32Scalar, foldOffsetFp32Scalar,
-    addFlatScalar,          divFlatScalar,
-    maxFlatScalar,          sumLanesScalar,
-    sumSqDevLanesScalar,    normalizeFlatScalar,
-    geluLutFlatScalar,
+    accumIntSpanColsScalar, foldIntPlaneFp32Scalar,
+    foldOffsetFp32Scalar,   addFlatScalar,
+    divFlatScalar,          maxFlatScalar,
+    sumLanesScalar,         sumSqDevLanesScalar,
+    normalizeFlatScalar,    geluLutFlatScalar,
 };
 
 #if FIGLUT_HAVE_AVX2_KERNELS

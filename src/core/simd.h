@@ -106,6 +106,14 @@ struct GeluLutTable
 inline constexpr std::size_t kSimdReduceLanes = 4;
 
 /**
+ * Most activation columns one accumIntSpanCols call walks. At mu = 4
+ * the AVX-512 kernel holds 4 key vectors plus, per column, a 2-zmm
+ * table and 4 accumulators: 28 of the 32 zmm registers. Eight columns
+ * would spill.
+ */
+inline constexpr std::size_t kSpanCols = 4;
+
+/**
  * The dispatch table. All kernels follow the scalar implementations
  * bit for bit (see the file comment); `n` may be any length including
  * 0 — ISA implementations handle the sub-vector tail with the scalar
@@ -152,6 +160,23 @@ struct SimdKernels
                          const std::uint32_t *keys,
                          std::size_t keyStride, std::size_t chunks,
                          std::size_t n);
+
+    /**
+     * accumIntSpan over a block of 1 <= cols <= kSpanCols activation
+     * columns that share the weight keys: column j accumulates into
+     * psum[j] from its own tables lut[j] (same lutStride), and its
+     * result is bit-identical to accumIntSpan(psum[j], lut[j], ...).
+     * Loading each key once for every column of the block is the
+     * point: FIGLUT's fetched weight pattern drives one read per
+     * column instead of one fetch per column. ISAs without a blocked
+     * kernel run accumIntSpan once per column.
+     */
+    void (*accumIntSpanCols)(std::int64_t *const *psum,
+                             const std::int64_t *const *lut,
+                             std::size_t lutStride,
+                             const std::uint32_t *keys,
+                             std::size_t keyStride, std::size_t chunks,
+                             std::size_t n, std::size_t cols);
 
     /**
      * The LUT-GEMM epilogue in FpArith::Fp32: each integer-domain

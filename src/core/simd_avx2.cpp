@@ -37,6 +37,13 @@ void foldIntPlaneFp32Scalar(double *acc, const double *alpha,
                             std::size_t n);
 void foldOffsetFp32Scalar(double *acc, const double *off, double sumx,
                           std::size_t n);
+// The multi-column span of ISAs without a blocked kernel (simd.cpp).
+void accumIntSpanColsEach(decltype(SimdKernels::accumIntSpan) span,
+                          std::int64_t *const *psum,
+                          const std::int64_t *const *lut,
+                          std::size_t lutStride, const std::uint32_t *keys,
+                          std::size_t keyStride, std::size_t chunks,
+                          std::size_t n, std::size_t cols);
 
 namespace {
 
@@ -211,6 +218,16 @@ accumIntSpanAvx2(std::int64_t *psum, const std::int64_t *lut,
         }
         psum[r] = p;
     }
+}
+
+void
+accumIntSpanColsAvx2(std::int64_t *const *psum,
+                     const std::int64_t *const *lut, std::size_t lutStride,
+                     const std::uint32_t *keys, std::size_t keyStride,
+                     std::size_t chunks, std::size_t n, std::size_t cols)
+{
+    accumIntSpanColsEach(accumIntSpanAvx2, psum, lut, lutStride, keys,
+                         keyStride, chunks, n, cols);
 }
 
 /** The binary32 round-trip of FpArith::Fp32 (VCVTPD2PS/VCVTPS2PD). */
@@ -429,11 +446,11 @@ geluLutFlatAvx2(double *out, const double *v, std::size_t n,
 const SimdKernels kAvx2Kernels = {
     SimdIsa::Avx2,        accumFpSpanFp32Avx2,
     accumFpSpanExactAvx2, accumIntSpanAvx2,
-    foldIntPlaneFp32Avx2, foldOffsetFp32Avx2,
-    addFlatAvx2,          divFlatAvx2,
-    maxFlatAvx2,          sumLanesAvx2,
-    sumSqDevLanesAvx2,    normalizeFlatAvx2,
-    geluLutFlatAvx2,
+    accumIntSpanColsAvx2, foldIntPlaneFp32Avx2,
+    foldOffsetFp32Avx2,   addFlatAvx2,
+    divFlatAvx2,          maxFlatAvx2,
+    sumLanesAvx2,         sumSqDevLanesAvx2,
+    normalizeFlatAvx2,    geluLutFlatAvx2,
 };
 
 } // namespace

@@ -7,10 +7,11 @@
  * same cycle. The host analogue here: for lutStride <= 16 (mu <= 4) a
  * chunk's decoded table fits in two zmm registers, and one
  * VPERMT2Q/VPERMT2PD looks up 8 rows at once on the shuffle port
- * instead of 8 gather lanes through the L1 load ports. Tail rows
- * (n % 32) and wider tables go to the AVX2 kernels, which stay the
- * only gather implementation; every non-span entry of the table is
- * the AVX2 one.
+ * instead of 8 gather lanes through the L1 load ports. The
+ * multi-column span loads each key vector once for up to kSpanCols
+ * columns' tables. Tail rows (n % 32) and wider tables go to the AVX2
+ * kernels, once per column; they stay the only gather implementation,
+ * and every non-span entry of the table is the AVX2 one.
  *
  * Compiled with -mavx512f (file-level flag set by src/CMakeLists.txt
  * under FIGLUT_SIMD_AVX2) and only reached after the dispatcher
@@ -98,17 +99,27 @@ rowKeys(const std::uint32_t *k)
 
 /**
  * The span walk of simd.h for 32-row blocks with the chunk's table in
- * registers. The masked loads read exactly lutStride entries, so a
- * table narrower than 16 never touches memory past its slab; keys are
- * below lutStride, so the zeroed lanes are never selected.
+ * registers, over a block of Cols activation columns that share the
+ * keys: each 8-key vector is loaded and widened once per chunk, then
+ * looked up in every column's table. Column j's rows accumulate in
+ * their own registers in chunk order, exactly as a Cols = 1 walk of
+ * column j alone would. The masked loads read exactly lutStride
+ * entries, so a table narrower than 16 never touches memory past its
+ * slab; keys are below lutStride, so the zeroed lanes are never
+ * selected. At Cols = 4 the walk holds 4 key vectors and 4 x (2 table
+ * + 4 accumulator) registers: 28 of the 32 zmm. Tail rows and wider
+ * tables run the fallback kernel once per column.
  */
-template <class Op>
+template <class Op, std::size_t Cols>
 void
-spanAvx512(typename Op::Elem *psum, const typename Op::Elem *lut,
-           std::size_t lutStride, const std::uint32_t *keys,
-           std::size_t keyStride, std::size_t chunks, std::size_t n)
+spanAvx512(typename Op::Elem *const *psum,
+           const typename Op::Elem *const *lut, std::size_t lutStride,
+           const std::uint32_t *keys, std::size_t keyStride,
+           std::size_t chunks, std::size_t n)
 {
     using Vec = typename Op::Vec;
+    using Elem = typename Op::Elem;
+    constexpr std::size_t kVecs = kBlockRows / 8;
     std::size_t r = 0;
     if (lutStride <= kRegTableEntries) {
         const __mmask8 loMask = static_cast<__mmask8>(
@@ -116,31 +127,77 @@ spanAvx512(typename Op::Elem *psum, const typename Op::Elem *lut,
         const __mmask8 hiMask = static_cast<__mmask8>(
             lutStride > 8 ? (1u << (lutStride - 8)) - 1u : 0u);
         for (; r + kBlockRows <= n; r += kBlockRows) {
-            Vec p0 = Op::load(psum + r);
-            Vec p1 = Op::load(psum + r + 8);
-            Vec p2 = Op::load(psum + r + 16);
-            Vec p3 = Op::load(psum + r + 24);
-            const typename Op::Elem *l = lut;
+            Vec p[Cols][kVecs];
+            const Elem *l[Cols];
+            for (std::size_t j = 0; j < Cols; ++j) {
+                l[j] = lut[j];
+                for (std::size_t v = 0; v < kVecs; ++v)
+                    p[j][v] = Op::load(psum[j] + r + 8 * v);
+            }
             const std::uint32_t *k = keys + r;
             for (std::size_t c = 0; c < chunks; ++c) {
-                const Vec lo = Op::loadMasked(loMask, l);
-                const Vec hi = Op::loadMasked(hiMask, l + 8);
-                p0 = Op::add(p0, Op::lookup(lo, rowKeys(k), hi));
-                p1 = Op::add(p1, Op::lookup(lo, rowKeys(k + 8), hi));
-                p2 = Op::add(p2, Op::lookup(lo, rowKeys(k + 16), hi));
-                p3 = Op::add(p3, Op::lookup(lo, rowKeys(k + 24), hi));
-                l += lutStride;
+                __m512i idx[kVecs];
+                for (std::size_t v = 0; v < kVecs; ++v)
+                    idx[v] = rowKeys(k + 8 * v);
+                for (std::size_t j = 0; j < Cols; ++j) {
+                    const Vec lo = Op::loadMasked(loMask, l[j]);
+                    const Vec hi = Op::loadMasked(hiMask, l[j] + 8);
+                    for (std::size_t v = 0; v < kVecs; ++v)
+                        p[j][v] =
+                            Op::add(p[j][v], Op::lookup(lo, idx[v], hi));
+                    l[j] += lutStride;
+                }
                 k += keyStride;
             }
-            Op::store(psum + r, p0);
-            Op::store(psum + r + 8, p1);
-            Op::store(psum + r + 16, p2);
-            Op::store(psum + r + 24, p3);
+            for (std::size_t j = 0; j < Cols; ++j)
+                for (std::size_t v = 0; v < kVecs; ++v)
+                    Op::store(psum[j] + r + 8 * v, p[j][v]);
         }
     }
     if (r < n)
-        Op::fallback()(psum + r, lut, lutStride, keys + r, keyStride,
-                       chunks, n - r);
+        for (std::size_t j = 0; j < Cols; ++j)
+            Op::fallback()(psum[j] + r, lut[j], lutStride, keys + r,
+                           keyStride, chunks, n - r);
+}
+
+/** The single-column span kernels: the Cols = 1 walk. */
+template <class Op>
+void
+spanOneAvx512(typename Op::Elem *psum, const typename Op::Elem *lut,
+              std::size_t lutStride, const std::uint32_t *keys,
+              std::size_t keyStride, std::size_t chunks, std::size_t n)
+{
+    spanAvx512<Op, 1>(&psum, &lut, lutStride, keys, keyStride, chunks, n);
+}
+
+void
+accumIntSpanColsAvx512(std::int64_t *const *psum,
+                       const std::int64_t *const *lut,
+                       std::size_t lutStride, const std::uint32_t *keys,
+                       std::size_t keyStride, std::size_t chunks,
+                       std::size_t n, std::size_t cols)
+{
+    static_assert(kSpanCols == 4, "one instantiation per block width");
+    switch (cols) {
+      case 1:
+          spanAvx512<IntAdd, 1>(psum, lut, lutStride, keys, keyStride,
+                                chunks, n);
+          break;
+      case 2:
+          spanAvx512<IntAdd, 2>(psum, lut, lutStride, keys, keyStride,
+                                chunks, n);
+          break;
+      case 3:
+          spanAvx512<IntAdd, 3>(psum, lut, lutStride, keys, keyStride,
+                                chunks, n);
+          break;
+      case 4:
+          spanAvx512<IntAdd, 4>(psum, lut, lutStride, keys, keyStride,
+                                chunks, n);
+          break;
+      default:
+          break;
+    }
 }
 
 } // namespace
@@ -151,9 +208,10 @@ avx512Kernels()
     static const SimdKernels kernels = [] {
         SimdKernels k = avx2Kernels();
         k.isa = SimdIsa::Avx512;
-        k.accumFpSpanFp32 = spanAvx512<FpFp32Add>;
-        k.accumFpSpanExact = spanAvx512<FpExactAdd>;
-        k.accumIntSpan = spanAvx512<IntAdd>;
+        k.accumFpSpanFp32 = spanOneAvx512<FpFp32Add>;
+        k.accumFpSpanExact = spanOneAvx512<FpExactAdd>;
+        k.accumIntSpan = spanOneAvx512<IntAdd>;
+        k.accumIntSpanCols = accumIntSpanColsAvx512;
         return k;
     }();
     return kernels;

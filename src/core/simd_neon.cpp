@@ -35,6 +35,13 @@ void foldIntPlaneFp32Scalar(double *acc, const double *alpha,
                             std::size_t n);
 void foldOffsetFp32Scalar(double *acc, const double *off, double sumx,
                           std::size_t n);
+// The multi-column span of ISAs without a blocked kernel.
+void accumIntSpanColsEach(decltype(SimdKernels::accumIntSpan) span,
+                          std::int64_t *const *psum,
+                          const std::int64_t *const *lut,
+                          std::size_t lutStride, const std::uint32_t *keys,
+                          std::size_t keyStride, std::size_t chunks,
+                          std::size_t n, std::size_t cols);
 
 namespace {
 
@@ -156,6 +163,16 @@ accumIntSpanNeon(std::int64_t *psum, const std::int64_t *lut,
 }
 
 void
+accumIntSpanColsNeon(std::int64_t *const *psum,
+                     const std::int64_t *const *lut, std::size_t lutStride,
+                     const std::uint32_t *keys, std::size_t keyStride,
+                     std::size_t chunks, std::size_t n, std::size_t cols)
+{
+    accumIntSpanColsEach(accumIntSpanNeon, psum, lut, lutStride, keys,
+                         keyStride, chunks, n, cols);
+}
+
+void
 addFlatNeon(double *out, const double *a, const double *b,
             std::size_t n)
 {
@@ -257,13 +274,13 @@ normalizeFlatNeon(double *out, const double *v, double mean,
 }
 
 const SimdKernels kNeonKernels = {
-    SimdIsa::Neon,        accumFpSpanFp32Neon,
-    accumFpSpanExactNeon, accumIntSpanNeon,
-    foldIntPlaneFp32Scalar, foldOffsetFp32Scalar,
-    addFlatNeon,            divFlatNeon,
-    maxFlatNeon,            sumLanesNeon,
-    sumSqDevLanesNeon,      normalizeFlatNeon,
-    geluLutFlatScalar,
+    SimdIsa::Neon,          accumFpSpanFp32Neon,
+    accumFpSpanExactNeon,   accumIntSpanNeon,
+    accumIntSpanColsNeon,   foldIntPlaneFp32Scalar,
+    foldOffsetFp32Scalar,   addFlatNeon,
+    divFlatNeon,            maxFlatNeon,
+    sumLanesNeon,           sumSqDevLanesNeon,
+    normalizeFlatNeon,      geluLutFlatScalar,
 };
 
 } // namespace

@@ -42,13 +42,10 @@ storageBits(ActFormat fmt)
 }
 
 double
-quantizeToFormat(double v, ActFormat fmt)
+quantizeToFormatFullRange(double v, ActFormat fmt)
 {
-    if (fmt == ActFormat::FP32) {
-        // Host float is IEEE binary32; a single narrowing conversion is
-        // the correctly rounded operation.
+    if (fmt == ActFormat::FP32)
         return static_cast<double>(static_cast<float>(v));
-    }
     const FpSpec &spec = actFormatSpec(fmt);
     return decodeFormat(roundToFormat(v, spec), spec);
 }

@@ -17,6 +17,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -211,19 +212,26 @@ firstBitMismatch(const std::vector<T> &a, const std::vector<T> &b)
 }
 
 /**
- * The three span kernels of every supported ISA against the scalar
- * table, called directly: every table width mu in [1, kMaxMu] (the
- * AVX-512 register path up to 16 entries, the gather fallback above),
- * row counts around the 4/8/32-row blocks, zero/one/many chunks, and
+ * The span kernels of every supported ISA against the scalar table,
+ * called directly: every table width mu in [1, kMaxMu] (the AVX-512
+ * register path up to 16 entries, the gather fallback above), row
+ * counts around the 4/8/32-row blocks, zero/one/many chunks, and
  * padded key strides. Each arena ends at a guard page and each key
  * array is its own exact-size vector, so a read past the last chunk's
  * slab faults and a read past the last key trips the sanitizer build.
+ *
+ * The multi-column span runs for 1..kSpanCols columns with distinct
+ * per-column tables (each on its own guard page) and seeds, for mu in
+ * [1, 5] (mu = 5 is the first table too wide for registers), and every
+ * column must equal the scalar single-column span on that column.
  */
 TEST(SimdSpanKernels, EveryIsaMatchesScalarTable)
 {
     const SimdKernels &scalar = simdKernelsFor(SimdIsa::Scalar);
     Rng rng(2800);
-    for (const auto isa : kVectorIsas) {
+    // Scalar too: its multi-column span must equal its own single one.
+    for (const auto isa : {SimdIsa::Scalar, SimdIsa::Avx2, SimdIsa::Neon,
+                           SimdIsa::Avx512}) {
         if (!simdIsaSupported(isa))
             continue;
         const SimdKernels &vec = simdKernelsFor(isa);
@@ -237,6 +245,19 @@ TEST(SimdSpanKernels, EveryIsaMatchesScalarTable)
             for (const std::size_t chunks : {0, 1, 2, 33}) {
                 GuardPagedArray<std::int64_t> intLut(chunks * lutStride);
                 GuardPagedArray<double> fpLut(chunks * lutStride);
+                const bool multiCol = mu <= 5;
+                std::vector<std::unique_ptr<GuardPagedArray<std::int64_t>>>
+                    colLuts;
+                const std::int64_t *colLut[kSpanCols] = {};
+                for (std::size_t j = 0; multiCol && j < kSpanCols; ++j) {
+                    colLuts.push_back(
+                        std::make_unique<GuardPagedArray<std::int64_t>>(
+                            chunks * lutStride));
+                    for (std::size_t e = 0; e < chunks * lutStride; ++e)
+                        (*colLuts.back())[e] = rng.uniformInt(
+                            -(int64_t{1} << 40), int64_t{1} << 40);
+                    colLut[j] = colLuts.back()->data();
+                }
                 for (std::size_t e = 0; e < intLut.size(); ++e) {
                     intLut[e] = rng.uniformInt(-(int64_t{1} << 40),
                                                int64_t{1} << 40);
@@ -284,6 +305,38 @@ TEST(SimdSpanKernels, EveryIsaMatchesScalarTable)
                                      keys.data(), keyStride, chunks, n);
                             EXPECT_EQ(firstBitMismatch(fpGot, fpWant), n)
                                 << (f == 0 ? "fp32 " : "exact ") << what;
+                        }
+
+                        if (!multiCol)
+                            continue;
+                        for (std::size_t cols = 1; cols <= kSpanCols;
+                             ++cols) {
+                            std::vector<std::vector<std::int64_t>> colWant,
+                                colGot;
+                            std::int64_t *gotPtr[kSpanCols] = {};
+                            for (std::size_t j = 0; j < cols; ++j) {
+                                std::vector<std::int64_t> seed(n);
+                                for (auto &v : seed)
+                                    v = rng.uniformInt(-1000000, 1000000);
+                                colWant.push_back(seed);
+                                colGot.push_back(seed);
+                            }
+                            for (std::size_t j = 0; j < cols; ++j) {
+                                scalar.accumIntSpan(colWant[j].data(),
+                                                    colLut[j], lutStride,
+                                                    keys.data(), keyStride,
+                                                    chunks, n);
+                                gotPtr[j] = colGot[j].data();
+                            }
+                            vec.accumIntSpanCols(gotPtr, colLut, lutStride,
+                                                 keys.data(), keyStride,
+                                                 chunks, n, cols);
+                            for (std::size_t j = 0; j < cols; ++j)
+                                EXPECT_EQ(
+                                    firstBitMismatch(colGot[j], colWant[j]),
+                                    n)
+                                    << "int cols=" << cols << " column "
+                                    << j << " " << what;
                         }
                     }
                 }
@@ -504,7 +557,9 @@ TEST(LutGemmThreaded, RandomizedShapesDifferential)
 /**
  * Cross-ISA pin: the same Simd call must produce the same bits under
  * every dispatchable ISA, scalar included — the scalar fallback is
- * not approximately equal, it IS the contract.
+ * not approximately equal, it IS the contract. Batches 1..9 run every
+ * partial column block (1, 2 and 3 columns) and up to two full
+ * kSpanCols blocks, at one worker and two.
  */
 TEST(SimdGemm, ForcedIsaSweepIsBitIdentical)
 {
@@ -522,40 +577,52 @@ TEST(SimdGemm, ForcedIsaSweepIsBitIdentical)
     // seventeen full 4-row vectors and a 2-row tail.
     for (const Input in : {Input{33, 8, 24, 2200}, Input{70, 64, 24, 2210},
                            Input{70, 72, 16, 2220}}) {
-        const auto tc = makeCase(in.m, 70, 3, 3, in.group, true, in.seed);
-        // FP32 activations make the FP path's Fp32 accumulate round
-        // (the FP16 sums of this input fit binary32 exactly), so a
-        // Simd call running the Exact span kernel for Fp32 shows here.
-        for (const auto act : {ActFormat::FP16, ActFormat::FP32}) {
-            for (const bool pre : {false, true}) {
-                LutGemmConfig cfg;
-                cfg.backend = LutGemmBackend::Simd;
-                cfg.actFormat = act;
-                cfg.preAligned = pre;
-                cfg.threads = 2;
-                cfg.blockRows = in.blockRows;
-                const std::string what =
-                    "m=" + std::to_string(in.m) + " pre=" +
-                    std::to_string(pre) + " act=" + actFormatName(act);
+        for (std::size_t batch = 1; batch <= 9; ++batch) {
+            const auto tc =
+                makeCase(in.m, 70, batch, 3, in.group, true, in.seed);
+            // FP32 activations make the FP path's Fp32 accumulate round
+            // (the FP16 sums of this input fit binary32 exactly), so a
+            // Simd call running the Exact span kernel for Fp32 shows
+            // here.
+            for (const auto act : {ActFormat::FP16, ActFormat::FP32}) {
+                for (const bool pre : {false, true}) {
+                    for (const int threads : {1, 2}) {
+                        LutGemmConfig cfg;
+                        cfg.backend = LutGemmBackend::Simd;
+                        cfg.actFormat = act;
+                        cfg.preAligned = pre;
+                        cfg.threads = threads;
+                        cfg.blockRows = in.blockRows;
+                        const std::string what =
+                            "m=" + std::to_string(in.m) +
+                            " batch=" + std::to_string(batch) +
+                            " threads=" + std::to_string(threads) +
+                            " pre=" + std::to_string(pre) +
+                            " act=" + actFormatName(act);
 
-                MatrixD baseline;
-                {
-                    IsaOverrideGuard guard(SimdIsa::Scalar);
-                    baseline = lutGemm(tc.weights, tc.x, cfg);
+                        MatrixD baseline;
+                        {
+                            IsaOverrideGuard guard(SimdIsa::Scalar);
+                            baseline = lutGemm(tc.weights, tc.x, cfg);
+                        }
+                        for (const auto isa : kVectorIsas) {
+                            if (!simdIsaSupported(isa))
+                                continue;
+                            IsaOverrideGuard guard(isa);
+                            const auto vec = lutGemm(tc.weights, tc.x, cfg);
+                            EXPECT_TRUE(
+                                compareMatrices(vec, baseline).identical)
+                                << what << " isa=" << simdIsaName(isa);
+                        }
+                        // And the scalar-forced Simd backend equals
+                        // Reference.
+                        LutGemmConfig refCfg = cfg;
+                        refCfg.backend = LutGemmBackend::Reference;
+                        const auto ref = lutGemm(tc.weights, tc.x, refCfg);
+                        EXPECT_TRUE(compareMatrices(baseline, ref).identical)
+                            << what;
+                    }
                 }
-                for (const auto isa : kVectorIsas) {
-                    if (!simdIsaSupported(isa))
-                        continue;
-                    IsaOverrideGuard guard(isa);
-                    const auto vec = lutGemm(tc.weights, tc.x, cfg);
-                    EXPECT_TRUE(compareMatrices(vec, baseline).identical)
-                        << what << " isa=" << simdIsaName(isa);
-                }
-                // And the scalar-forced Simd backend equals Reference.
-                LutGemmConfig refCfg = cfg;
-                refCfg.backend = LutGemmBackend::Reference;
-                const auto ref = lutGemm(tc.weights, tc.x, refCfg);
-                EXPECT_TRUE(compareMatrices(baseline, ref).identical) << what;
             }
         }
     }
