@@ -465,9 +465,14 @@ BENCHMARK_CAPTURE(BM_QuantizeActivations, bf16, ActFormat::BF16);
  *   6 blocked   the dispatched accumIntSpanCols walk per (GEMM, plane)
  *               over a block of kSpanCols columns with their own
  *               tables, run once every kSpanCols iterations
- * ns_per_iter is one column (stage 6: one column's share of the
- * block walk, so it reads directly against stage 3). Stages 1-4 sum
- * to roughly stage 5; the rest is per-call setup.
+ *   7 4-col     whole lutGemm calls over 4 columns, run once every 4
+ *               iterations (one column block)
+ *   8 11-col    whole lutGemm calls over 11 columns, run once every
+ *               11 iterations (two full blocks and a 3-column tail)
+ * ns_per_iter is one column (stages 6-8: one column's share of the
+ * block walk or of the multi-column calls, so stage 6 reads directly
+ * against stage 3 and stages 7-8 against stage 5). Stages 1-4 sum to
+ * roughly stage 5; the rest is per-call setup.
  */
 void
 BM_GemmColumnStage(benchmark::State &state)
@@ -486,7 +491,9 @@ BM_GemmColumnStage(benchmark::State &state)
         double sumx = 0.0;
         // Stage 6: kSpanCols columns' tables and plane sums.
         std::vector<std::vector<int64_t>> blockArenas, blockPsums;
+        MatrixD xWide; // stages 7-8: the multi-column call's input
     };
+    static const std::size_t kWideCols[] = {4, 11};
     LutGemmConfig cfg;
     cfg.preAligned = true;
     cfg.backend = LutGemmBackend::Simd;
@@ -496,6 +503,9 @@ BM_GemmColumnStage(benchmark::State &state)
     const SimdKernels &simd = simdKernels();
     Rng rng(12);
     Rng blockRng(13); // stage 6's columns; rng's draws stay as they were
+    Rng wideRng(14);  // stages 7-8's columns
+    const auto stage = state.range(0);
+    const std::size_t wideCols = kWideCols[stage == 8 ? 1 : 0];
     std::vector<Gemm> gemms;
     for (int layer = 0; layer < 2; ++layer) {
         for (const auto &shape : kShapes) {
@@ -536,16 +546,17 @@ BM_GemmColumnStage(benchmark::State &state)
                         g.blockArenas.back().data() + ch * entries);
                 g.blockPsums.emplace_back(shape[0], 0);
             }
+            g.xWide = syntheticActivations(shape[1], wideCols, wideRng);
             gemms.push_back(std::move(g));
         }
     }
     ExecutionContext ctx(1);
     std::vector<double> xq, acc, y;
     std::vector<int64_t> psum;
-    const auto stage = state.range(0);
     std::size_t tick = 0;
     for (auto _ : state) {
-        const bool blockTurn = tick++ % kSpanCols == 0;
+        const bool blockTurn = tick % kSpanCols == 0;
+        const bool wideTurn = tick++ % wideCols == 0;
         for (Gemm &g : gemms) {
             const std::size_t m = g.w.rows, n = g.w.cols;
             switch (stage) {
@@ -606,6 +617,15 @@ BM_GemmColumnStage(benchmark::State &state)
               case 5: {
                 auto out = lutGemm(g.w, g.x, cfg, g.keys, nullptr, &ctx);
                 benchmark::DoNotOptimize(out.data());
+                break;
+              }
+              case 7:
+              case 8: {
+                if (!wideTurn)
+                    break;
+                auto out =
+                    lutGemm(g.w, g.xWide, cfg, g.keys, nullptr, &ctx);
+                benchmark::DoNotOptimize(out.data());
               }
             }
         }
@@ -614,7 +634,7 @@ BM_GemmColumnStage(benchmark::State &state)
 }
 BENCHMARK(BM_GemmColumnStage)
     ->ArgName("stage")
-    ->DenseRange(0, 6)
+    ->DenseRange(0, 8)
     ->Unit(benchmark::kMicrosecond);
 
 /**

@@ -88,8 +88,8 @@
 #include "shard/sharded_executor.h"
 
 #include "serve/clock.h"
-#include "serve/degradation.h"
 #include "serve/engine.h"
 #include "serve/request.h"
+#include "serve/scheduler.h"
 
 #endif // FIGLUT_FIGLUT_H

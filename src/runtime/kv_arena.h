@@ -213,6 +213,7 @@ class KvArena
     bool hasSequence(SeqId seq) const;
 
     std::size_t blockTokens() const { return options_.blockTokens; }
+    std::size_t layers() const { return options_.layers; }
     /** Bytes of one block: blockTokens x 2h doubles. */
     std::size_t blockBytes() const { return blockDoubles_ * 8; }
     /** Budget in whole blocks (0 = unbounded). */

@@ -1,7 +1,5 @@
 #include "serve/engine.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "model/synthetic.h"
 #include "runtime/reference_ops.h"
@@ -136,6 +134,17 @@ arenaOptionsFor(const OptConfig &model, const EngineOptions &options)
     return arena;
 }
 
+SchedulerOptions
+schedulerOptionsFor(const EngineOptions &options)
+{
+    SchedulerOptions sched;
+    sched.maxBatch = options.maxBatch;
+    sched.maxQueue = options.maxQueue;
+    sched.prefillChunkTokens = options.prefillChunkTokens;
+    sched.policy = options.policy;
+    return sched;
+}
+
 } // namespace
 
 Result<std::unique_ptr<Engine>>
@@ -150,7 +159,8 @@ Engine::Engine(const OptConfig &model, const EngineOptions &options)
     : model_(model, modelOptionsFor(options)), options_(options),
       ctx_(options.exec.threads),
       clock_(options.clock != nullptr ? options.clock : &ownedClock_),
-      arena_(arenaOptionsFor(model, options), options.faults)
+      arena_(arenaOptionsFor(model, options), options.faults),
+      sched_(arena_, schedulerOptionsFor(options), options.faults)
 {
     options_.model.packKeys = model_.options().packKeys;
     // Resolve the shard count once (explicit knob, else FIGLUT_SHARDS,
@@ -178,38 +188,17 @@ Engine::Engine(const OptConfig &model, const EngineOptions &options)
 
 Engine::~Engine() = default;
 
-Engine::Request *
-Engine::find(RequestId id)
+Status
+Engine::checkLive(RequestId id) const
 {
-    const auto it = requests_.find(id);
-    return it == requests_.end() ? nullptr : &it->second;
-}
-
-const Engine::Request *
-Engine::find(RequestId id) const
-{
-    const auto it = requests_.find(id);
-    return it == requests_.end() ? nullptr : &it->second;
-}
-
-std::size_t
-Engine::contextTokens(const Request &req) const
-{
-    // The arena sequence is authoritative while it exists; otherwise
-    // (queued, or re-queued after an eviction) the analytic count is
-    // the per-life bookkeeping. Unlike the synthetic-prompt era this
-    // is honest: prompt entries exist only once prefill computed them.
-    if (req.seq != KvArena::kInvalidSeq)
-        return arena_.tokens(req.seq);
-    return req.prefillDone + req.lifeTokens;
-}
-
-std::size_t
-Engine::remainingPrompt(const Request &req) const
-{
-    const std::size_t prompt =
-        req.promptDropped ? 0 : req.options.promptTokens;
-    return prompt > req.prefillDone ? prompt - req.prefillDone : 0;
+    const ScheduleEntry *entry = sched_.find(id);
+    if (entry == nullptr)
+        return Status::notFound("unknown request id ", id);
+    if (requestStateTerminal(entry->state))
+        return Status::failedPrecondition(
+            "request ", id, " already retired (",
+            requestStateName(entry->state), ")");
+    return Status::okStatus();
 }
 
 Result<RequestId>
@@ -218,214 +207,48 @@ Engine::submit(const RequestOptions &request)
     if (request.deadlineS < 0.0)
         return Status::invalidArgument(
             "request deadlineS must be >= 0, got ", request.deadlineS);
-    // A new request only bypasses the queue when the queue is empty —
-    // earlier submits waiting for a slot keep their FIFO position even
-    // if a cancellation just freed one (the next step admits them).
-    const bool direct =
-        active_.size() < options_.maxBatch && queue_.empty();
-    if (!direct && queue_.size() >= options_.maxQueue)
-        return Status::resourceExhausted(
-            "engine at capacity: ", active_.size(), " live (maxBatch ",
-            options_.maxBatch, ") and ", queue_.size(),
-            " queued (maxQueue ", options_.maxQueue,
-            "); retry after step() retires traffic");
-
-    const RequestId id = nextId_++;
-    Request req;
-    req.options = request;
-    req.submitTimeS = clock_->now();
+    // The submit time is both the deadline/queue-wait base and the
+    // admission stamp.
+    const double nowS = clock_->now();
+    Result<RequestId> id = sched_.submit(request, nowS, nowS);
+    if (!id.ok())
+        return id;
     // The initial hidden state comes first in the request's RNG
     // stream; the prompt embeddings follow, but are materialized
     // lazily at the request's first work step (see prepareLife) so
     // queued traffic holds no prompt or KV bytes.
+    Request req;
     Rng rng(request.seed);
     req.hidden = syntheticActivations(model_.config().hidden, 1, rng);
-    if (direct) {
-        req.state = RequestState::Active;
-        req.admitSeq = ++admitCounter_;
-        req.lastActivityS = req.submitTimeS;
-        active_.push_back(id);
-    } else {
-        req.state = RequestState::Queued;
-        queue_.push_back(id);
-    }
-    requests_.emplace(id, std::move(req));
+    requests_.push_back(std::move(req));
     return id;
 }
 
 Status
 Engine::provideInput(RequestId id, const MatrixD &hidden)
 {
-    Request *req = find(id);
-    if (req == nullptr)
-        return Status::notFound("unknown request id ", id);
-    if (requestStateTerminal(req->state))
-        return Status::failedPrecondition(
-            "request ", id, " already retired (",
-            requestStateName(req->state), ")");
+    if (Status s = checkLive(id); !s.ok())
+        return s;
     const std::size_t h = model_.config().hidden;
     if (hidden.rows() != h || hidden.cols() != 1)
         return Status::invalidArgument("request input must be ", h,
                                        "x1, got ", hidden.rows(), "x",
                                        hidden.cols());
-    req->hidden = hidden;
+    requests_[id - 1].hidden = hidden;
     return Status::okStatus();
 }
 
-std::size_t
-Engine::admitFromQueue(double nowS)
+void
+Engine::retireSequence(RequestId id)
 {
-    // queueSeconds is deliberately NOT stamped here: admission is
-    // bookkeeping, not decode. step() stamps it at the start of the
-    // first fused step that actually decodes the request, so the full
-    // pre-decode wait (queue + admitted-but-idle) lands in one bucket.
-    std::size_t admitted = 0;
-    while (active_.size() < options_.maxBatch && !queue_.empty()) {
-        const RequestId id = queue_.front();
-        queue_.pop_front();
-        Request &req = requests_.at(id);
-        req.state = RequestState::Active;
-        req.admitSeq = ++admitCounter_;
-        req.lastActivityS = nowS;
-        active_.push_back(id);
-        ++admitted;
-    }
-    return admitted;
+    const KvArena::SeqId seq = sched_.find(id)->seq;
+    if (seq != KvArena::kInvalidSeq && options_.retainFinishedKv)
+        requests_[id - 1].retainedKv = arena_.materialize(seq);
+    sched_.releaseSequence(id);
 }
 
 void
-Engine::retireSequence(Request &req, bool retain)
-{
-    if (req.seq == KvArena::kInvalidSeq)
-        return;
-    if (retain && options_.retainFinishedKv)
-        req.retainedKv = arena_.materialize(req.seq);
-    arena_.releaseSequence(req.seq);
-    req.seq = KvArena::kInvalidSeq;
-}
-
-void
-Engine::sweepDeadlines(double nowS, std::vector<RequestId> &expired)
-{
-    // Active columns first, then the queue, both in order — the same
-    // sweep order replayTrace() mirrors.
-    std::vector<RequestId> sweep(active_.begin(), active_.end());
-    sweep.insert(sweep.end(), queue_.begin(), queue_.end());
-    for (const RequestId id : sweep) {
-        Request &req = requests_.at(id);
-        if (req.options.deadlineS <= 0.0 ||
-            nowS <= req.submitTimeS + req.options.deadlineS)
-            continue;
-        retireSequence(req, /*retain=*/false);
-        removeFromSchedule(id);
-        req.state = RequestState::DeadlineExceeded;
-        req.terminal = Status::deadlineExceeded(
-            "request ", id, " missed its ", req.options.deadlineS,
-            "s deadline at t=", nowS);
-        expired.push_back(id);
-    }
-}
-
-void
-Engine::reserveStep(StepStats &stats, std::vector<std::size_t> &work,
-                    double nowS)
-{
-    // Work assignment first: each live request's column count this
-    // step — its prefill chunk out of the shared per-step budget, or
-    // one decode column (serve/degradation.h).
-    std::vector<std::size_t> remaining;
-    remaining.reserve(active_.size());
-    for (const RequestId id : active_)
-        remaining.push_back(remainingPrompt(requests_.at(id)));
-    const std::vector<std::size_t> assigned =
-        planPrefillChunks(remaining, options_.prefillChunkTokens);
-
-    // The reservation view covers the working requests only: a
-    // stalled prefill (chunk budget exhausted this step) needs no new
-    // tokens and keeps its held blocks — it is neither a requester
-    // nor a victim this step.
-    std::vector<ReservationItem> items;
-    std::vector<std::size_t> itemToActive;
-    items.reserve(active_.size());
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-        if (assigned[i] == 0)
-            continue;
-        Request &req = requests_.at(active_[i]);
-        if (req.seq == KvArena::kInvalidSeq)
-            req.seq = arena_.createSequence();
-        ReservationItem item;
-        item.seq = req.seq;
-        item.needTokens = contextTokens(req) + assigned[i];
-        item.lastActivityS = req.lastActivityS;
-        item.admitSeq = req.admitSeq;
-        items.push_back(item);
-        itemToActive.push_back(i);
-    }
-    const ReservationPlan plan =
-        planStepReservations(arena_, options_.policy, items);
-
-    // The planner already released every victim's sequence; apply the
-    // request-side transitions here.
-    std::vector<char> dropped(active_.size(), 0);
-    std::vector<RequestId> evicted;
-    for (const std::size_t idx : plan.evicted) {
-        const std::size_t slot = itemToActive[idx];
-        const RequestId id = active_[slot];
-        Request &req = requests_.at(id);
-        req.seq = KvArena::kInvalidSeq;
-        req.state = RequestState::Preempted;
-        req.stats.preemptions += 1;
-        req.lifeTokens = 0;
-        req.prefillDone = 0;
-        req.promptEmbeds = MatrixD();
-        req.lifeReady = false;
-        req.restartPending = true;
-        req.requeuedAtS = nowS;
-        dropped[slot] = 1;
-        evicted.push_back(id);
-        stats.evictedIds.push_back(id);
-    }
-    for (const std::size_t idx : plan.shed) {
-        const std::size_t slot = itemToActive[idx];
-        const RequestId id = active_[slot];
-        Request &req = requests_.at(id);
-        req.seq = KvArena::kInvalidSeq;
-        req.state = RequestState::Shed;
-        req.terminal = Status::resourceExhausted(
-            "request ", id, " shed: KV budget of ",
-            options_.kvBudgetBytes, " bytes cannot back its next token ",
-            "(policy ", degradationPolicyName(options_.policy), ")");
-        dropped[slot] = 1;
-        stats.shedIds.push_back(id);
-    }
-
-    // Survivors keep their batch order (stalled prefills stay live
-    // with zero columns this step); evicted requests rejoin the queue
-    // FRONT in admission order, ahead of never-admitted traffic (they
-    // already waited once).
-    std::vector<RequestId> keep;
-    keep.reserve(active_.size());
-    work.clear();
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-        if (dropped[i])
-            continue;
-        keep.push_back(active_[i]);
-        work.push_back(assigned[i]);
-    }
-    active_ = std::move(keep);
-    std::sort(evicted.begin(), evicted.end(),
-              [this](RequestId a, RequestId b) {
-                  return requests_.at(a).admitSeq >
-                         requests_.at(b).admitSeq;
-              });
-    for (const RequestId id : evicted) {
-        requests_.at(id).state = RequestState::Queued;
-        queue_.push_front(id);
-    }
-}
-
-void
-Engine::prepareLife(Request &req)
+Engine::prepareLife(Request &req, const ScheduleEntry &entry)
 {
     if (req.lifeReady)
         return;
@@ -436,11 +259,11 @@ Engine::prepareLife(Request &req)
     // recompute); on a first admission the request still holds that
     // exact draw (or a provideInput override, which must win), so the
     // redraw is discarded.
-    Rng rng(req.options.seed);
+    Rng rng(entry.request.seed);
     MatrixD first = syntheticActivations(h, 1, rng);
-    if (req.stats.preemptions > 0)
+    if (entry.evictions > 0)
         req.hidden = std::move(first);
-    const std::size_t prompt = remainingPrompt(req);
+    const std::size_t prompt = entry.remainingPrompt();
     if (prompt > 0)
         req.promptEmbeds = syntheticActivations(h, prompt, rng);
     req.lifeReady = true;
@@ -449,53 +272,42 @@ Engine::prepareLife(Request &req)
 Result<StepStats>
 Engine::step()
 {
-    if (active_.empty() && queue_.empty())
+    if (sched_.idle())
         return Status::failedPrecondition(
             "no live requests to decode; submit() first");
 
     StepStats stats;
     const double t0 = clock_->now();
-    // Injected skew shifts only the deadline clock: latency accounting
-    // stays on the real time source, but deadlines can fire early or
-    // late — the overload harness's "clock skew" fault.
-    const double skewS = options_.faults != nullptr
-                             ? options_.faults->clockSkewS(stepsExecuted_)
-                             : 0.0;
-    sweepDeadlines(t0 + skewS, stats.deadlineIds);
-
-    stats.admitted = admitFromQueue(t0);
-    if (active_.empty()) {
-        // The sweep emptied the schedule. Not an error (the caller
-        // did have live traffic) — an empty step that decodes nothing
-        // and does not count toward stepsExecuted().
-        stats.queueDepth = queue_.size();
-        stats.kvBlocksInUse = arena_.blocksInUse();
-        stats.kvBytesInUse = arena_.bytesInUse();
-        return stats;
+    // Deadline sweep, admission, work assignment and the KV
+    // reservation pass: after this, every planned column has its
+    // arena slot block-backed, so the numeric step cannot fail.
+    const StepPlan &plan = sched_.plan(t0);
+    for (const RequestId id : plan.deadlineIds)
+        requests_[id - 1].terminal = Status::deadlineExceeded(
+            "request ", id, " missed its ",
+            sched_.find(id)->request.deadlineS, "s deadline at t=",
+            plan.deadlineClockS);
+    for (const RequestId id : plan.evictedIds) {
+        Request &req = requests_[id - 1];
+        req.promptEmbeds = MatrixD();
+        req.lifeReady = false;
+        req.restartPending = true;
+        req.requeuedAtS = t0;
     }
-
-    // Work assignment + KV reservation pass: after this, every
-    // assigned column has its arena slot block-backed, so the numeric
-    // step cannot fail.
-    std::vector<std::size_t> work;
-    reserveStep(stats, work, t0);
-    std::vector<Request *> live;
-    std::vector<RequestId> liveIds;
-    std::vector<std::size_t> columns;
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-        if (work[i] == 0)
-            continue;
-        live.push_back(&requests_.at(active_[i]));
-        liveIds.push_back(active_[i]);
-        columns.push_back(work[i]);
-    }
-    if (live.empty()) {
-        // Governance dropped every working column (all shed, or every
-        // budget-holding request evicted and re-queued, leaving at
-        // most stalled prefills). Refill and report the empty step;
-        // the next step re-assigns the chunk budget.
-        stats.admitted += admitFromQueue(t0);
-        stats.queueDepth = queue_.size();
+    for (const RequestId id : plan.shedIds)
+        requests_[id - 1].terminal = Status::resourceExhausted(
+            "request ", id, " shed: KV budget of ",
+            options_.kvBudgetBytes, " bytes cannot back its next token ",
+            "(policy ", degradationPolicyName(options_.policy), ")");
+    stats.deadlineIds = plan.deadlineIds;
+    stats.shedIds = plan.shedIds;
+    stats.evictedIds = plan.evictedIds;
+    if (plan.work.empty()) {
+        // Governance (or the sweep) left nothing to compute. Not an
+        // error — an empty step that does not count toward
+        // stepsExecuted().
+        stats.admitted = plan.admitted;
+        stats.queueDepth = sched_.queue().size();
         stats.kvBlocksInUse = arena_.blocksInUse();
         stats.kvBytesInUse = arena_.bytesInUse();
         return stats;
@@ -503,29 +315,24 @@ Engine::step()
 
     const OptConfig &cfg = model_.config();
     const std::size_t h = cfg.hidden;
-    const std::size_t b = live.size();
+    const std::size_t b = plan.work.size();
     stats.liveRequests = b;
 
     // First work step of a life: replay the seed (restart hidden
-    // redraw + prompt embeddings). First work step ever: everything
-    // before this instant was waiting (queue + admitted-but-idle), not
-    // compute. A restarted life instead books its renewed wait into
-    // restartSeconds.
-    std::vector<char> prefilling(b, 0);
-    std::vector<std::size_t> held(b, 0);
+    // redraw + prompt embeddings). A restarted life books its renewed
+    // wait into restartSeconds.
+    std::vector<Request *> live(b);
+    std::vector<KvArena::SeqId> seqs(b);
     for (std::size_t w = 0; w < b; ++w) {
-        Request &req = *live[w];
-        prepareLife(req);
-        if (!req.everWorked) {
-            req.stats.queueSeconds = t0 - req.submitTimeS;
-            req.everWorked = true;
-        }
+        const ScheduleEntry &entry = *sched_.find(plan.work[w].id);
+        Request &req = requests_[plan.work[w].id - 1];
+        prepareLife(req, entry);
         if (req.restartPending) {
             req.stats.restartSeconds += t0 - req.requeuedAtS;
             req.restartPending = false;
         }
-        prefilling[w] = remainingPrompt(req) > 0 ? 1 : 0;
-        held[w] = contextTokens(req);
+        live[w] = &req;
+        seqs[w] = entry.seq;
     }
 
     // Gather: each working request's columns are contiguous in the
@@ -533,29 +340,27 @@ Engine::step()
     // while its prompt is unfinished, its one decode column (the
     // latest hidden state) after — so every layer GEMM below runs
     // once over the whole mixed-width batch.
-    std::size_t W = 0;
-    for (const std::size_t c : columns)
-        W += c;
+    appendColumnContexts(plan.work, stats.columnContexts);
+    const std::size_t W = stats.columnContexts.size();
     MatrixD x(h, W);
     std::size_t base = 0;
     for (std::size_t w = 0; w < b; ++w) {
-        Request &req = *live[w];
-        if (prefilling[w]) {
-            for (std::size_t j = 0; j < columns[w]; ++j)
+        const PlannedWork &pw = plan.work[w];
+        const Request &req = *live[w];
+        if (pw.prefill) {
+            const std::size_t done = sched_.find(pw.id)->prefillDone;
+            for (std::size_t j = 0; j < pw.columns; ++j)
                 for (std::size_t r = 0; r < h; ++r)
-                    x(r, base + j) =
-                        req.promptEmbeds(r, req.prefillDone + j);
-            stats.prefillIds.push_back(liveIds[w]);
-            stats.prefillTokens += columns[w];
+                    x(r, base + j) = req.promptEmbeds(r, done + j);
+            stats.prefillIds.push_back(pw.id);
+            stats.prefillTokens += pw.columns;
         } else {
             for (std::size_t r = 0; r < h; ++r)
                 x(r, base) = req.hidden(r, 0);
-            stats.decodedIds.push_back(liveIds[w]);
+            stats.decodedIds.push_back(pw.id);
             stats.decodeTokens += 1;
         }
-        for (std::size_t j = 0; j < columns[w]; ++j)
-            stats.columnContexts.push_back(held[w] + j + 1);
-        base += columns[w];
+        base += pw.columns;
     }
 
     const LutGemmConfig gemmCfg =
@@ -600,26 +405,26 @@ Engine::step()
                 std::size_t c0 = 0;
                 for (std::size_t w = 0; w < b; ++w) {
                     // Every column's K/V go straight into reserved
-                    // arena slots (reserveStep backed them, so the
+                    // arena slots (the plan reserved them, so the
                     // refs taken after the appends stay valid). The
                     // request's columns then form one causal span:
                     // position held + j sees held + j + 1 tokens, and
                     // a decode column sees the full sequence.
-                    for (std::size_t j = 0; j < columns[w]; ++j) {
+                    const std::size_t cols = plan.work[w].columns;
+                    for (std::size_t j = 0; j < cols; ++j) {
                         const std::size_t c = c0 + j;
                         const KvArena::TokenSlot slot =
-                            arena_.appendToken(live[w]->seq, l);
+                            arena_.appendToken(seqs[w], l);
                         for (std::size_t r = 0; r < h; ++r) {
                             q(r, c) = qkv(r, c);
                             slot.k[r] = qkv(h + r, c);
                             slot.v[r] = qkv(2 * h + r, c);
                         }
                     }
-                    arena_.tokenRefs(live[w]->seq, l, refs[w]);
+                    arena_.tokenRefs(seqs[w], l, refs[w]);
                     spans[w] = AttentionSpan{refs[w].data(),
-                                             refs[w].size(), c0,
-                                             columns[w]};
-                    c0 += columns[w];
+                                             refs[w].size(), c0, cols};
+                    c0 += cols;
                 }
                 attn = referenceChunkAttention(q, spans, cfg.heads);
                 break;
@@ -648,147 +453,115 @@ Engine::step()
     const double t1 = clock_->now();
     stats.seconds = t1 - t0;
 
-    // Scatter + per-request accounting, then retire exhausted budgets.
-    // Counter shares are token-weighted: each request gets the
-    // per-column share times the columns it contributed, and the
-    // shares must reassemble to the step total exactly.
+    // Everything still queued sat out this step (retirement below
+    // only shrinks the active list); count that before complete()
+    // refills the slots retirement frees.
+    for (const RequestId id : sched_.queue())
+        requests_[id - 1].stats.queuedSteps += 1;
+    sched_.complete(t0);
+
+    // Scatter + per-request accounting. Counter shares are
+    // token-weighted: each request gets the per-column share times the
+    // columns it contributed, and the shares must reassemble to the
+    // step total exactly.
     const LutGemmCounters share = perColumnShare(stats.counters, W);
     LutGemmCounters reassembled;
-    std::vector<RequestId> retired;
     base = 0;
     for (std::size_t w = 0; w < b; ++w) {
+        const PlannedWork &pw = plan.work[w];
         Request &req = *live[w];
-        const LutGemmCounters reqShare = scaleCounters(share, columns[w]);
+        const LutGemmCounters reqShare = scaleCounters(share, pw.columns);
         accumulate(req.stats.counters, reqShare);
         accumulate(reassembled, reqShare);
         req.stats.gemmCalls += stats.gemmCalls;
         req.stats.decodeSeconds += stats.seconds;
-        req.lastActivityS = t0;
-        if (prefilling[w]) {
-            req.prefillDone += columns[w];
-            req.stats.prefillTokens += columns[w];
+        if (pw.prefill) {
+            req.stats.prefillTokens += pw.columns;
             req.stats.prefillSeconds += stats.seconds;
-            if (remainingPrompt(req) == 0) {
+            if (sched_.find(pw.id)->remainingPrompt() == 0) {
                 // Prefill complete: the final prompt column's output
                 // is the first decode input; the embeddings are spent.
                 for (std::size_t r = 0; r < h; ++r)
-                    req.hidden(r, 0) = x(r, base + columns[w] - 1);
+                    req.hidden(r, 0) = x(r, base + pw.columns - 1);
                 req.promptEmbeds = MatrixD();
             }
         } else {
             for (std::size_t r = 0; r < h; ++r)
                 req.hidden(r, 0) = x(r, base);
             req.stats.tokensDecoded += 1;
-            req.lifeTokens += 1;
             if (req.stats.tokensDecoded == 1)
-                req.stats.ttftSeconds = t1 - req.submitTimeS;
-            if (req.options.maxTokens > 0 &&
-                req.lifeTokens >= req.options.maxTokens) {
-                req.state = RequestState::Finished;
-                retireSequence(req, /*retain=*/true);
-                retired.push_back(liveIds[w]);
-            }
+                req.stats.ttftSeconds = t1 - sched_.find(pw.id)->baseS;
         }
-        base += columns[w];
+        base += pw.columns;
     }
     FIGLUT_ASSERT(countersEqual(reassembled, stats.counters),
                   "token-weighted counter shares did not reassemble to ",
                   "the fused-step total");
-    for (const RequestId id : retired)
-        removeFromSchedule(id);
-    stats.retired = retired.size();
-    // Everything still queued sat out this step's decode; count that
-    // before refilling slots freed by retirement (refilling now keeps
-    // the batch full between steps and drains FIFO traffic as early
-    // as possible).
-    for (const RequestId id : queue_)
-        requests_.at(id).stats.queuedSteps += 1;
-    stats.admitted += admitFromQueue(t0);
-    stats.queueDepth = queue_.size();
+    for (const RequestId id : plan.retiredIds)
+        retireSequence(id);
+    stats.retired = plan.retiredIds.size();
+    stats.admitted = plan.admitted;
+    stats.queueDepth = sched_.queue().size();
     stats.kvBlocksInUse = arena_.blocksInUse();
     stats.kvBytesInUse = arena_.bytesInUse();
-    ++stepsExecuted_;
     return stats;
 }
 
 Result<RequestSnapshot>
 Engine::poll(RequestId id) const
 {
-    const Request *req = find(id);
-    if (req == nullptr)
+    const ScheduleEntry *entry = sched_.find(id);
+    if (entry == nullptr)
         return Status::notFound("unknown request id ", id);
+    const Request &req = requests_[id - 1];
     RequestSnapshot snap;
     snap.id = id;
-    snap.state = req->state;
-    snap.hidden = req->hidden;
-    snap.kvLength = requestStateTerminal(req->state)
-                        ? req->retainedKv.length()
-                        : contextTokens(*req);
-    snap.stats = req->stats;
-    snap.terminal = req->terminal;
+    snap.state = entry->state;
+    snap.hidden = req.hidden;
+    snap.kvLength = requestStateTerminal(entry->state)
+                        ? req.retainedKv.length()
+                        : entry->held();
+    snap.stats = req.stats;
+    snap.stats.queueSeconds = entry->queueS;
+    snap.stats.preemptions = entry->evictions;
+    snap.terminal = req.terminal;
     return snap;
 }
 
 Status
 Engine::cancel(RequestId id)
 {
-    Request *req = find(id);
-    if (req == nullptr)
-        return Status::notFound("unknown request id ", id);
-    if (requestStateTerminal(req->state))
-        return Status::failedPrecondition(
-            "request ", id, " already retired (",
-            requestStateName(req->state), ")");
-    removeFromSchedule(id);
-    retireSequence(*req, /*retain=*/true);
-    req->state = RequestState::Cancelled;
-    req->terminal = Status::cancelled("request ", id,
-                                      " cancelled by the client");
+    if (Status s = checkLive(id); !s.ok())
+        return s;
+    retireSequence(id);
+    sched_.cancel(id);
+    requests_[id - 1].terminal =
+        Status::cancelled("request ", id, " cancelled by the client");
     return Status::okStatus();
 }
 
 Status
 Engine::resetKv(RequestId id)
 {
-    Request *req = find(id);
-    if (req == nullptr)
-        return Status::notFound("unknown request id ", id);
-    if (requestStateTerminal(req->state))
-        return Status::failedPrecondition(
-            "request ", id, " already retired (",
-            requestStateName(req->state), ")");
-    if (req->seq != KvArena::kInvalidSeq)
-        arena_.resetSequence(req->seq);
-    // The prompt is gone for good, like the old contiguous clear():
-    // a later life's prefill must not resurrect it (and a half-done
-    // prefill stops here — the request decodes from its current
-    // hidden state with an empty context).
-    req->promptDropped = true;
-    req->prefillDone = 0;
-    req->promptEmbeds = MatrixD();
-    req->lifeTokens = 0;
+    if (Status s = checkLive(id); !s.ok())
+        return s;
+    // The prompt is gone for good, like the old contiguous clear(); a
+    // half-done prefill stops here — the request decodes from its
+    // current hidden state with an empty context.
+    sched_.resetKv(id);
+    requests_[id - 1].promptEmbeds = MatrixD();
     return Status::okStatus();
 }
 
 Result<KvCache>
 Engine::kvHistory(RequestId id) const
 {
-    const Request *req = find(id);
-    if (req == nullptr)
+    const ScheduleEntry *entry = sched_.find(id);
+    if (entry == nullptr)
         return Status::notFound("unknown request id ", id);
-    if (req->seq != KvArena::kInvalidSeq)
-        return arena_.materialize(req->seq);
-    return req->retainedKv;
-}
-
-void
-Engine::removeFromSchedule(RequestId id)
-{
-    active_.erase(std::remove(active_.begin(), active_.end(), id),
-                  active_.end());
-    const auto it = std::find(queue_.begin(), queue_.end(), id);
-    if (it != queue_.end())
-        queue_.erase(it);
+    if (entry->seq != KvArena::kInvalidSeq)
+        return arena_.materialize(entry->seq);
+    return requests_[id - 1].retainedKv;
 }
 
 std::vector<KernelTask>
@@ -796,39 +569,14 @@ Engine::workloadTasks() const
 {
     // step() admits from the queue before decoding, so the scored
     // batch is the *prospective* one: live requests plus the queued
-    // requests the next step will admit into free slots.
-    std::vector<const Request *> next;
-    next.reserve(options_.maxBatch);
-    for (const RequestId id : active_)
-        next.push_back(find(id));
-    for (const RequestId id : queue_) {
-        if (next.size() >= options_.maxBatch)
-            break;
-        next.push_back(find(id));
-    }
-    if (next.empty())
-        return {};
-    // Mirror step()'s work assignment: each request contributes its
-    // prefill chunk (out of the shared per-step budget) or one decode
-    // column, and the fused GEMM batch is the total column count.
-    std::vector<std::size_t> remaining;
-    remaining.reserve(next.size());
-    for (const Request *req : next)
-        remaining.push_back(remainingPrompt(*req));
-    const std::vector<std::size_t> work =
-        planPrefillChunks(remaining, options_.prefillChunkTokens);
-    // The next step appends before attending, so a column at sequence
-    // position p has the analytic (causal) context length p + 1.
+    // requests the next step will admit into free slots, each with
+    // its prefill chunk or one decode column.
     std::vector<std::size_t> contextLens;
-    std::size_t W = 0;
-    for (std::size_t i = 0; i < next.size(); ++i) {
-        const std::size_t heldTokens = contextTokens(*next[i]);
-        for (std::size_t j = 0; j < work[i]; ++j)
-            contextLens.push_back(heldTokens + j + 1);
-        W += work[i];
-    }
+    appendColumnContexts(sched_.preview(), contextLens);
+    if (contextLens.empty())
+        return {};
     WorkloadOptions opts;
-    opts.batch = W;
+    opts.batch = contextLens.size();
     opts.weightBits = options_.model.weightBits;
     opts.includeVector = options_.includeVector;
     opts.groupSize = options_.model.groupSize;

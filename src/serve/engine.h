@@ -28,15 +28,17 @@
  * projections, real TTFT cost — before its first token decodes.
  * Requests admit up to maxBatch; excess submits wait in a FIFO queue
  * (up to maxQueue) and join as slots retire — continuous batching,
- * not lock-step epochs.
+ * not lock-step epochs. Every scheduling decision is serve::Scheduler's
+ * (serve/scheduler.h); the engine executes its plans numerically, the
+ * same plans sim::replayTrace() prices.
  *
  * The engine is memory-governed and failure-aware: all KV bytes live
  * in one paged arena (runtime/kv_arena.h) under an optional byte
  * budget, every fused step starts with a deadline sweep and a KV
  * reservation pass, and shortfalls resolve through a degradation
- * policy (serve/degradation.h) — shed-newest drops the youngest
+ * policy (serve/scheduler.h) — shed-newest drops the youngest
  * traffic terminally, evict-longest-idle releases a victim's KV and
- * re-queues it as Preempted for a from-scratch restart. A restarted
+ * re-queues it for a from-scratch restart. A restarted
  * request re-derives its inputs from its seed, so its surviving
  * decode output is bit-identical to an unconstrained run. An optional
  * FaultInjector adds deterministic allocation failures and deadline
@@ -60,9 +62,7 @@
 #ifndef FIGLUT_SERVE_ENGINE_H
 #define FIGLUT_SERVE_ENGINE_H
 
-#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -73,8 +73,8 @@
 #include "runtime/kv_cache.h"
 #include "runtime/quantized_model.h"
 #include "serve/clock.h"
-#include "serve/degradation.h"
 #include "serve/request.h"
+#include "serve/scheduler.h"
 #include "sim/accelerator.h"
 
 namespace figlut {
@@ -102,12 +102,11 @@ struct EngineOptions
      * Per-step prefill token budget: how many prompt tokens one fused
      * step may fold into the GEMM batch alongside the live decode
      * columns, shared by every prefilling request in batch order
-     * (serve/degradation.h planPrefillChunks). 0 = unbounded — each
-     * request's whole remaining prompt prefills in one step. Bounding
-     * it caps the fused batch width, so long prompts cannot starve
-     * live decoders; chunking never changes results, only scheduling
-     * (chunked and whole-prompt prefill are bit-identical per
-     * request).
+     * (serve/scheduler.h). 0 = unbounded — each request's whole
+     * remaining prompt prefills in one step. Bounding it caps the
+     * fused batch width, so long prompts cannot starve live decoders;
+     * chunking never changes results, only scheduling (chunked and
+     * whole-prompt prefill are bit-identical per request).
      */
     std::size_t prefillChunkTokens = 0;
     /** Keep vector kernels in workloadTasks(). */
@@ -295,14 +294,18 @@ class Engine
     Result<KvCache> kvHistory(RequestId id) const;
 
     /** Requests currently decoding (columns of the next fused step). */
-    std::size_t liveRequests() const { return active_.size(); }
+    std::size_t liveRequests() const { return sched_.active().size(); }
     /** Requests waiting for a slot. */
-    std::size_t queuedRequests() const { return queue_.size(); }
+    std::size_t queuedRequests() const { return sched_.queue().size(); }
     /** Fused steps executed so far (steps that did prefill or decode
      *  work; empty governance-only steps are not counted). */
-    std::size_t stepsExecuted() const { return stepsExecuted_; }
+    std::size_t stepsExecuted() const { return sched_.workSteps(); }
     /** The paged KV arena backing every live request. */
     const KvArena &arena() const { return arena_; }
+
+    /** The schedule's invariants against the arena (see
+     *  Scheduler::checkInvariants); ok between steps. */
+    Status checkInvariants() const { return sched_.checkInvariants(); }
 
     /**
      * The KernelTask list of the *next* fused step: GEMMs at the
@@ -319,31 +322,16 @@ class Engine
     WorkloadResult simulate(const HwConfig &hw) const;
 
   private:
-    /** One tracked request (see serve/request.h for the public view). */
+    /** The numeric state of one request; its schedule lives in
+     *  sched_ under the same id (see serve/request.h for the public
+     *  view). */
     struct Request
     {
-        RequestOptions options;
-        RequestState state = RequestState::Queued;
         MatrixD hidden; ///< next-step input, hidden x 1
-        /** This request's arena sequence (invalid until admitted and
-         *  after any terminal transition or eviction). */
-        KvArena::SeqId seq = KvArena::kInvalidSeq;
         /** Contiguous snapshot kept at Finished/Cancelled when
          *  retainFinishedKv is on (the arena blocks are reclaimed). */
         KvCache retainedKv;
         RequestStats stats;
-        double submitTimeS = 0.0; ///< clock time of submit()
-        /** Step-start time of the last step that decoded this request
-         *  (admission time until then) — the eviction idle key. */
-        double lastActivityS = 0.0;
-        /** Admission counter value of the latest (re-)admission. */
-        std::uint64_t admitSeq = 0;
-        /** Tokens decoded in the current life (reset by eviction;
-         *  drives retirement, unlike the cumulative stats count). */
-        std::size_t lifeTokens = 0;
-        /** Prompt tokens prefilled in the current life (reset by
-         *  eviction; the restart recomputes them bit-identically). */
-        std::size_t prefillDone = 0;
         /** Prompt embeddings (hidden x promptTokens), drawn from the
          *  seed at the life's first work step and released once the
          *  last chunk is computed — only requests mid-prefill hold
@@ -352,49 +340,26 @@ class Engine
         /** This life's seed replay (hidden redraw + prompt embedding
          *  draw) has happened. */
         bool lifeReady = false;
-        /** Some step has done work (prefill or decode) for this
-         *  request — queueSeconds is stamped exactly once, then. */
-        bool everWorked = false;
         /** An eviction is awaiting its restartSeconds stamp. */
         bool restartPending = false;
         /** Step-start time of the eviction that re-queued this
          *  request (the restartSeconds base). */
         double requeuedAtS = 0.0;
-        /** resetKv() dropped the prompt for good. */
-        bool promptDropped = false;
         /** Definite terminal outcome (see RequestSnapshot::terminal). */
         Status terminal;
     };
 
     Engine(const OptConfig &model, const EngineOptions &options);
 
-    Request *find(RequestId id);
-    const Request *find(RequestId id) const;
-    /** Admit queued requests into free batch slots (FIFO), stamping
-     *  admission metadata at step-start time nowS. */
-    std::size_t admitFromQueue(double nowS);
-    /** Remove id from the active list / queue (state already set). */
-    void removeFromSchedule(RequestId id);
-    /** Drop expired requests (active first, then queued). */
-    void sweepDeadlines(double nowS, std::vector<RequestId> &expired);
-    /** Prompt tokens the request still has to prefill this life. */
-    std::size_t remainingPrompt(const Request &req) const;
-    /** Work assignment + reservation pass over the live batch: on
-     *  return active_ holds the surviving requests (stalled prefills
-     *  included) and work[i] their column counts this step (0 =
-     *  stalled). nowS is the step-start time (the restartSeconds base
-     *  stamped on evictions). */
-    void reserveStep(StepStats &stats, std::vector<std::size_t> &work,
-                     double nowS);
+    /** NotFound for an unknown id, FailedPrecondition once retired. */
+    Status checkLive(RequestId id) const;
     /** Replay the request's seed at the first work step of a life:
      *  redraw the hidden state (a restart's from-scratch recompute)
      *  and materialize the prompt embeddings the prefill consumes. */
-    void prepareLife(Request &req);
-    /** KV entries the request holds (prefilled + decoded this life). */
-    std::size_t contextTokens(const Request &req) const;
-    /** Release the arena sequence, materializing into retainedKv
-     *  first when asked. */
-    void retireSequence(Request &req, bool retain);
+    void prepareLife(Request &req, const ScheduleEntry &entry);
+    /** Release the request's arena sequence, materializing it into
+     *  retainedKv first when retainFinishedKv is on. */
+    void retireSequence(RequestId id);
 
     QuantizedModel model_;
     EngineOptions options_;
@@ -413,14 +378,10 @@ class Engine
     std::vector<LayerOp> layerOps_;
     /** Paged KV slab shared by all requests. */
     KvArena arena_;
-    std::unordered_map<RequestId, Request> requests_;
-    /** Live requests in admission order = fused batch column order. */
-    std::vector<RequestId> active_;
-    std::deque<RequestId> queue_;
-    RequestId nextId_ = 1;
-    std::size_t stepsExecuted_ = 0;
-    /** Monotone admission counter (ShedNewest recency key). */
-    std::uint64_t admitCounter_ = 0;
+    /** Queue, active list (= fused batch column order) and schedule. */
+    Scheduler sched_;
+    /** Numeric state of request id at index id - 1. */
+    std::vector<Request> requests_;
 };
 
 } // namespace serve

@@ -1,36 +1,9 @@
 #include "sim/trace_replay.h"
 
-#include <algorithm>
-#include <deque>
-
 #include "common/logging.h"
+#include "serve/scheduler.h"
 
 namespace figlut {
-
-namespace {
-
-/** Mutable scheduling state of one request during the replay. */
-struct Slot
-{
-    /** Tokens decoded in the current life (reset by eviction). */
-    std::size_t decoded = 0;
-    /** Prompt tokens prefilled in the current life (reset by
-     *  eviction: the restarted life prefills from scratch). */
-    std::size_t prefilled = 0;
-    /** Shadow-arena sequence while live (reservation-only). */
-    KvArena::SeqId seq = KvArena::kInvalidSeq;
-    /** Step-start time of the last decoding step (admission time
-     *  until then) — the eviction idle key, as in the engine. */
-    double lastActivityS = 0.0;
-    /** Admission counter value of the latest (re-)admission. */
-    std::uint64_t admitSeq = 0;
-    /** queueS stamped (first decode reached; never re-stamped). */
-    bool everStamped = false;
-    /** Dropped terminally mid-flight (shed or deadline). */
-    bool terminal = false;
-};
-
-} // namespace
 
 ReplayResult
 replayTrace(const OptConfig &model, const HwConfig &hw,
@@ -83,237 +56,91 @@ replayTrace(const OptConfig &model, const HwConfig &hw,
     arenaOptions.blockTokens = options.kvBlockTokens;
     arenaOptions.budgetBytes = options.kvBudgetBytes;
     KvArena arena(arenaOptions, options.faults);
-
-    std::vector<Slot> slots(trace.size());
-    std::vector<std::size_t> active; ///< admission order = batch order
-    std::deque<std::size_t> queue;
-    std::uint64_t admitCounter = 0;
-
-    // Mirror of Engine::submit(): direct admission only when a slot is
-    // free AND nothing is already waiting (FIFO fairness), a bounded
-    // queue otherwise, load-shed beyond it.
-    const auto submit = [&](std::size_t i, double nowS) {
-        const bool direct =
-            active.size() < options.maxBatch && queue.empty();
-        if (direct) {
-            slots[i].admitSeq = ++admitCounter;
-            slots[i].lastActivityS = nowS;
-            active.push_back(i);
-        } else if (queue.size() < options.maxQueue) {
-            queue.push_back(i);
-        } else {
-            result.requests[i].shed = true;
-        }
-    };
-    // Mirror of Engine::admitFromQueue().
-    const auto admitFromQueue = [&](double nowS) {
-        while (active.size() < options.maxBatch && !queue.empty()) {
-            const std::size_t i = queue.front();
-            queue.pop_front();
-            slots[i].admitSeq = ++admitCounter;
-            slots[i].lastActivityS = nowS;
-            active.push_back(i);
-        }
-    };
-    const auto releaseSeq = [&](std::size_t i) {
-        if (slots[i].seq != KvArena::kInvalidSeq) {
-            arena.releaseSequence(slots[i].seq);
-            slots[i].seq = KvArena::kInvalidSeq;
-        }
-    };
+    serve::SchedulerOptions schedOptions;
+    schedOptions.maxBatch = options.maxBatch;
+    schedOptions.maxQueue = options.maxQueue;
+    schedOptions.prefillChunkTokens = options.prefillChunkTokens;
+    schedOptions.policy = options.policy;
+    serve::Scheduler sched(arena, schedOptions, options.faults);
+    /** Trace index of scheduler id, at id - 1. */
+    std::vector<std::size_t> traceOf;
+    traceOf.reserve(trace.size());
+    std::vector<std::size_t> contextLens;
 
     double simT = 0.0;
     std::size_t next = 0;
     while (true) {
         // Arrivals up to the current virtual time join before the next
         // step, exactly like submits landing between two step() calls.
+        // The deadline and queue-wait base is the arrival; admission
+        // is stamped at the step time simT.
         while (next < trace.size() && trace[next].arrivalS <= simT) {
-            submit(next, simT);
+            serve::RequestOptions request;
+            request.maxTokens = trace[next].outputTokens;
+            request.promptTokens = trace[next].promptTokens;
+            request.deadlineS = trace[next].deadlineS;
+            if (sched.submit(request, trace[next].arrivalS, simT).ok())
+                traceOf.push_back(next);
+            else
+                result.requests[next].shed = true;
             ++next;
         }
-        if (active.empty() && queue.empty()) {
+        if (sched.idle()) {
             if (next == trace.size())
                 break;
             simT = trace[next].arrivalS;
             continue;
         }
 
-        // Mirror of Engine::step(), in the same order: deadline sweep
-        // (on the skewed clock), admission, reservation pass, decode.
         const double t0 = simT;
-        const double skewS =
-            options.faults != nullptr
-                ? options.faults->clockSkewS(result.steps)
-                : 0.0;
-        const double dlNowS = t0 + skewS;
-        // Active columns first, then the queue, both in order.
-        {
-            std::vector<std::size_t> sweep(active.begin(), active.end());
-            sweep.insert(sweep.end(), queue.begin(), queue.end());
-            for (const std::size_t i : sweep) {
-                if (trace[i].deadlineS <= 0.0 ||
-                    dlNowS <= trace[i].arrivalS + trace[i].deadlineS)
-                    continue;
-                releaseSeq(i);
-                slots[i].terminal = true;
-                result.requests[i].deadlineMiss = true;
-                result.requests[i].tokenTimesS.clear();
-                active.erase(std::remove(active.begin(), active.end(),
-                                         i),
-                             active.end());
-                const auto it =
-                    std::find(queue.begin(), queue.end(), i);
-                if (it != queue.end())
-                    queue.erase(it);
-            }
+        const serve::StepPlan &plan = sched.plan(t0);
+        // Dropped and evicted requests lose the tokens of their life.
+        for (const serve::RequestId id : plan.deadlineIds) {
+            result.requests[traceOf[id - 1]].deadlineMiss = true;
+            result.requests[traceOf[id - 1]].tokenTimesS.clear();
         }
-        admitFromQueue(t0);
-        if (active.empty())
-            continue; // empty governance step: nothing recorded
-
-        // Work assignment, as Engine::reserveStep(): each live
-        // request's prefill chunk out of the shared per-step budget,
-        // or one decode column.
-        std::vector<std::size_t> remaining;
-        remaining.reserve(active.size());
-        for (const std::size_t i : active)
-            remaining.push_back(trace[i].promptTokens -
-                                slots[i].prefilled);
-        const std::vector<std::size_t> assigned =
-            serve::planPrefillChunks(remaining,
-                                     options.prefillChunkTokens);
-
-        // Reservation pass against the shadow arena — the exact
-        // planner the engine runs, on the same items (working
-        // requests only; a stalled prefill neither reserves nor is a
-        // victim) in the same batch order.
-        std::vector<serve::ReservationItem> items;
-        std::vector<std::size_t> itemToActive;
-        items.reserve(active.size());
-        for (std::size_t a = 0; a < active.size(); ++a) {
-            if (assigned[a] == 0)
-                continue;
-            const std::size_t i = active[a];
-            if (slots[i].seq == KvArena::kInvalidSeq)
-                slots[i].seq = arena.createSequence();
-            serve::ReservationItem item;
-            item.seq = slots[i].seq;
-            item.needTokens =
-                slots[i].prefilled + slots[i].decoded + assigned[a];
-            item.lastActivityS = slots[i].lastActivityS;
-            item.admitSeq = slots[i].admitSeq;
-            items.push_back(item);
-            itemToActive.push_back(a);
+        for (const serve::RequestId id : plan.shedIds) {
+            result.requests[traceOf[id - 1]].shed = true;
+            result.requests[traceOf[id - 1]].tokenTimesS.clear();
         }
-        const serve::ReservationPlan plan =
-            serve::planStepReservations(arena, options.policy, items);
-        std::vector<char> dropped(active.size(), 0);
-        std::vector<std::size_t> evicted;
-        for (const std::size_t idx : plan.evicted) {
-            const std::size_t a = itemToActive[idx];
-            const std::size_t i = active[a];
-            slots[i].seq = KvArena::kInvalidSeq; // planner released it
-            slots[i].decoded = 0;
-            slots[i].prefilled = 0;
-            result.requests[i].evictions += 1;
-            result.requests[i].tokenTimesS.clear();
-            dropped[a] = 1;
-            evicted.push_back(i);
-        }
-        for (const std::size_t idx : plan.shed) {
-            const std::size_t a = itemToActive[idx];
-            const std::size_t i = active[a];
-            slots[i].seq = KvArena::kInvalidSeq;
-            slots[i].terminal = true;
-            result.requests[i].shed = true;
-            result.requests[i].tokenTimesS.clear();
-            dropped[a] = 1;
-        }
-        std::vector<std::size_t> keep;
-        std::vector<std::size_t> work;
-        keep.reserve(active.size());
-        for (std::size_t a = 0; a < active.size(); ++a) {
-            if (dropped[a])
-                continue;
-            keep.push_back(active[a]);
-            work.push_back(assigned[a]);
-        }
-        active = std::move(keep);
-        std::sort(evicted.begin(), evicted.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      return slots[a].admitSeq > slots[b].admitSeq;
-                  });
-        for (const std::size_t i : evicted)
-            queue.push_front(i);
-
-        // The working subset: requests with columns this step. Empty
-        // only when governance dropped every budget-holding request
-        // (stalled prefills may survive with zero columns).
-        std::vector<std::size_t> batch;
-        std::vector<std::size_t> batchWork;
-        for (std::size_t a = 0; a < active.size(); ++a) {
-            if (work[a] == 0)
-                continue;
-            batch.push_back(active[a]);
-            batchWork.push_back(work[a]);
-        }
-        if (batch.empty()) {
-            admitFromQueue(t0);
-            continue; // governance-empty step: nothing recorded
-        }
+        for (const serve::RequestId id : plan.evictedIds)
+            result.requests[traceOf[id - 1]].tokenTimesS.clear();
+        if (plan.work.empty())
+            continue; // governance-only step: nothing recorded
 
         // One fused step: price the ragged mixed prefill/decode batch
-        // on the accelerator, advance virtual time, then complete each
-        // column's bookkeeping — a prompt column at sequence position
-        // p attends causally over p + 1 entries, a decode column over
-        // its full context, exactly the engine's columnContexts.
-        std::vector<std::size_t> contextLens;
-        std::size_t width = 0;
-        for (std::size_t w = 0; w < batch.size(); ++w) {
-            const std::size_t i = batch[w];
-            const std::size_t heldTokens =
-                slots[i].prefilled + slots[i].decoded;
-            for (std::size_t j = 0; j < batchWork[w]; ++j)
-                contextLens.push_back(heldTokens + j + 1);
-            width += batchWork[w];
-        }
-        workload.batch = width;
-        const std::vector<KernelTask> tasks =
-            decodeStepWorkload(model, workload, contextLens);
-        const double stepS = accelerator.runWorkload(tasks).seconds;
-
-        for (const std::size_t i : batch)
-            if (!slots[i].everStamped) {
-                result.requests[i].queueS = t0 - trace[i].arrivalS;
-                slots[i].everStamped = true;
-            }
+        // on the accelerator at the engine's columnContexts, advance
+        // virtual time, then complete it.
+        contextLens.clear();
+        serve::appendColumnContexts(plan.work, contextLens);
+        workload.batch = contextLens.size();
+        const double stepS =
+            accelerator
+                .runWorkload(decodeStepWorkload(model, workload,
+                                                contextLens))
+                .seconds;
         simT += stepS;
-        for (std::size_t w = 0; w < batch.size(); ++w) {
-            const std::size_t i = batch[w];
-            slots[i].lastActivityS = t0;
-            if (slots[i].prefilled < trace[i].promptTokens) {
-                slots[i].prefilled += batchWork[w];
-                result.prefillTokens += batchWork[w];
+        for (const serve::PlannedWork &w : plan.work) {
+            if (w.prefill) {
+                result.prefillTokens += w.columns;
             } else {
-                slots[i].decoded += 1;
                 result.decodeTokens += 1;
-                result.requests[i].tokenTimesS.push_back(simT);
+                result.requests[traceOf[w.id - 1]].tokenTimesS.push_back(
+                    simT);
             }
         }
-        for (const std::size_t i : batch)
-            if (slots[i].decoded >= trace[i].outputTokens)
-                releaseSeq(i);
-        active.erase(std::remove_if(active.begin(), active.end(),
-                                    [&](std::size_t i) {
-                                        return slots[i].decoded >=
-                                               trace[i].outputTokens;
-                                    }),
-                     active.end());
-        admitFromQueue(t0);
+        sched.complete(t0);
+        for (const serve::RequestId id : plan.retiredIds)
+            sched.releaseSequence(id);
 
         result.stepSeconds.push_back(stepS);
-        result.queueDepth.push_back(queue.size());
+        result.queueDepth.push_back(sched.queue().size());
         ++result.steps;
+    }
+    for (std::size_t id = 1; id <= traceOf.size(); ++id) {
+        const serve::ScheduleEntry &entry = *sched.find(id);
+        result.requests[traceOf[id - 1]].queueS = entry.queueS;
+        result.requests[traceOf[id - 1]].evictions = entry.evictions;
     }
     result.endS = simT;
     return result;

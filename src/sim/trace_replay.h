@@ -6,41 +6,34 @@
  * host.
  *
  * replayTrace() consumes the same arrival trace a measured
- * serving_load run drives through serve::Engine and mirrors the
- * engine's scheduling policy exactly — FIFO admission up to maxBatch,
- * a bounded wait queue with load-shed beyond maxQueue, chunked prompt
- * prefill before the first token (the shared planPrefillChunks()
- * budget, so prefill steps cost simulated time exactly as they cost
- * the engine wall time), one token per decoding request per step,
- * retirement at the output budget — but each step advances a virtual
- * clock by the Accelerator-scored duration of that step's
- * ragged-context KernelTask list (the same decodeStepWorkload()
- * mapping Engine::workloadTasks() emits). The result is per-request
- * latency in *simulated* seconds, directly comparable against the
- * measured run: same trace, same schedule shape, modeled hardware
- * instead of the host.
+ * serving_load run drives through serve::Engine and executes the
+ * shared serve::Scheduler's plans (serve/scheduler.h) — the scheduler
+ * the engine runs, so admission, the deadline sweep, chunked prefill,
+ * the KV reservation pass with its shed/evict outcomes, and
+ * retirement are the engine's by construction. Each plan is priced
+ * at its per-column causal contexts with decodeStepWorkload() (the
+ * mapping Engine::workloadTasks() emits) and advances a virtual clock
+ * by the Accelerator score. The result is per-request latency in
+ * *simulated* seconds, directly comparable against the measured run.
  *
- * The memory governance is mirrored too: a bounded kvBudgetBytes runs
- * the replay against a shadow KvArena (same block geometry, same
- * FaultInjector) through the identical planStepReservations() pass
- * the engine runs, so shed/evict/deadline outcomes reproduce the
- * engine's schedule — the shadow arena only *reserves* blocks, it
- * never writes a KV byte, so a replay costs block-table bookkeeping,
- * not slab memory. This is a deliberate inversion of the layer map
- * (sim consuming runtime/kv_arena.h and serve/degradation.h, like
- * runtime/session consuming serve/engine.h): the replay is a model
- * *of* the serving engine and shares its policy code by construction
- * rather than by transcription. One divergence to know about:
- * deadlines are measured from arrivalS here but from the actual
- * submit time in the engine — identical whenever arrivals are
- * released on time (the pinned case), off by the submit lag
- * otherwise.
+ * A bounded kvBudgetBytes runs the scheduler against a shadow KvArena
+ * (same block geometry, same FaultInjector) that only *reserves*
+ * blocks and never writes a KV byte, so a replay costs block-table
+ * bookkeeping, not slab memory. This is a deliberate inversion of the
+ * layer map (sim consuming runtime/kv_arena.h and serve/scheduler.h):
+ * the replay is a model *of* the serving engine.
  *
- * The schedule equivalence is pinned by tests/bench_load: a
- * serve::Engine driven on a VirtualClock advanced by the identical
- * per-step scores produces bit-identical shed sets, token completion
- * times, and queue depths — with and without a KV budget, eviction,
- * deadlines, and injected allocation faults.
+ * Two time bases: a request's deadline and queueS are measured from
+ * its arrivalS, while admissions are stamped at the virtual step time.
+ * The engine measures deadlines from the actual submit time, so the
+ * two agree whenever arrivals are released on time (the pinned case)
+ * and differ by the submit lag otherwise.
+ *
+ * tests/bench_load pins the equivalence: a serve::Engine driven on a
+ * VirtualClock advanced by the identical per-step scores produces
+ * bit-identical shed sets, token completion times, and queue depths —
+ * with and without a KV budget, eviction, deadlines, and injected
+ * allocation faults.
  */
 
 #ifndef FIGLUT_SIM_TRACE_REPLAY_H
@@ -51,7 +44,7 @@
 
 #include "model/workload.h"
 #include "runtime/kv_arena.h"
-#include "serve/degradation.h"
+#include "serve/scheduler.h"
 #include "sim/accelerator.h"
 
 namespace figlut {
@@ -145,8 +138,8 @@ struct ReplayResult
 
 /**
  * Replay an arrival trace (sorted by arrivalS, every outputTokens
- * >= 1) against the accelerator model `hw`, mirroring serve::Engine's
- * continuous-batching schedule and memory governance. Deterministic:
+ * >= 1) against the accelerator model `hw`, under serve::Engine's
+ * scheduler and memory governance. Deterministic:
  * a pure function of its arguments (FaultInjector purity included).
  */
 ReplayResult replayTrace(const OptConfig &model, const HwConfig &hw,

@@ -202,6 +202,8 @@ expectEngineMatchesReplay(std::size_t prefillChunkTokens)
 
         const auto stats = engine.step();
         ASSERT_TRUE(stats.ok()) << stats.status().toString();
+        const Status invariants = engine.checkInvariants();
+        ASSERT_TRUE(invariants.ok()) << invariants.toString();
         const serve::StepStats &step = stats.value();
         // Price this exact fused batch the way the replay does: the
         // executed step's own per-column causal context lengths
@@ -348,6 +350,8 @@ TEST(TraceReplayTest, GovernedReplayMatchesEngineOnVirtualClock)
 
         const auto stats = engine.step();
         ASSERT_TRUE(stats.ok()) << stats.status().toString();
+        const Status invariants = engine.checkInvariants();
+        ASSERT_TRUE(invariants.ok()) << invariants.toString();
         const serve::StepStats &step = stats.value();
         // Same bookkeeping as the replay and the load driver: an
         // eviction discards the life's recorded tokens, shed and

@@ -24,7 +24,12 @@ readAll(const std::string &path)
 class CsvWriterTest : public ::testing::Test
 {
   protected:
-    std::string path_ = ::testing::TempDir() + "figlut_csv_test.csv";
+    // One file per case: ctest -j runs the cases as separate processes
+    // that share TempDir(), so a common name would let them collide.
+    std::string path_ =
+        ::testing::TempDir() + "figlut_csv_test_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".csv";
 
     void TearDown() override { std::remove(path_.c_str()); }
 };

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for memory-governed serving (serve/engine.h + degradation.h):
+ * Tests for memory-governed serving (serve/engine.h + scheduler.h):
  * per-request deadlines on a virtual clock (including injected clock
  * skew), KV-budget admission with the ShedNewest and EvictLongestIdle
  * policies, and the survival contract — every request that does not
@@ -27,6 +27,14 @@ tinyConfig(std::size_t hidden, std::size_t layers, std::size_t heads,
     cfg.heads = heads;
     cfg.ffn = ffn;
     return cfg;
+}
+
+/** Every step leaves the schedule consistent with the arena. */
+void
+expectInvariants(const Engine &engine)
+{
+    const Status s = engine.checkInvariants();
+    EXPECT_TRUE(s.ok()) << s.toString();
 }
 
 EngineOptions
@@ -98,6 +106,7 @@ TEST(Governance, DeadlineExpiryRetiresActiveAndQueued)
 
     // Inside the deadline both survive; the active one decodes.
     auto s1 = engine.step();
+    expectInvariants(engine);
     ASSERT_TRUE(s1.ok());
     EXPECT_TRUE(s1.value().deadlineIds.empty());
     EXPECT_EQ(s1.value().decodedIds,
@@ -107,6 +116,7 @@ TEST(Governance, DeadlineExpiryRetiresActiveAndQueued)
     // queued request in one step that then decodes nothing.
     clock.advance(2.0);
     auto s2 = engine.step();
+    expectInvariants(engine);
     ASSERT_TRUE(s2.ok());
     EXPECT_EQ(s2.value().deadlineIds,
               std::vector<RequestId>({active, queued}));
@@ -152,12 +162,14 @@ TEST(Governance, InjectedClockSkewFiresDeadlinesEarly)
 
     // Step 0 sees no skew: virtual time 0 is inside the deadline.
     auto s1 = engine.step();
+    expectInvariants(engine);
     ASSERT_TRUE(s1.ok());
     EXPECT_TRUE(s1.value().deadlineIds.empty());
 
     // Step 1 sweeps at now + 5s of skew: the 2s deadline fires even
     // though real (virtual) time never moved.
     auto s2 = engine.step();
+    expectInvariants(engine);
     ASSERT_TRUE(s2.ok());
     EXPECT_EQ(s2.value().deadlineIds, std::vector<RequestId>({id}));
     EXPECT_EQ(engine.poll(id).value().state,
@@ -188,6 +200,7 @@ TEST(Governance, ShedNewestDropsTheNewestWithAStatus)
     // Steps 1-2: one block each, both decode.
     for (int i = 0; i < 2; ++i) {
         auto s = engine.step();
+        expectInvariants(engine);
         ASSERT_TRUE(s.ok());
         EXPECT_EQ(s.value().decodedIds.size(), 2u);
         EXPECT_TRUE(s.value().shedIds.empty());
@@ -196,6 +209,7 @@ TEST(Governance, ShedNewestDropsTheNewestWithAStatus)
     // Step 3: the older column needs a second block; the budget is
     // full, so the newest request is the sacrifice — terminally.
     auto s3 = engine.step();
+    expectInvariants(engine);
     ASSERT_TRUE(s3.ok());
     EXPECT_EQ(s3.value().shedIds, std::vector<RequestId>({newer}));
     EXPECT_EQ(s3.value().decodedIds, std::vector<RequestId>({older}));
@@ -208,8 +222,10 @@ TEST(Governance, ShedNewestDropsTheNewestWithAStatus)
     EXPECT_FALSE(shedSnap.value().terminal.message().empty());
 
     // The survivor decodes to its full budget under the same cap.
-    while (engine.liveRequests() > 0)
+    while (engine.liveRequests() > 0) {
         ASSERT_TRUE(engine.step().ok());
+        expectInvariants(engine);
+    }
     const auto okSnap = engine.poll(older);
     ASSERT_TRUE(okSnap.ok());
     EXPECT_EQ(okSnap.value().state, RequestState::Finished);
@@ -247,6 +263,7 @@ TEST(Governance, EvictionRestartIsBitIdentical)
     // Steps 1-2: both columns fit in one block each.
     for (int i = 0; i < 2; ++i) {
         auto s = engine.step();
+        expectInvariants(engine);
         ASSERT_TRUE(s.ok());
         EXPECT_EQ(s.value().decodedIds.size(), 2u);
     }
@@ -254,6 +271,7 @@ TEST(Governance, EvictionRestartIsBitIdentical)
     // newer column) is evicted, a finishes, and the freed slot
     // re-admits b in the same step.
     auto s3 = engine.step();
+    expectInvariants(engine);
     ASSERT_TRUE(s3.ok());
     EXPECT_EQ(s3.value().evictedIds, std::vector<RequestId>({b}));
     EXPECT_EQ(s3.value().decodedIds, std::vector<RequestId>({a}));
@@ -265,8 +283,10 @@ TEST(Governance, EvictionRestartIsBitIdentical)
     EXPECT_EQ(engine.poll(b).value().kvLength, 0u);
 
     // Steps 4-6: b's second life decodes its full budget alone.
-    while (engine.liveRequests() > 0)
+    while (engine.liveRequests() > 0) {
         ASSERT_TRUE(engine.step().ok());
+        expectInvariants(engine);
+    }
 
     const auto snapA = engine.poll(a).value();
     const auto snapB = engine.poll(b).value();
@@ -289,8 +309,10 @@ TEST(Governance, EvictionRestartIsBitIdentical)
     const RequestId refA = ref.submit(req).value();
     req.seed = 32;
     const RequestId refB = ref.submit(req).value();
-    while (ref.liveRequests() > 0)
+    while (ref.liveRequests() > 0) {
         ASSERT_TRUE(ref.step().ok());
+        expectInvariants(ref);
+    }
 
     EXPECT_EQ(snapA.hidden, ref.poll(refA).value().hidden);
     EXPECT_EQ(snapB.hidden, ref.poll(refB).value().hidden);
@@ -338,6 +360,7 @@ TEST(Governance, EveryRequestEndsWithADefiniteStatus)
     std::size_t steps = 0;
     while (engine.liveRequests() > 0 || engine.queuedRequests() > 0) {
         ASSERT_TRUE(engine.step().ok());
+        expectInvariants(engine);
         clock.advance(0.01);
         ASSERT_LT(++steps, 200u) << "engine failed to drain";
     }
