@@ -13,7 +13,6 @@ statusCodeName(StatusCode code)
       case StatusCode::FailedPrecondition: return "FAILED_PRECONDITION";
       case StatusCode::DeadlineExceeded: return "DEADLINE_EXCEEDED";
       case StatusCode::Cancelled: return "CANCELLED";
-      case StatusCode::Preempted: return "PREEMPTED";
     }
     return "UNKNOWN";
 }

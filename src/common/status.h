@@ -17,7 +17,7 @@
  *  - Status::okStatus() / a value-holding Result is the success path.
  *  - Error codes follow the usual RPC vocabulary (InvalidArgument,
  *    NotFound, ResourceExhausted, FailedPrecondition, plus the
- *    serving-outcome trio DeadlineExceeded / Cancelled / Preempted) so
+ *    serving-outcome pair DeadlineExceeded / Cancelled) so
  *    callers can branch without parsing messages; messages stay
  *    actionable (what was wrong, what the bound was).
  *  - Accessing the value of an error Result is a *library-client* bug
@@ -45,7 +45,6 @@ enum class StatusCode
     FailedPrecondition, ///< the call is valid but not in this state
     DeadlineExceeded,   ///< the request outlived its deadline
     Cancelled,          ///< the client cancelled the request
-    Preempted,          ///< evicted under memory pressure (may restart)
 };
 
 /** Stable name of a StatusCode ("INVALID_ARGUMENT", ...). */
@@ -106,14 +105,6 @@ class Status
     cancelled(Args &&...args)
     {
         return Status(StatusCode::Cancelled,
-                      detail::concat(std::forward<Args>(args)...));
-    }
-
-    template <typename... Args>
-    static Status
-    preempted(Args &&...args)
-    {
-        return Status(StatusCode::Preempted,
                       detail::concat(std::forward<Args>(args)...));
     }
 

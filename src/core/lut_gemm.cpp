@@ -116,17 +116,6 @@ struct ColumnBlock
     std::size_t count = 0;
 };
 
-void
-mergeCounters(LutGemmCounters &dst, const LutGemmCounters &src)
-{
-    dst.lutGenerations += src.lutGenerations;
-    dst.generatorAdds += src.generatorAdds;
-    dst.lutReads += src.lutReads;
-    dst.racAccumulates += src.racAccumulates;
-    dst.scaleMuls += src.scaleMuls;
-    dst.offsetOps += src.offsetOps;
-}
-
 /** Key for (row, plane) over the chunk starting at c0 (tail padded 1). */
 uint32_t
 chunkKey(const BcqTensor &w, int plane, std::size_t r, std::size_t c0,
@@ -293,21 +282,19 @@ class LutGemmKernel
      * tables are t[0..block.count): per (group, plane), walk the
      * group's chunks over the tile's pre-packed keys, then fold alpha,
      * the offset term and y. `simd` is the call's kernel table, or
-     * null for instrumented calls. With a table, the chunk walk is its
-     * span kernel and, in FpArith::Fp32, the offset fold (and, in
-     * accumulateTileInt, the alpha fold) is its epilogue kernel
-     * (core/simd.h). Otherwise the scalar loops run: the only ones
-     * that count operations (Instr), and the ones FpArith::Fp16/Bf16
-     * run, since their per-add rounding has no vector equivalent. Rows
-     * and columns are independent lanes of every kernel, so each
-     * element's operation sequence is the scalar loop's, and per-row
-     * operation order is the Reference backend's (chunks, then planes,
-     * then offset, then the y fold, per column): outputs are
-     * bit-identical.
+     * null for instrumented calls. With a table, accumulateTileInt's
+     * chunk walk is its span kernel, and in FpArith::Fp32 the offset
+     * fold (and accumulateTileInt's alpha fold) is its epilogue kernel
+     * (core/simd.h). Everything else runs the scalar loops, the only
+     * ones that count operations (Instr). Rows and columns are
+     * independent lanes of every kernel, so each element's operation
+     * sequence is the scalar loop's, and per-row operation order is
+     * the Reference backend's (chunks, then planes, then offset, then
+     * the y fold, per column): outputs are bit-identical.
      *
-     * The FP path (FIGLUT-F) runs its columns one after another; the
-     * integer path walks each key span once for the whole block
-     * (accumIntSpanCols).
+     * The FP path (FIGLUT-F) runs its columns one after another, each
+     * through the scalar chunk walk; the integer path walks each key
+     * span once for the whole block (accumIntSpanCols).
      */
     template <bool Instr>
     void
@@ -319,11 +306,6 @@ class LutGemmKernel
         const int q = w_.bits;
         const FpArith arith = config_.arith;
         const bool fold = simd && arith == FpArith::Fp32;
-        const auto span =
-            !simd ? nullptr
-            : arith == FpArith::Fp32  ? simd->accumFpSpanFp32
-            : arith == FpArith::Exact ? simd->accumFpSpanExact
-                                      : nullptr;
         const std::size_t tile = rows.size();
         s.fpPsum.resize(tile);
         s.rowAcc.resize(tile);
@@ -336,29 +318,16 @@ class LutGemmKernel
                 std::fill(acc, acc + tile, 0.0);
                 for (int i = 0; i < q; ++i) {
                     std::fill(psum, psum + tile, 0.0);
-                    if (span) {
-                        // One span call walks every chunk of the group:
-                        // the group's arena slabs are contiguous (stride
-                        // arena.stride) and the per-chunk key arrays of
-                        // one plane are pk.rows apart (packing.h layout
-                        // note).
-                        span(psum, tj.arena.chunk(gg.chunkBase),
-                             tj.arena.stride,
-                             pk.chunkKeys(i, gg.chunkBase) + rows.begin,
-                             pk.rows, gg.chunks, tile);
-                    } else {
-                        for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
-                            const std::size_t chunk = gg.chunkBase + ch;
-                            const uint32_t *keys =
-                                pk.chunkKeys(i, chunk) + rows.begin;
-                            const double *lut = tj.arena.chunk(chunk);
-                            for (std::size_t r = 0; r < tile; ++r) {
-                                psum[r] =
-                                    fpAdd(psum[r], lut[keys[r]], arith);
-                                if constexpr (Instr) {
-                                    ++cnt.lutReads;
-                                    ++cnt.racAccumulates;
-                                }
+                    for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
+                        const std::size_t chunk = gg.chunkBase + ch;
+                        const uint32_t *keys =
+                            pk.chunkKeys(i, chunk) + rows.begin;
+                        const double *lut = tj.arena.chunk(chunk);
+                        for (std::size_t r = 0; r < tile; ++r) {
+                            psum[r] = fpAdd(psum[r], lut[keys[r]], arith);
+                            if constexpr (Instr) {
+                                ++cnt.lutReads;
+                                ++cnt.racAccumulates;
                             }
                         }
                     }
@@ -872,7 +841,7 @@ runSimdTiles(const LutGemmKernel &kernel, const PackedLutKeys &pk,
                                                 tileCnt, s);
             if constexpr (Instr) {
                 std::lock_guard<std::mutex> lock(counterMutex);
-                mergeCounters(cnt, tileCnt);
+                cnt += tileCnt;
             }
         });
     }

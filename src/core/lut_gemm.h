@@ -51,14 +51,14 @@ class ExecutionContext;
  * walks the batch in blocks of up to kSpanCols (core/simd.h) columns,
  * builds each column's LUT arenas exactly once, pre-packs (or reuses
  * pre-packed) per-(plane, chunk) key arrays, and streams blockRows-row
- * tiles, on `threads` workers, through the runtime-dispatched span
- * kernels of core/simd.h (AVX-512 register tables / AVX2 gathers /
- * NEON lanes, or the portable scalar table). On the integer path each
- * key span is walked once per block, with each key looked up in every
- * column's tables. Rows and columns are independent lanes, so per-row
- * accumulation order is unchanged. Instrumented calls and FpArith::Fp16/Bf16 walk the chunks
- * with a scalar loop instead, since only the binary32 round-trip has
- * a hardware vector equivalent.
+ * tiles, on `threads` workers. The integer path (FIGLUT-I) reads its
+ * tables through the runtime-dispatched span kernels of core/simd.h
+ * (AVX-512 register tables / AVX2 gathers / NEON lanes, or the
+ * portable scalar table), walking each key span once per block with
+ * each key looked up in every column's tables. Rows and columns are
+ * independent lanes, so per-row accumulation order is unchanged. The
+ * FP path (FIGLUT-F) and instrumented calls walk the chunks with a
+ * scalar loop instead.
  */
 enum class LutGemmBackend
 {
@@ -134,6 +134,29 @@ struct LutGemmCounters
     uint64_t racAccumulates = 0; ///< RAC accumulate operations
     uint64_t scaleMuls = 0;      ///< alpha multiplies
     uint64_t offsetOps = 0;      ///< offset multiply-adds (VPU)
+
+    LutGemmCounters &
+    operator+=(const LutGemmCounters &o)
+    {
+        lutGenerations += o.lutGenerations;
+        generatorAdds += o.generatorAdds;
+        lutReads += o.lutReads;
+        racAccumulates += o.racAccumulates;
+        scaleMuls += o.scaleMuls;
+        offsetOps += o.offsetOps;
+        return *this;
+    }
+
+    bool
+    operator==(const LutGemmCounters &o) const
+    {
+        return lutGenerations == o.lutGenerations &&
+               generatorAdds == o.generatorAdds && lutReads == o.lutReads &&
+               racAccumulates == o.racAccumulates &&
+               scaleMuls == o.scaleMuls && offsetOps == o.offsetOps;
+    }
+
+    bool operator!=(const LutGemmCounters &o) const { return !(*this == o); }
 };
 
 /**

@@ -20,44 +20,6 @@ namespace simd_detail {
  */
 
 void
-accumFpSpanFp32Scalar(double *psum, const double *lut,
-                      std::size_t lutStride, const std::uint32_t *keys,
-                      std::size_t keyStride, std::size_t chunks,
-                      std::size_t n)
-{
-    for (std::size_t r = 0; r < n; ++r) {
-        double p = psum[r];
-        const double *l = lut;
-        const std::uint32_t *k = keys + r;
-        for (std::size_t c = 0; c < chunks; ++c) {
-            p = static_cast<double>(static_cast<float>(p + l[*k]));
-            l += lutStride;
-            k += keyStride;
-        }
-        psum[r] = p;
-    }
-}
-
-void
-accumFpSpanExactScalar(double *psum, const double *lut,
-                       std::size_t lutStride, const std::uint32_t *keys,
-                       std::size_t keyStride, std::size_t chunks,
-                       std::size_t n)
-{
-    for (std::size_t r = 0; r < n; ++r) {
-        double p = psum[r];
-        const double *l = lut;
-        const std::uint32_t *k = keys + r;
-        for (std::size_t c = 0; c < chunks; ++c) {
-            p = p + l[*k];
-            l += lutStride;
-            k += keyStride;
-        }
-        psum[r] = p;
-    }
-}
-
-void
 accumIntSpanScalar(std::int64_t *psum, const std::int64_t *lut,
                    std::size_t lutStride, const std::uint32_t *keys,
                    std::size_t keyStride, std::size_t chunks,
@@ -212,8 +174,7 @@ geluLutFlatScalar(double *out, const double *v, std::size_t n,
 }
 
 const SimdKernels kScalarKernels = {
-    SimdIsa::Scalar,        accumFpSpanFp32Scalar,
-    accumFpSpanExactScalar, accumIntSpanScalar,
+    SimdIsa::Scalar,        accumIntSpanScalar,
     accumIntSpanColsScalar, foldIntPlaneFp32Scalar,
     foldOffsetFp32Scalar,   addFlatScalar,
     divFlatScalar,          maxFlatScalar,

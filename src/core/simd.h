@@ -124,37 +124,18 @@ struct SimdKernels
     SimdIsa isa = SimdIsa::Scalar;
 
     /**
-     * RAC accumulate over one group's whole chunk span in
-     * FpArith::Fp32, the paper's accumulate precision. For every row
-     * r < n, chunks are walked in order with the partial sum held in
-     * a register:
+     * The FIGLUT-I RAC accumulate over one group's whole chunk span,
+     * with exact int64 adds. For every row r < n, chunks are walked in
+     * order with the partial sum held in a register:
      *
-     *   psum[r] = roundToBinary32(
-     *       psum[r] + lut[c * lutStride + keys[c * keyStride + r]])
+     *   psum[r] += lut[c * lutStride + keys[c * keyStride + r]]
      *   for c = 0, 1, ..., chunks-1
      *
-     * The per-add rounding is the IEEE double->float->double
-     * round-trip, the same Fp32 conversion fpAdd() applies (proven
-     * by the Reference-vs-Simd differential suite). Spanning
-     * all chunks per call — rather than one kernel call per chunk —
-     * is what lets every ISA keep the accumulator out of memory for
-     * the whole walk; per-row accumulation order is chunk-sequential
-     * either way, so outputs cannot differ.
+     * Spanning all chunks per call — rather than one kernel call per
+     * chunk — is what lets every ISA keep the accumulator out of
+     * memory for the whole walk; per-row accumulation order is
+     * chunk-sequential either way, so outputs cannot differ.
      */
-    void (*accumFpSpanFp32)(double *psum, const double *lut,
-                            std::size_t lutStride,
-                            const std::uint32_t *keys,
-                            std::size_t keyStride, std::size_t chunks,
-                            std::size_t n);
-
-    /** The same span walk with plain double adds (FpArith::Exact). */
-    void (*accumFpSpanExact)(double *psum, const double *lut,
-                             std::size_t lutStride,
-                             const std::uint32_t *keys,
-                             std::size_t keyStride, std::size_t chunks,
-                             std::size_t n);
-
-    /** The same span walk with exact int64 adds — the FIGLUT-I RAC. */
     void (*accumIntSpan)(std::int64_t *psum, const std::int64_t *lut,
                          std::size_t lutStride,
                          const std::uint32_t *keys,

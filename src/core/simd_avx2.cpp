@@ -48,118 +48,13 @@ void accumIntSpanColsEach(decltype(SimdKernels::accumIntSpan) span,
 namespace {
 
 /**
- * The span kernels keep two row-vectors (8 rows) of partial sums in
+ * The span kernel keeps two row-vectors (8 rows) of partial sums in
  * registers across the whole chunk walk: the two accumulation chains
- * are independent, so the gather/convert latency of one overlaps the
+ * are independent, so the gather latency of one overlaps the
  * other, and psum traffic drops from per-chunk load+store to one
  * load+store per span. Per-row accumulation order is chunk-sequential
  * exactly as in the scalar contract.
  */
-
-void
-accumFpSpanFp32Avx2(double *psum, const double *lut,
-                    std::size_t lutStride, const std::uint32_t *keys,
-                    std::size_t keyStride, std::size_t chunks,
-                    std::size_t n)
-{
-    std::size_t r = 0;
-    for (; r + 8 <= n; r += 8) {
-        __m256d p0 = _mm256_loadu_pd(psum + r);
-        __m256d p1 = _mm256_loadu_pd(psum + r + 4);
-        const double *l = lut;
-        const std::uint32_t *k = keys + r;
-        for (std::size_t c = 0; c < chunks; ++c) {
-            const __m128i k0 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(k));
-            const __m128i k1 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(k + 4));
-            p0 = _mm256_add_pd(p0, _mm256_i32gather_pd(l, k0, 8));
-            p1 = _mm256_add_pd(p1, _mm256_i32gather_pd(l, k1, 8));
-            p0 = _mm256_cvtps_pd(_mm256_cvtpd_ps(p0));
-            p1 = _mm256_cvtps_pd(_mm256_cvtpd_ps(p1));
-            l += lutStride;
-            k += keyStride;
-        }
-        _mm256_storeu_pd(psum + r, p0);
-        _mm256_storeu_pd(psum + r + 4, p1);
-    }
-    for (; r + 4 <= n; r += 4) {
-        __m256d p0 = _mm256_loadu_pd(psum + r);
-        const double *l = lut;
-        const std::uint32_t *k = keys + r;
-        for (std::size_t c = 0; c < chunks; ++c) {
-            const __m128i k0 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(k));
-            p0 = _mm256_add_pd(p0, _mm256_i32gather_pd(l, k0, 8));
-            p0 = _mm256_cvtps_pd(_mm256_cvtpd_ps(p0));
-            l += lutStride;
-            k += keyStride;
-        }
-        _mm256_storeu_pd(psum + r, p0);
-    }
-    for (; r < n; ++r) {
-        double p = psum[r];
-        const double *l = lut;
-        const std::uint32_t *k = keys + r;
-        for (std::size_t c = 0; c < chunks; ++c) {
-            p = static_cast<double>(static_cast<float>(p + l[*k]));
-            l += lutStride;
-            k += keyStride;
-        }
-        psum[r] = p;
-    }
-}
-
-void
-accumFpSpanExactAvx2(double *psum, const double *lut,
-                     std::size_t lutStride, const std::uint32_t *keys,
-                     std::size_t keyStride, std::size_t chunks,
-                     std::size_t n)
-{
-    std::size_t r = 0;
-    for (; r + 8 <= n; r += 8) {
-        __m256d p0 = _mm256_loadu_pd(psum + r);
-        __m256d p1 = _mm256_loadu_pd(psum + r + 4);
-        const double *l = lut;
-        const std::uint32_t *k = keys + r;
-        for (std::size_t c = 0; c < chunks; ++c) {
-            const __m128i k0 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(k));
-            const __m128i k1 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(k + 4));
-            p0 = _mm256_add_pd(p0, _mm256_i32gather_pd(l, k0, 8));
-            p1 = _mm256_add_pd(p1, _mm256_i32gather_pd(l, k1, 8));
-            l += lutStride;
-            k += keyStride;
-        }
-        _mm256_storeu_pd(psum + r, p0);
-        _mm256_storeu_pd(psum + r + 4, p1);
-    }
-    for (; r + 4 <= n; r += 4) {
-        __m256d p0 = _mm256_loadu_pd(psum + r);
-        const double *l = lut;
-        const std::uint32_t *k = keys + r;
-        for (std::size_t c = 0; c < chunks; ++c) {
-            const __m128i k0 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(k));
-            p0 = _mm256_add_pd(p0, _mm256_i32gather_pd(l, k0, 8));
-            l += lutStride;
-            k += keyStride;
-        }
-        _mm256_storeu_pd(psum + r, p0);
-    }
-    for (; r < n; ++r) {
-        double p = psum[r];
-        const double *l = lut;
-        const std::uint32_t *k = keys + r;
-        for (std::size_t c = 0; c < chunks; ++c) {
-            p = p + l[*k];
-            l += lutStride;
-            k += keyStride;
-        }
-        psum[r] = p;
-    }
-}
 
 void
 accumIntSpanAvx2(std::int64_t *psum, const std::int64_t *lut,
@@ -444,8 +339,7 @@ geluLutFlatAvx2(double *out, const double *v, std::size_t n,
 }
 
 const SimdKernels kAvx2Kernels = {
-    SimdIsa::Avx2,        accumFpSpanFp32Avx2,
-    accumFpSpanExactAvx2, accumIntSpanAvx2,
+    SimdIsa::Avx2,        accumIntSpanAvx2,
     accumIntSpanColsAvx2, foldIntPlaneFp32Avx2,
     foldOffsetFp32Avx2,   addFlatAvx2,
     divFlatAvx2,          maxFlatAvx2,

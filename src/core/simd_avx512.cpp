@@ -1,24 +1,23 @@
 /**
  * @file
- * AVX-512 span kernels: register-resident LUT reads.
+ * AVX-512 int64 span kernels: register-resident LUT reads.
  *
  * FIGLUT keeps each chunk's LUT in flip-flops (FFLUT) rather than a
  * ported memory so that many read-accumulate lanes can read it in the
  * same cycle. The host analogue here: for lutStride <= 16 (mu <= 4) a
  * chunk's decoded table fits in two zmm registers, and one
- * VPERMT2Q/VPERMT2PD looks up 8 rows at once on the shuffle port
+ * VPERMT2Q looks up 8 rows at once on the shuffle port
  * instead of 8 gather lanes through the L1 load ports. The
  * multi-column span loads each key vector once for up to kSpanCols
  * columns' tables. Tail rows (n % 32) and wider tables go to the AVX2
- * kernels, once per column; they stay the only gather implementation,
+ * kernel, once per column; it stays the only gather implementation,
  * and every non-span entry of the table is the AVX2 one.
  *
  * Compiled with -mavx512f (file-level flag set by src/CMakeLists.txt
  * under FIGLUT_SIMD_AVX2) and only reached after the dispatcher
  * confirmed CPUID AVX-512F and AVX2 support. Bit identity with the
  * scalar contract of simd.cpp holds by construction: each row still
- * accumulates its entries chunk-sequentially with the same operation
- * (int64 add, double add, or double add plus the binary32 round-trip).
+ * accumulates its entries chunk-sequentially with exact int64 adds.
  */
 
 #include "core/simd.h"
@@ -36,58 +35,11 @@ const SimdKernels &avx2Kernels(); // simd_avx2.cpp
 
 namespace {
 
-/** Table entries two zmm registers hold (8 int64/double lanes each). */
+/** Table entries two zmm registers hold (8 int64 lanes each). */
 constexpr std::size_t kRegTableEntries = 16;
 
 /** Rows per register block: four independent 8-row accumulators. */
 constexpr std::size_t kBlockRows = 32;
-
-/** Per-element operations of the three span kernels. */
-struct IntAdd
-{
-    using Elem = std::int64_t;
-    using Vec = __m512i;
-    static Vec load(const Elem *p) { return _mm512_loadu_si512(p); }
-    static void store(Elem *p, Vec v) { _mm512_storeu_si512(p, v); }
-    static Vec loadMasked(__mmask8 m, const Elem *p)
-    {
-        return _mm512_maskz_loadu_epi64(m, p);
-    }
-    static Vec lookup(Vec lo, __m512i idx, Vec hi)
-    {
-        return _mm512_permutex2var_epi64(lo, idx, hi);
-    }
-    static Vec add(Vec p, Vec e) { return _mm512_add_epi64(p, e); }
-    static auto fallback() { return avx2Kernels().accumIntSpan; }
-};
-
-struct FpExactAdd
-{
-    using Elem = double;
-    using Vec = __m512d;
-    static Vec load(const Elem *p) { return _mm512_loadu_pd(p); }
-    static void store(Elem *p, Vec v) { _mm512_storeu_pd(p, v); }
-    static Vec loadMasked(__mmask8 m, const Elem *p)
-    {
-        return _mm512_maskz_loadu_pd(m, p);
-    }
-    static Vec lookup(Vec lo, __m512i idx, Vec hi)
-    {
-        return _mm512_permutex2var_pd(lo, idx, hi);
-    }
-    static Vec add(Vec p, Vec e) { return _mm512_add_pd(p, e); }
-    static auto fallback() { return avx2Kernels().accumFpSpanExact; }
-};
-
-struct FpFp32Add : FpExactAdd
-{
-    /** The per-add binary32 round-trip of FpArith::Fp32. */
-    static Vec add(Vec p, Vec e)
-    {
-        return _mm512_cvtps_pd(_mm512_cvtpd_ps(_mm512_add_pd(p, e)));
-    }
-    static auto fallback() { return avx2Kernels().accumFpSpanFp32; }
-};
 
 /** Keys of 8 consecutive rows, zero-extended to permute indices. */
 inline __m512i
@@ -108,17 +60,14 @@ rowKeys(const std::uint32_t *k)
  * slab; keys are below lutStride, so the zeroed lanes are never
  * selected. At Cols = 4 the walk holds 4 key vectors and 4 x (2 table
  * + 4 accumulator) registers: 28 of the 32 zmm. Tail rows and wider
- * tables run the fallback kernel once per column.
+ * tables run the AVX2 kernel once per column.
  */
-template <class Op, std::size_t Cols>
+template <std::size_t Cols>
 void
-spanAvx512(typename Op::Elem *const *psum,
-           const typename Op::Elem *const *lut, std::size_t lutStride,
-           const std::uint32_t *keys, std::size_t keyStride,
-           std::size_t chunks, std::size_t n)
+spanAvx512(std::int64_t *const *psum, const std::int64_t *const *lut,
+           std::size_t lutStride, const std::uint32_t *keys,
+           std::size_t keyStride, std::size_t chunks, std::size_t n)
 {
-    using Vec = typename Op::Vec;
-    using Elem = typename Op::Elem;
     constexpr std::size_t kVecs = kBlockRows / 8;
     std::size_t r = 0;
     if (lutStride <= kRegTableEntries) {
@@ -127,12 +76,12 @@ spanAvx512(typename Op::Elem *const *psum,
         const __mmask8 hiMask = static_cast<__mmask8>(
             lutStride > 8 ? (1u << (lutStride - 8)) - 1u : 0u);
         for (; r + kBlockRows <= n; r += kBlockRows) {
-            Vec p[Cols][kVecs];
-            const Elem *l[Cols];
+            __m512i p[Cols][kVecs];
+            const std::int64_t *l[Cols];
             for (std::size_t j = 0; j < Cols; ++j) {
                 l[j] = lut[j];
                 for (std::size_t v = 0; v < kVecs; ++v)
-                    p[j][v] = Op::load(psum[j] + r + 8 * v);
+                    p[j][v] = _mm512_loadu_si512(psum[j] + r + 8 * v);
             }
             const std::uint32_t *k = keys + r;
             for (std::size_t c = 0; c < chunks; ++c) {
@@ -140,34 +89,37 @@ spanAvx512(typename Op::Elem *const *psum,
                 for (std::size_t v = 0; v < kVecs; ++v)
                     idx[v] = rowKeys(k + 8 * v);
                 for (std::size_t j = 0; j < Cols; ++j) {
-                    const Vec lo = Op::loadMasked(loMask, l[j]);
-                    const Vec hi = Op::loadMasked(hiMask, l[j] + 8);
+                    const __m512i lo =
+                        _mm512_maskz_loadu_epi64(loMask, l[j]);
+                    const __m512i hi =
+                        _mm512_maskz_loadu_epi64(hiMask, l[j] + 8);
                     for (std::size_t v = 0; v < kVecs; ++v)
-                        p[j][v] =
-                            Op::add(p[j][v], Op::lookup(lo, idx[v], hi));
+                        p[j][v] = _mm512_add_epi64(
+                            p[j][v],
+                            _mm512_permutex2var_epi64(lo, idx[v], hi));
                     l[j] += lutStride;
                 }
                 k += keyStride;
             }
             for (std::size_t j = 0; j < Cols; ++j)
                 for (std::size_t v = 0; v < kVecs; ++v)
-                    Op::store(psum[j] + r + 8 * v, p[j][v]);
+                    _mm512_storeu_si512(psum[j] + r + 8 * v, p[j][v]);
         }
     }
     if (r < n)
         for (std::size_t j = 0; j < Cols; ++j)
-            Op::fallback()(psum[j] + r, lut[j], lutStride, keys + r,
-                           keyStride, chunks, n - r);
+            avx2Kernels().accumIntSpan(psum[j] + r, lut[j], lutStride,
+                                       keys + r, keyStride, chunks, n - r);
 }
 
-/** The single-column span kernels: the Cols = 1 walk. */
-template <class Op>
+/** The single-column span kernel: the Cols = 1 walk. */
 void
-spanOneAvx512(typename Op::Elem *psum, const typename Op::Elem *lut,
-              std::size_t lutStride, const std::uint32_t *keys,
-              std::size_t keyStride, std::size_t chunks, std::size_t n)
+accumIntSpanAvx512(std::int64_t *psum, const std::int64_t *lut,
+                   std::size_t lutStride, const std::uint32_t *keys,
+                   std::size_t keyStride, std::size_t chunks,
+                   std::size_t n)
 {
-    spanAvx512<Op, 1>(&psum, &lut, lutStride, keys, keyStride, chunks, n);
+    spanAvx512<1>(&psum, &lut, lutStride, keys, keyStride, chunks, n);
 }
 
 void
@@ -180,20 +132,16 @@ accumIntSpanColsAvx512(std::int64_t *const *psum,
     static_assert(kSpanCols == 4, "one instantiation per block width");
     switch (cols) {
       case 1:
-          spanAvx512<IntAdd, 1>(psum, lut, lutStride, keys, keyStride,
-                                chunks, n);
+          spanAvx512<1>(psum, lut, lutStride, keys, keyStride, chunks, n);
           break;
       case 2:
-          spanAvx512<IntAdd, 2>(psum, lut, lutStride, keys, keyStride,
-                                chunks, n);
+          spanAvx512<2>(psum, lut, lutStride, keys, keyStride, chunks, n);
           break;
       case 3:
-          spanAvx512<IntAdd, 3>(psum, lut, lutStride, keys, keyStride,
-                                chunks, n);
+          spanAvx512<3>(psum, lut, lutStride, keys, keyStride, chunks, n);
           break;
       case 4:
-          spanAvx512<IntAdd, 4>(psum, lut, lutStride, keys, keyStride,
-                                chunks, n);
+          spanAvx512<4>(psum, lut, lutStride, keys, keyStride, chunks, n);
           break;
       default:
           break;
@@ -208,9 +156,7 @@ avx512Kernels()
     static const SimdKernels kernels = [] {
         SimdKernels k = avx2Kernels();
         k.isa = SimdIsa::Avx512;
-        k.accumFpSpanFp32 = spanOneAvx512<FpFp32Add>;
-        k.accumFpSpanExact = spanOneAvx512<FpExactAdd>;
-        k.accumIntSpan = spanOneAvx512<IntAdd>;
+        k.accumIntSpan = accumIntSpanAvx512;
         k.accumIntSpanCols = accumIntSpanColsAvx512;
         return k;
     }();

@@ -5,10 +5,8 @@
  * NEON is architecturally mandatory on aarch64, so unlike the AVX2
  * translation unit this one needs no extra -m flag — CMake only adds
  * it when targeting aarch64, and the dispatcher treats compiled-in as
- * executable. Lanes are 2 x double wide; the 4-logical-lane reduction
- * contract is implemented as two vector accumulators, and the
- * FpArith::Fp32 rounding is the FCVTN/FCVTL double<->float round-trip
- * (IEEE round-to-nearest-even, the same conversion fpRound() applies).
+ * executable. Lanes are 2 x double wide, and the 4-logical-lane
+ * reduction contract is implemented as two vector accumulators.
  * The piecewise-linear GELU kernel reuses the scalar implementation —
  * there is no NEON gather to vectorize the table reads with.
  */
@@ -46,85 +44,11 @@ void accumIntSpanColsEach(decltype(SimdKernels::accumIntSpan) span,
 namespace {
 
 /**
- * The span kernels keep two 2-lane vectors (4 rows) of partial sums
+ * The span kernel keeps two 2-lane vectors (4 rows) of partial sums
  * in registers across the whole chunk walk; LUT reads are staged
  * through a small array since NEON has no gather. Per-row order is
  * chunk-sequential exactly as in the scalar contract.
  */
-
-void
-accumFpSpanFp32Neon(double *psum, const double *lut,
-                    std::size_t lutStride, const std::uint32_t *keys,
-                    std::size_t keyStride, std::size_t chunks,
-                    std::size_t n)
-{
-    std::size_t r = 0;
-    for (; r + 4 <= n; r += 4) {
-        float64x2_t p0 = vld1q_f64(psum + r);
-        float64x2_t p1 = vld1q_f64(psum + r + 2);
-        const double *l = lut;
-        const std::uint32_t *k = keys + r;
-        for (std::size_t c = 0; c < chunks; ++c) {
-            const double s0[2] = {l[k[0]], l[k[1]]};
-            const double s1[2] = {l[k[2]], l[k[3]]};
-            p0 = vaddq_f64(p0, vld1q_f64(s0));
-            p1 = vaddq_f64(p1, vld1q_f64(s1));
-            p0 = vcvt_f64_f32(vcvt_f32_f64(p0));
-            p1 = vcvt_f64_f32(vcvt_f32_f64(p1));
-            l += lutStride;
-            k += keyStride;
-        }
-        vst1q_f64(psum + r, p0);
-        vst1q_f64(psum + r + 2, p1);
-    }
-    for (; r < n; ++r) {
-        double p = psum[r];
-        const double *l = lut;
-        const std::uint32_t *k = keys + r;
-        for (std::size_t c = 0; c < chunks; ++c) {
-            p = static_cast<double>(static_cast<float>(p + l[*k]));
-            l += lutStride;
-            k += keyStride;
-        }
-        psum[r] = p;
-    }
-}
-
-void
-accumFpSpanExactNeon(double *psum, const double *lut,
-                     std::size_t lutStride, const std::uint32_t *keys,
-                     std::size_t keyStride, std::size_t chunks,
-                     std::size_t n)
-{
-    std::size_t r = 0;
-    for (; r + 4 <= n; r += 4) {
-        float64x2_t p0 = vld1q_f64(psum + r);
-        float64x2_t p1 = vld1q_f64(psum + r + 2);
-        const double *l = lut;
-        const std::uint32_t *k = keys + r;
-        for (std::size_t c = 0; c < chunks; ++c) {
-            const double s0[2] = {l[k[0]], l[k[1]]};
-            const double s1[2] = {l[k[2]], l[k[3]]};
-            p0 = vaddq_f64(p0, vld1q_f64(s0));
-            p1 = vaddq_f64(p1, vld1q_f64(s1));
-            l += lutStride;
-            k += keyStride;
-        }
-        vst1q_f64(psum + r, p0);
-        vst1q_f64(psum + r + 2, p1);
-    }
-    for (; r < n; ++r) {
-        double p = psum[r];
-        const double *l = lut;
-        const std::uint32_t *k = keys + r;
-        for (std::size_t c = 0; c < chunks; ++c) {
-            p = p + l[*k];
-            l += lutStride;
-            k += keyStride;
-        }
-        psum[r] = p;
-    }
-}
 
 void
 accumIntSpanNeon(std::int64_t *psum, const std::int64_t *lut,
@@ -274,8 +198,7 @@ normalizeFlatNeon(double *out, const double *v, double mean,
 }
 
 const SimdKernels kNeonKernels = {
-    SimdIsa::Neon,          accumFpSpanFp32Neon,
-    accumFpSpanExactNeon,   accumIntSpanNeon,
+    SimdIsa::Neon,          accumIntSpanNeon,
     accumIntSpanColsNeon,   foldIntPlaneFp32Scalar,
     foldOffsetFp32Scalar,   addFlatNeon,
     divFlatNeon,            maxFlatNeon,

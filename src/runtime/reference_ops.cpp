@@ -139,83 +139,6 @@ referenceResidualAdd(const MatrixD &a, const MatrixD &b)
     return out;
 }
 
-MatrixD
-referenceDecodeAttention(const MatrixD &q,
-                         const std::vector<MatrixD> &kSteps,
-                         const std::vector<MatrixD> &vSteps,
-                         std::size_t heads)
-{
-    const std::size_t batch = q.cols();
-    if (vSteps.size() != kSteps.size())
-        fatal("attention K/V cache length mismatch: ", kSteps.size(),
-              " vs ", vSteps.size());
-    // Lock-step contract: every snapshot is exactly batch wide (the
-    // ragged path below only requires the attended column to exist).
-    for (std::size_t t = 0; t < kSteps.size(); ++t)
-        if (kSteps[t].cols() != batch || vSteps[t].cols() != batch)
-            fatal("attention cache step ", t, " width mismatch: ",
-                  kSteps[t].cols(), "/", vSteps[t].cols(), " vs batch ",
-                  batch);
-    std::vector<KvColumn> kv(batch);
-    for (std::size_t b = 0; b < batch; ++b)
-        kv[b] = KvColumn{&kSteps, &vSteps, b, kSteps.size()};
-    return referenceDecodeAttention(q, kv, heads);
-}
-
-MatrixD
-referenceDecodeAttention(const MatrixD &q,
-                         const std::vector<KvColumn> &kv,
-                         std::size_t heads)
-{
-    const std::size_t h = q.rows();
-    const std::size_t batch = q.cols();
-    if (heads == 0 || h % heads != 0)
-        fatal("attention needs hidden divisible by heads, got ", h,
-              " / ", heads);
-    if (kv.size() != batch)
-        fatal("attention needs one KV history per query column, got ",
-              kv.size(), " for ", batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-        const KvColumn &col = kv[b];
-        if (col.kSteps == nullptr || col.vSteps == nullptr)
-            fatal("attention KV history ", b, " has no snapshots");
-        if (col.length == 0)
-            fatal("attention KV history ", b,
-                  " needs at least one cached step");
-        if (col.length > col.kSteps->size() ||
-            col.length > col.vSteps->size())
-            fatal("attention KV history ", b, " length ", col.length,
-                  " exceeds cached steps ", col.kSteps->size(), "/",
-                  col.vSteps->size());
-        for (std::size_t t = 0; t < col.length; ++t) {
-            const MatrixD &k = (*col.kSteps)[t];
-            const MatrixD &v = (*col.vSteps)[t];
-            if (k.rows() != h || v.rows() != h ||
-                col.column >= k.cols() || col.column >= v.cols())
-                fatal("attention KV history ", b, " step ", t,
-                      " shape mismatch");
-        }
-    }
-
-    // Convert each matrix column to strided token views and run the
-    // shared arithmetic core: element (r0 + d, c) of a row-major h x B
-    // snapshot is data()[(r0 + d) * B + c], i.e. a column pointer with
-    // stride B — the exact doubles the loop read before the paged
-    // arena introduced the KvTokenRef layer.
-    std::vector<std::vector<KvTokenRef>> views(batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-        const KvColumn &col = kv[b];
-        views[b].resize(col.length);
-        for (std::size_t t = 0; t < col.length; ++t) {
-            const MatrixD &k = (*col.kSteps)[t];
-            const MatrixD &v = (*col.vSteps)[t];
-            views[b][t] = KvTokenRef{k.data() + col.column,
-                                     v.data() + col.column, k.cols()};
-        }
-    }
-    return referenceDecodeAttention(q, views, heads);
-}
-
 namespace {
 
 /**

@@ -55,49 +55,6 @@ MatrixD referenceGeluLut(const MatrixD &x);
 MatrixD referenceResidualAdd(const MatrixD &a, const MatrixD &b);
 
 /**
- * Decode-phase multi-head attention over per-step KV snapshots.
- *
- * q is h x B (one query column per sequence in the batch); kSteps and
- * vSteps hold one h x B matrix per cached decode step, oldest first.
- * For every batch column and head, scores over the T cached steps are
- * scaled dot products (1/sqrt(headDim)), softmaxed, and used to blend
- * the cached V columns. Returns h x B.
- */
-MatrixD referenceDecodeAttention(const MatrixD &q,
-                                 const std::vector<MatrixD> &kSteps,
-                                 const std::vector<MatrixD> &vSteps,
-                                 std::size_t heads);
-
-/**
- * One query column's KV history for the ragged-batch attention below:
- * which column of which per-step K/V snapshots to attend over, and
- * over how many steps. The snapshot vectors are borrowed — the caller
- * keeps them alive for the duration of the attention call.
- */
-struct KvColumn
-{
-    const std::vector<MatrixD> *kSteps = nullptr;
-    const std::vector<MatrixD> *vSteps = nullptr;
-    /** Column within each snapshot matrix. */
-    std::size_t column = 0;
-    /** Cached steps to attend over (a prefix of the snapshots). */
-    std::size_t length = 0;
-};
-
-/**
- * Ragged-batch decode attention: column b of q attends over its own
- * KV history kv[b], so every column may have a different context
- * length — the serve Engine's fused step over requests of different
- * ages. Per column the arithmetic (scaled dot products, softmax,
- * V blend, all in this exact order) is identical to the lock-step
- * overload above, which delegates here; a column with a batch-1
- * history is therefore bit-identical to a batch-1 lock-step call.
- */
-MatrixD referenceDecodeAttention(const MatrixD &q,
-                                 const std::vector<KvColumn> &kv,
-                                 std::size_t heads);
-
-/**
  * One cached token's K/V as raw strided views — the storage-agnostic
  * attention input. Element d of K is k[d * stride] (likewise V):
  * stride 1 for the paged-arena slab layout, the snapshot width for a
@@ -152,13 +109,13 @@ MatrixD referenceChunkAttention(const MatrixD &q,
 
 /**
  * Ragged-batch decode attention over raw token views: kv[b] holds
- * column b's cached tokens, oldest first. An adapter onto
- * referenceChunkAttention: column b + 1 joins column b's span when
- * its view is column b's view plus one token, compared ref by ref;
- * otherwise it starts a span of its own. The KvColumn overload above
- * converts its matrix columns to strided views and delegates here, so
- * a paged-arena read (stride 1) is bit-identical to the contiguous
- * KvCache read (stride = snapshot width).
+ * column b's cached tokens, oldest first, so every column may have a
+ * different context length. An adapter onto referenceChunkAttention:
+ * column b + 1 joins column b's span when its view is column b's view
+ * plus one token, compared ref by ref; otherwise it starts a span of
+ * its own. Every column needs at least one token. A paged-arena read
+ * (stride 1) is bit-identical to a read of the same doubles through
+ * KvCache columns (stride = snapshot width).
  */
 MatrixD
 referenceDecodeAttention(const MatrixD &q,

@@ -64,27 +64,6 @@ scaleCounters(const LutGemmCounters &share, std::size_t columns)
     return scaled;
 }
 
-bool
-countersEqual(const LutGemmCounters &a, const LutGemmCounters &b)
-{
-    return a.lutGenerations == b.lutGenerations &&
-           a.generatorAdds == b.generatorAdds &&
-           a.lutReads == b.lutReads &&
-           a.racAccumulates == b.racAccumulates &&
-           a.scaleMuls == b.scaleMuls && a.offsetOps == b.offsetOps;
-}
-
-void
-accumulate(LutGemmCounters &into, const LutGemmCounters &add)
-{
-    into.lutGenerations += add.lutGenerations;
-    into.generatorAdds += add.generatorAdds;
-    into.lutReads += add.lutReads;
-    into.racAccumulates += add.racAccumulates;
-    into.scaleMuls += add.scaleMuls;
-    into.offsetOps += add.offsetOps;
-}
-
 Status
 validateEngineConfig(const OptConfig &model, const EngineOptions &options)
 {
@@ -471,8 +450,8 @@ Engine::step()
         const PlannedWork &pw = plan.work[w];
         Request &req = *live[w];
         const LutGemmCounters reqShare = scaleCounters(share, pw.columns);
-        accumulate(req.stats.counters, reqShare);
-        accumulate(reassembled, reqShare);
+        req.stats.counters += reqShare;
+        reassembled += reqShare;
         req.stats.gemmCalls += stats.gemmCalls;
         req.stats.decodeSeconds += stats.seconds;
         if (pw.prefill) {
@@ -494,7 +473,7 @@ Engine::step()
         }
         base += pw.columns;
     }
-    FIGLUT_ASSERT(countersEqual(reassembled, stats.counters),
+    FIGLUT_ASSERT(reassembled == stats.counters,
                   "token-weighted counter shares did not reassemble to ",
                   "the fused-step total");
     for (const RequestId id : plan.retiredIds)

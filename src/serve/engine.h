@@ -198,7 +198,7 @@ struct StepStats
     std::vector<std::size_t> columnContexts;
     /** Requests shed terminally by the reservation pass this step. */
     std::vector<RequestId> shedIds;
-    /** Requests evicted (Preempted, re-queued) this step. */
+    /** Requests evicted (KV released, re-queued) this step. */
     std::vector<RequestId> evictedIds;
     /** Requests dropped by the deadline sweep this step. */
     std::vector<RequestId> deadlineIds;

@@ -11,7 +11,6 @@ requestStateName(RequestState state)
       case RequestState::Active: return "active";
       case RequestState::Finished: return "finished";
       case RequestState::Cancelled: return "cancelled";
-      case RequestState::Preempted: return "preempted";
       case RequestState::Shed: return "shed";
       case RequestState::DeadlineExceeded: return "deadline-exceeded";
     }
@@ -24,7 +23,6 @@ requestStateTerminal(RequestState state)
     switch (state) {
       case RequestState::Queued:
       case RequestState::Active:
-      case RequestState::Preempted:
         return false;
       case RequestState::Finished:
       case RequestState::Cancelled:

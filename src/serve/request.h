@@ -15,8 +15,9 @@
  *                               \-> Cancelled (client, pre-Finished)
  *                               \-> Shed (memory pressure, terminal)
  *                               \-> DeadlineExceeded (terminal)
- * The Queued <-> Active back edge is Preempted: an eviction releases
- * the request's KV and re-queues it for a from-scratch restart.
+ * The Active -> Queued back edge is an eviction: it releases the
+ * request's KV and re-queues it, still Queued, for a from-scratch
+ * restart (counted in RequestStats::preemptions).
  */
 
 #ifndef FIGLUT_SERVE_REQUEST_H
@@ -81,9 +82,6 @@ enum class RequestState
     Active,    ///< participating in fused decode steps
     Finished,  ///< reached its token budget; record kept for poll()
     Cancelled, ///< cancelled by the client; record kept for poll()
-    /** Evicted under memory pressure (EvictLongestIdle): KV released,
-     *  re-queued for a from-scratch restart. Not terminal. */
-    Preempted,
     /** Dropped under memory pressure (terminal, ResourceExhausted). */
     Shed,
     /** Dropped past its deadline (terminal, DeadlineExceeded). */

@@ -95,8 +95,8 @@ struct SchedulerOptions
 /** One request's scheduling state. */
 struct ScheduleEntry
 {
-    /** Queued or Active while live; the terminal state after. Never
-     *  Preempted: an eviction leaves the entry Queued. */
+    /** Queued or Active while live; the terminal state after. An
+     *  eviction leaves the entry Queued. */
     RequestState state = RequestState::Queued;
     /** Budget (maxTokens, 0 = unbounded), promptTokens and deadlineS
      *  are read; seed is kept for the executor. */

@@ -43,7 +43,6 @@ TEST(Status, ErrorFactoriesCarryCodeAndStreamedMessage)
     EXPECT_EQ(Status::deadlineExceeded("x").code(),
               StatusCode::DeadlineExceeded);
     EXPECT_EQ(Status::cancelled("x").code(), StatusCode::Cancelled);
-    EXPECT_EQ(Status::preempted("x").code(), StatusCode::Preempted);
 }
 
 TEST(Status, CodeNamesAreStable)
@@ -59,7 +58,6 @@ TEST(Status, CodeNamesAreStable)
     EXPECT_STREQ(statusCodeName(StatusCode::DeadlineExceeded),
                  "DEADLINE_EXCEEDED");
     EXPECT_STREQ(statusCodeName(StatusCode::Cancelled), "CANCELLED");
-    EXPECT_STREQ(statusCodeName(StatusCode::Preempted), "PREEMPTED");
 }
 
 TEST(Result, HoldsValueOnSuccess)

@@ -132,8 +132,7 @@ TEST(ExecutionContext, SharedContextMatchesFreshResourcesAllBackends)
                 EXPECT_EQ(yRef, yCtx)
                     << "backend=" << static_cast<int>(backend)
                     << " pre=" << pre << " call=" << call;
-                EXPECT_EQ(fresh.lutReads, shared.lutReads);
-                EXPECT_EQ(fresh.lutGenerations, shared.lutGenerations);
+                EXPECT_EQ(fresh, shared);
 
                 const auto sRef = lutGemm(small, xSmall, cfg);
                 const auto sCtx =

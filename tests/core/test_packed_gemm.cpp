@@ -52,18 +52,6 @@ runBackend(const GemmCase &tc, LutGemmConfig cfg, LutGemmBackend backend,
     return lutGemm(tc.weights, tc.x, cfg, counters);
 }
 
-void
-expectCountersEqual(const LutGemmCounters &a, const LutGemmCounters &b,
-                    const std::string &what)
-{
-    EXPECT_EQ(a.lutGenerations, b.lutGenerations) << what;
-    EXPECT_EQ(a.generatorAdds, b.generatorAdds) << what;
-    EXPECT_EQ(a.lutReads, b.lutReads) << what;
-    EXPECT_EQ(a.racAccumulates, b.racAccumulates) << what;
-    EXPECT_EQ(a.scaleMuls, b.scaleMuls) << what;
-    EXPECT_EQ(a.offsetOps, b.offsetOps) << what;
-}
-
 TEST(LutGemmPacked, BitIdenticalToReferenceBothPaths)
 {
     const auto tc = makeCase(32, 64, 3, 3, 16, true, 1001);
@@ -208,12 +196,10 @@ TEST(LutGemmCounters, ClosedFormMatchesInstrumentedRandomized)
             (void)runBackend(tc, cfg, backend, &closed);
             cfg.instrument = true;
             (void)runBackend(tc, cfg, backend, &instrumented);
-            expectCountersEqual(
-                closed, instrumented,
-                "trial " + std::to_string(trial) + " backend " +
-                    std::to_string(static_cast<int>(backend)) + " mu " +
-                    std::to_string(cfg.mu) + " blockRows " +
-                    std::to_string(cfg.blockRows));
+            EXPECT_EQ(closed, instrumented)
+                << "trial " << trial << " backend "
+                << static_cast<int>(backend) << " mu " << cfg.mu
+                << " blockRows " << cfg.blockRows;
         }
     }
 }
@@ -235,13 +221,8 @@ TEST(LutGemmCounters, PackedBuildsEachLutSetExactlyOnce)
 
     // 64 cols / mu 4 = 16 chunks, 2 columns -> 32 sets.
     EXPECT_EQ(ref.lutGenerations, 32u);
-    EXPECT_EQ(packed.lutGenerations, ref.lutGenerations);
-    EXPECT_EQ(packed.generatorAdds, ref.generatorAdds);
-    // Row-space work is traversal-invariant.
-    EXPECT_EQ(packed.lutReads, ref.lutReads);
-    EXPECT_EQ(packed.racAccumulates, ref.racAccumulates);
-    EXPECT_EQ(packed.scaleMuls, ref.scaleMuls);
-    EXPECT_EQ(packed.offsetOps, ref.offsetOps);
+    // Row-space work is traversal-invariant too.
+    EXPECT_EQ(packed, ref);
 }
 
 /**
@@ -313,7 +294,7 @@ TEST(LutGemmPacked, EngineNumericsPlumbsPackedBackend)
                                      " pre=" + std::to_string(pre);
             EXPECT_TRUE(compareMatrices(a, b).identical) << what;
             EXPECT_GT(packedCnt.lutReads, 0u) << what;
-            expectCountersEqual(packedCnt, refCnt, what);
+            EXPECT_EQ(packedCnt, refCnt) << what;
         }
     }
 }

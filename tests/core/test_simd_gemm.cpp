@@ -63,18 +63,6 @@ runBackend(const GemmCase &tc, LutGemmConfig cfg, LutGemmBackend backend,
     return lutGemm(tc.weights, tc.x, cfg, counters);
 }
 
-void
-expectCountersEqual(const LutGemmCounters &a, const LutGemmCounters &b,
-                    const std::string &what)
-{
-    EXPECT_EQ(a.lutGenerations, b.lutGenerations) << what;
-    EXPECT_EQ(a.generatorAdds, b.generatorAdds) << what;
-    EXPECT_EQ(a.lutReads, b.lutReads) << what;
-    EXPECT_EQ(a.racAccumulates, b.racAccumulates) << what;
-    EXPECT_EQ(a.scaleMuls, b.scaleMuls) << what;
-    EXPECT_EQ(a.offsetOps, b.offsetOps) << what;
-}
-
 /** Every non-scalar ISA; loops skip the ones this binary/host lacks. */
 const SimdIsa kVectorIsas[] = {SimdIsa::Avx2, SimdIsa::Neon,
                                SimdIsa::Avx512};
@@ -236,15 +224,10 @@ TEST(SimdSpanKernels, EveryIsaMatchesScalarTable)
             continue;
         const SimdKernels &vec = simdKernelsFor(isa);
         ASSERT_EQ(vec.isa, isa);
-        using FpSpan = decltype(SimdKernels::accumFpSpanExact);
-        const FpSpan scalarFp[] = {scalar.accumFpSpanFp32,
-                                   scalar.accumFpSpanExact};
-        const FpSpan vecFp[] = {vec.accumFpSpanFp32, vec.accumFpSpanExact};
         for (int mu = 1; mu <= kMaxMu; ++mu) {
             const std::size_t lutStride = std::size_t{1} << mu;
             for (const std::size_t chunks : {0, 1, 2, 33}) {
                 GuardPagedArray<std::int64_t> intLut(chunks * lutStride);
-                GuardPagedArray<double> fpLut(chunks * lutStride);
                 const bool multiCol = mu <= 5;
                 std::vector<std::unique_ptr<GuardPagedArray<std::int64_t>>>
                     colLuts;
@@ -258,13 +241,9 @@ TEST(SimdSpanKernels, EveryIsaMatchesScalarTable)
                             -(int64_t{1} << 40), int64_t{1} << 40);
                     colLut[j] = colLuts.back()->data();
                 }
-                for (std::size_t e = 0; e < intLut.size(); ++e) {
+                for (std::size_t e = 0; e < intLut.size(); ++e)
                     intLut[e] = rng.uniformInt(-(int64_t{1} << 40),
                                                int64_t{1} << 40);
-                    fpLut[e] = rng.normal() *
-                               std::ldexp(1.0, static_cast<int>(
-                                                   rng.uniformInt(-8, 8)));
-                }
                 for (std::size_t n = 0; n <= 70; ++n) {
                     for (const std::size_t keyStride : {n, n + 5}) {
                         std::vector<std::uint32_t> keys(
@@ -274,11 +253,8 @@ TEST(SimdSpanKernels, EveryIsaMatchesScalarTable)
                             k = static_cast<std::uint32_t>(rng.uniformInt(
                                 0, static_cast<int64_t>(lutStride) - 1));
                         std::vector<std::int64_t> intSeed(n);
-                        std::vector<double> fpSeed(n);
-                        for (std::size_t r = 0; r < n; ++r) {
-                            intSeed[r] = rng.uniformInt(-1000000, 1000000);
-                            fpSeed[r] = rng.normal() * 100.0;
-                        }
+                        for (auto &v : intSeed)
+                            v = rng.uniformInt(-1000000, 1000000);
                         const std::string what =
                             std::string(simdIsaName(isa)) +
                             " mu=" + std::to_string(mu) +
@@ -295,17 +271,6 @@ TEST(SimdSpanKernels, EveryIsaMatchesScalarTable)
                                          chunks, n);
                         EXPECT_EQ(firstBitMismatch(got, want), n)
                             << "int " << what;
-
-                        for (std::size_t f = 0; f < 2; ++f) {
-                            auto fpWant = fpSeed, fpGot = fpSeed;
-                            scalarFp[f](fpWant.data(), fpLut.data(),
-                                        lutStride, keys.data(), keyStride,
-                                        chunks, n);
-                            vecFp[f](fpGot.data(), fpLut.data(), lutStride,
-                                     keys.data(), keyStride, chunks, n);
-                            EXPECT_EQ(firstBitMismatch(fpGot, fpWant), n)
-                                << (f == 0 ? "fp32 " : "exact ") << what;
-                        }
 
                         if (!multiCol)
                             continue;
@@ -460,7 +425,7 @@ TEST(SimdEpilogue, EveryIsaMatchesScalarTable)
  * The randomized Reference-vs-Simd differential suite: odd shapes,
  * tail chunks, mu in [1, kMaxMu], offset/half-LUT/generator on/off,
  * both numeric paths, every activation format, every FpArith
- * accumulate mode (Fp16/Bf16 take the scalar chunk walk), 1-8
+ * accumulate mode (the FP path takes the scalar chunk walk), 1-8
  * workers over 1-72-row tiles, and instrument on/off (instrumented
  * calls take the scalar counting walk). Every uninstrumented Simd
  * call runs once per supported ISA, Scalar included, and all of them
@@ -582,7 +547,7 @@ TEST(SimdGemm, ForcedIsaSweepIsBitIdentical)
                 makeCase(in.m, 70, batch, 3, in.group, true, in.seed);
             // FP32 activations make the FP path's Fp32 accumulate round
             // (the FP16 sums of this input fit binary32 exactly), so a
-            // Simd call running the Exact span kernel for Fp32 shows
+            // Simd call that skips the per-add binary32 rounding shows
             // here.
             for (const auto act : {ActFormat::FP16, ActFormat::FP32}) {
                 for (const bool pre : {false, true}) {
@@ -750,9 +715,9 @@ TEST(SimdGemm, CountersMatchInstrumentedAndPacked)
                       packLutKeys(tc.weights, cfg.mu), &packed);
         cfg.instrument = true;
         (void)runBackend(tc, cfg, LutGemmBackend::Simd, &instrumented);
-        expectCountersEqual(closed, instrumented, what + " instrumented");
-        expectCountersEqual(closed, packed, what + " pre-packed");
-        expectCountersEqual(closed, ref, what + " vs reference");
+        EXPECT_EQ(closed, instrumented) << what << " instrumented";
+        EXPECT_EQ(closed, packed) << what << " pre-packed";
+        EXPECT_EQ(closed, ref) << what << " vs reference";
     }
 }
 

@@ -5,7 +5,8 @@
  * tests: one scalar dot chain per (column, head, token), a softmax per
  * column, then the V blend into a zeroed output, through the
  * bounds-checked MatrixD accessors. kv[b] is column b's full causal
- * view, oldest token first.
+ * view, oldest token first. snapshotColumnViews builds such views
+ * over a KvCache's per-step snapshots.
  */
 
 #ifndef FIGLUT_TESTS_RUNTIME_ATTENTION_ORACLE_H
@@ -52,6 +53,23 @@ perColumnAttentionOracle(const MatrixD &q,
         }
     }
     return out;
+}
+
+/**
+ * Column `column` of per-step h x B K/V snapshots (a KvCache layer,
+ * oldest first) as strided token views: element (r, column) of a
+ * row-major snapshot is data()[r * B + column].
+ */
+inline std::vector<KvTokenRef>
+snapshotColumnViews(const std::vector<MatrixD> &kSteps,
+                    const std::vector<MatrixD> &vSteps, std::size_t column)
+{
+    std::vector<KvTokenRef> refs;
+    for (std::size_t t = 0; t < kSteps.size(); ++t)
+        refs.push_back(KvTokenRef{kSteps[t].data() + column,
+                                  vSteps[t].data() + column,
+                                  kSteps[t].cols()});
+    return refs;
 }
 
 } // namespace figlut

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "attention_oracle.h"
 #include "common/rng.h"
 #include "runtime/kv_arena.h"
 #include "runtime/kv_cache.h"
@@ -89,17 +90,15 @@ TEST(KvArena, DifferentialAgainstKvCacheAcrossBlockSizes)
         // over the contiguous oracle, bit for bit, on every layer.
         const MatrixD q = randomMatrix(hidden, 4, rng);
         for (std::size_t l = 0; l < layers; ++l) {
-            std::vector<std::vector<KvTokenRef>> views(4);
-            std::vector<KvColumn> columns(4);
+            std::vector<std::vector<KvTokenRef>> views(4), oracleViews;
             for (std::size_t s = 0; s < 4; ++s) {
                 arena.tokenRefs(seqs[s], l, views[s]);
                 ASSERT_EQ(views[s].size(), lengths[s]);
-                columns[s] = KvColumn{&oracles[s].keys(l),
-                                      &oracles[s].values(l), 0,
-                                      lengths[s]};
+                oracleViews.push_back(snapshotColumnViews(
+                    oracles[s].keys(l), oracles[s].values(l), 0));
             }
             EXPECT_EQ(referenceDecodeAttention(q, views, heads),
-                      referenceDecodeAttention(q, columns, heads))
+                      referenceDecodeAttention(q, oracleViews, heads))
                 << "blockTokens " << blockTokens << " layer " << l;
         }
     }

@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the per-sequence KvCache and the ragged decode attention
- * it feeds: the ragged overload must be bit-identical, per column, to
- * the lock-step overload over that column's history — the property the
- * serve Engine's fused step rests on — and to the column-at-a-time
- * oracle however its views group into chunk-causal spans.
+ * Tests for the per-sequence KvCache and for ragged decode attention
+ * over token views: each column must be bit-identical to the
+ * column-at-a-time oracle over its own history, however the views
+ * group into chunk-causal spans — the property the serve Engine's
+ * fused step rests on.
  */
 
 #include <gtest/gtest.h>
@@ -83,63 +83,6 @@ TEST(KvCache, RejectsMalformedUse)
     EXPECT_THROW(cache.values(1), FatalError);
 }
 
-TEST(RaggedAttention, MatchesLockStepPerColumn)
-{
-    // Three columns with histories of different ages; each column of
-    // the ragged result must equal a batch-1 lock-step call over that
-    // column's own history, bit for bit.
-    const std::size_t h = 8, heads = 2;
-    Rng rng(11);
-    const MatrixD q = randomMatrix(h, 3, rng);
-
-    std::vector<std::vector<MatrixD>> kSteps(3), vSteps(3);
-    const std::size_t lengths[3] = {1, 3, 2};
-    for (std::size_t c = 0; c < 3; ++c) {
-        for (std::size_t t = 0; t < lengths[c]; ++t) {
-            kSteps[c].push_back(randomMatrix(h, 1, rng));
-            vSteps[c].push_back(randomMatrix(h, 1, rng));
-        }
-    }
-
-    std::vector<KvColumn> kv(3);
-    for (std::size_t c = 0; c < 3; ++c)
-        kv[c] = KvColumn{&kSteps[c], &vSteps[c], 0, lengths[c]};
-    const MatrixD ragged = referenceDecodeAttention(q, kv, heads);
-    ASSERT_EQ(ragged.rows(), h);
-    ASSERT_EQ(ragged.cols(), 3u);
-
-    for (std::size_t c = 0; c < 3; ++c) {
-        MatrixD qc(h, 1);
-        for (std::size_t r = 0; r < h; ++r)
-            qc(r, 0) = q(r, c);
-        const MatrixD solo =
-            referenceDecodeAttention(qc, kSteps[c], vSteps[c], heads);
-        for (std::size_t r = 0; r < h; ++r)
-            EXPECT_EQ(ragged(r, c), solo(r, 0)) << "col " << c;
-    }
-}
-
-TEST(RaggedAttention, LockStepOverloadIsTheUniformSpecialCase)
-{
-    // The historical lock-step overload (batch-wide snapshots) now
-    // delegates to the ragged one; cross-check against explicit
-    // uniform views into the same snapshots.
-    const std::size_t h = 8, heads = 4, batch = 2, steps = 3;
-    Rng rng(13);
-    const MatrixD q = randomMatrix(h, batch, rng);
-    std::vector<MatrixD> kSteps, vSteps;
-    for (std::size_t t = 0; t < steps; ++t) {
-        kSteps.push_back(randomMatrix(h, batch, rng));
-        vSteps.push_back(randomMatrix(h, batch, rng));
-    }
-    const MatrixD uniform =
-        referenceDecodeAttention(q, kSteps, vSteps, heads);
-    std::vector<KvColumn> kv(batch);
-    for (std::size_t b = 0; b < batch; ++b)
-        kv[b] = KvColumn{&kSteps, &vSteps, b, steps};
-    EXPECT_EQ(uniform, referenceDecodeAttention(q, kv, heads));
-}
-
 /** Stride-1 token refs over random [k | v] rows, like arena slots. */
 std::vector<KvTokenRef>
 randomTokens(std::size_t count, std::size_t h,
@@ -211,37 +154,21 @@ TEST(RaggedAttention, RejectsMalformedViews)
     const std::size_t h = 4;
     Rng rng(17);
     const MatrixD q = randomMatrix(h, 1, rng);
-    std::vector<MatrixD> kSteps{randomMatrix(h, 1, rng)};
-    std::vector<MatrixD> vSteps{randomMatrix(h, 1, rng)};
+    std::vector<std::vector<double>> storage;
+    const std::vector<KvTokenRef> refs = randomTokens(4, h, storage, rng);
 
     // One view per column, exactly.
-    EXPECT_THROW(referenceDecodeAttention(q, std::vector<KvColumn>{}, 2),
+    EXPECT_THROW(referenceDecodeAttention(
+                     q, std::vector<std::vector<KvTokenRef>>{}, 2),
                  FatalError);
+    EXPECT_THROW(referenceDecodeAttention(q, {refs, refs}, 2), FatalError);
     // Empty history.
-    EXPECT_THROW(referenceDecodeAttention(
-                     q, {KvColumn{&kSteps, &vSteps, 0, 0}}, 2),
-                 FatalError);
-    // Length beyond the cached steps.
-    EXPECT_THROW(referenceDecodeAttention(
-                     q, {KvColumn{&kSteps, &vSteps, 0, 2}}, 2),
-                 FatalError);
-    // Column beyond the snapshot width.
-    EXPECT_THROW(referenceDecodeAttention(
-                     q, {KvColumn{&kSteps, &vSteps, 1, 1}}, 2),
-                 FatalError);
-
-    // The lock-step overload keeps its exact-width contract: cache
-    // snapshots wider than the query batch are a caller bug, not a
-    // prefix to attend silently.
-    std::vector<MatrixD> wideK{randomMatrix(h, 2, rng)};
-    std::vector<MatrixD> wideV{randomMatrix(h, 2, rng)};
-    EXPECT_THROW(referenceDecodeAttention(q, wideK, wideV, 2),
-                 FatalError);
+    EXPECT_THROW(
+        referenceDecodeAttention(q, {std::vector<KvTokenRef>{}}, 2),
+        FatalError);
 
     // Chunk-causal spans: they must cover q's columns in order, each
     // once, with a token per column and real storage.
-    std::vector<std::vector<double>> storage;
-    const std::vector<KvTokenRef> refs = randomTokens(4, h, storage, rng);
     const MatrixD q3 = randomMatrix(h, 3, rng);
     const auto span = [&](std::size_t first, std::size_t columns,
                           std::size_t tokens) {

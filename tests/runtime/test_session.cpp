@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "attention_oracle.h"
 #include "common/rng.h"
 #include "model/workload.h"
 #include "runtime/reference_ops.h"
@@ -34,8 +35,8 @@ tinyConfig(std::size_t hidden, std::size_t layers, std::size_t heads,
 /**
  * Hand-rolled decode step over the session's own quantized weights:
  * per-layer Reference-backend lutGemm calls (no ExecutionContext, no
- * pre-packed keys) chained with the reference vector ops, maintaining
- * its own KV cache. This is the per-call building-block style every
+ * pre-packed keys) chained with the reference vector ops and the
+ * column-at-a-time attention oracle, maintaining its own KV cache. This is the per-call building-block style every
  * example used before Session existed.
  */
 MatrixD
@@ -67,8 +68,11 @@ handRolledStep(const QuantizedModel &qm, const SessionOptions &so,
         }
         kCache[l].push_back(std::move(k));
         vCache[l].push_back(std::move(v));
+        std::vector<std::vector<KvTokenRef>> views;
+        for (std::size_t b = 0; b < batch; ++b)
+            views.push_back(snapshotColumnViews(kCache[l], vCache[l], b));
         const MatrixD attn =
-            referenceDecodeAttention(q, kCache[l], vCache[l], model.heads);
+            perColumnAttentionOracle(q, views, model.heads);
         MatrixD proj = lutGemm(layer.attnOut, attn, cfg);
         x = referenceResidualAdd(x, proj);
         ln = referenceLayerNorm(x);

@@ -45,17 +45,6 @@ tinyEngineOptions()
     return opts;
 }
 
-void
-expectCountersEqual(const LutGemmCounters &a, const LutGemmCounters &b)
-{
-    EXPECT_EQ(a.lutGenerations, b.lutGenerations);
-    EXPECT_EQ(a.generatorAdds, b.generatorAdds);
-    EXPECT_EQ(a.lutReads, b.lutReads);
-    EXPECT_EQ(a.racAccumulates, b.racAccumulates);
-    EXPECT_EQ(a.scaleMuls, b.scaleMuls);
-    EXPECT_EQ(a.offsetOps, b.offsetOps);
-}
-
 /**
  * The tentpole differential: one Engine serving N requests of
  * different ages (ragged budgets, one submitted mid-flight so it waits
@@ -91,12 +80,7 @@ TEST(Engine, MatchesIndependentBatch1Sessions)
             const auto r = session.runDecodeStep(hidden);
             hidden = r.hidden;
             refHidden[i].push_back(hidden);
-            refCounters[i].lutGenerations += r.counters.lutGenerations;
-            refCounters[i].generatorAdds += r.counters.generatorAdds;
-            refCounters[i].lutReads += r.counters.lutReads;
-            refCounters[i].racAccumulates += r.counters.racAccumulates;
-            refCounters[i].scaleMuls += r.counters.scaleMuls;
-            refCounters[i].offsetOps += r.counters.offsetOps;
+            refCounters[i] += r.counters;
         }
         refKv.push_back(session.kv(0));
     }
@@ -154,7 +138,7 @@ TEST(Engine, MatchesIndependentBatch1Sessions)
         EXPECT_EQ(snap.value().stats.tokensDecoded, budgets[i]);
         EXPECT_EQ(snap.value().stats.gemmCalls,
                   budgets[i] * 4 * model.layers);
-        expectCountersEqual(snap.value().stats.counters, refCounters[i]);
+        EXPECT_EQ(snap.value().stats.counters, refCounters[i]);
         EXPECT_GT(snap.value().stats.decodeSeconds, 0.0);
         const auto kv = engine.kvHistory(ids[i]);
         ASSERT_TRUE(kv.ok());

@@ -52,28 +52,6 @@ blockBytesFor(const OptConfig &model, std::size_t blockTokens)
     return blockTokens * 2 * model.hidden * sizeof(double);
 }
 
-void
-expectCountersEqual(const LutGemmCounters &a, const LutGemmCounters &b)
-{
-    EXPECT_EQ(a.lutGenerations, b.lutGenerations);
-    EXPECT_EQ(a.generatorAdds, b.generatorAdds);
-    EXPECT_EQ(a.lutReads, b.lutReads);
-    EXPECT_EQ(a.racAccumulates, b.racAccumulates);
-    EXPECT_EQ(a.scaleMuls, b.scaleMuls);
-    EXPECT_EQ(a.offsetOps, b.offsetOps);
-}
-
-void
-addCounters(LutGemmCounters &into, const LutGemmCounters &from)
-{
-    into.lutGenerations += from.lutGenerations;
-    into.generatorAdds += from.generatorAdds;
-    into.lutReads += from.lutReads;
-    into.racAccumulates += from.racAccumulates;
-    into.scaleMuls += from.scaleMuls;
-    into.offsetOps += from.offsetOps;
-}
-
 /** Everything a drained request leaves behind that chunking must not
  *  change. */
 struct RequestOutcome
@@ -163,8 +141,8 @@ TEST(Prefill, ChunkingNeverChangesResults)
                 << "chunk " << chunk << " request " << i;
             EXPECT_EQ(chunked[i].kv, baseline[i].kv)
                 << "chunk " << chunk << " request " << i;
-            expectCountersEqual(chunked[i].counters,
-                                baseline[i].counters);
+            EXPECT_EQ(chunked[i].counters, baseline[i].counters)
+                << "chunk " << chunk << " request " << i;
             EXPECT_EQ(chunked[i].prefillTokens,
                       baseline[i].prefillTokens);
             EXPECT_EQ(chunked[i].tokensDecoded,
@@ -204,7 +182,7 @@ TEST(Prefill, ZeroPromptIsUntouchedByTheChunkKnob)
     }
     EXPECT_EQ(runs[0].hidden, runs[1].hidden);
     EXPECT_EQ(runs[0].kv, runs[1].kv);
-    expectCountersEqual(runs[0].counters, runs[1].counters);
+    EXPECT_EQ(runs[0].counters, runs[1].counters);
 }
 
 /**
@@ -239,7 +217,7 @@ TEST(Prefill, CounterSharesReassembleAcrossMixedBatches)
     while (engine.liveRequests() > 0 || engine.queuedRequests() > 0) {
         const auto stats = engine.step();
         ASSERT_TRUE(stats.ok()) << stats.status().toString();
-        addCounters(stepTotal, stats.value().counters);
+        stepTotal += stats.value().counters;
         stepPrefill += stats.value().prefillTokens;
         stepDecode += stats.value().decodeTokens;
         // The fused batch width is the column-context count, and it
@@ -254,13 +232,13 @@ TEST(Prefill, CounterSharesReassembleAcrossMixedBatches)
     for (std::size_t i = 0; i < 3; ++i) {
         const auto snap = engine.poll(ids[i]).value();
         EXPECT_EQ(snap.state, RequestState::Finished);
-        addCounters(requestTotal, snap.stats.counters);
+        requestTotal += snap.stats.counters;
         requestPrefill += snap.stats.prefillTokens;
         requestDecode += snap.stats.tokensDecoded;
         EXPECT_EQ(snap.stats.prefillTokens, prompts[i]);
         EXPECT_EQ(snap.stats.tokensDecoded, budgets[i]);
     }
-    expectCountersEqual(requestTotal, stepTotal);
+    EXPECT_EQ(requestTotal, stepTotal);
     EXPECT_EQ(requestPrefill, stepPrefill);
     EXPECT_EQ(requestDecode, stepDecode);
 }

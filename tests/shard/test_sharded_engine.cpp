@@ -33,18 +33,6 @@ expectMatrixEq(const MatrixD &a, const MatrixD &b, const char *what)
                 << what << " at (" << r << ", " << c << ")";
 }
 
-void
-expectCountersEqual(const LutGemmCounters &a, const LutGemmCounters &b,
-                    const char *what)
-{
-    EXPECT_EQ(a.lutGenerations, b.lutGenerations) << what;
-    EXPECT_EQ(a.generatorAdds, b.generatorAdds) << what;
-    EXPECT_EQ(a.lutReads, b.lutReads) << what;
-    EXPECT_EQ(a.racAccumulates, b.racAccumulates) << what;
-    EXPECT_EQ(a.scaleMuls, b.scaleMuls) << what;
-    EXPECT_EQ(a.offsetOps, b.offsetOps) << what;
-}
-
 const LutGemmBackend kBackends[] = {
     LutGemmBackend::Reference,
     LutGemmBackend::Simd,
@@ -98,8 +86,7 @@ TEST(ShardedExecutor, MatchesUnshardedKernelAllBackends)
                     const MatrixD actual =
                         exec.run(l, op, x, cfg, &shardedCnt);
                     expectMatrixEq(expected, actual, "sharded gemm");
-                    expectCountersEqual(plain, shardedCnt,
-                                        "sharded counters");
+                    EXPECT_EQ(plain, shardedCnt) << "sharded counters";
                 }
             }
         }
@@ -184,13 +171,11 @@ expectDrainsIdentical(const DrainResult &ref, const DrainResult &got,
     ASSERT_EQ(ref.stepColumns, got.stepColumns) << what;
     ASSERT_EQ(ref.stepCounters.size(), got.stepCounters.size()) << what;
     for (std::size_t s = 0; s < ref.stepCounters.size(); ++s)
-        expectCountersEqual(ref.stepCounters[s], got.stepCounters[s],
-                            what.c_str());
+        EXPECT_EQ(ref.stepCounters[s], got.stepCounters[s]) << what;
     ASSERT_EQ(ref.hidden.size(), got.hidden.size()) << what;
     for (std::size_t i = 0; i < ref.hidden.size(); ++i) {
         expectMatrixEq(ref.hidden[i], got.hidden[i], what.c_str());
-        expectCountersEqual(ref.counters[i], got.counters[i],
-                            what.c_str());
+        EXPECT_EQ(ref.counters[i], got.counters[i]) << what;
         const KvCache &a = ref.kv[i];
         const KvCache &b = got.kv[i];
         ASSERT_EQ(a.layers(), b.layers()) << what;
