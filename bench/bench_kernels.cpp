@@ -236,55 +236,11 @@ BENCHMARK(BM_LutGemmSmallRepeated)
     ->Unit(benchmark::kMicrosecond);
 
 /**
- * Full numeric decode step through the runtime Session on a small
- * OPT-style decoder: 4 weight GEMMs per layer through the packed
- * kernel (pre-packed keys, shared ExecutionContext) plus the
- * reference vector ops. The KV cache is reset every iteration so each
- * measurement is a first decode step; "tokens_per_s" (batch tokens
- * per step) seeds the end-to-end perf trajectory in the --json
- * records.
- */
-void
-BM_DecodeStepSession(benchmark::State &state)
-{
-    OptConfig model;
-    model.name = "OPT-bench";
-    model.hidden = 256;
-    model.layers = 2;
-    model.heads = 4;
-    model.ffn = 1024;
-    SessionOptions opts;
-    opts.batch = 4;
-    opts.quant.weightBits = 4;
-    opts.quant.bcqIterations = 1;
-    Session session(model, opts);
-    Rng rng(11);
-    const MatrixD input = session.makeInput(rng);
-    LutGemmCounters perStep;
-    for (auto _ : state) {
-        session.resetKv();
-        auto r = session.runDecodeStep(input);
-        benchmark::DoNotOptimize(r.hidden.data());
-        perStep = r.counters;
-    }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations() * opts.batch));
-    state.counters["tokens_per_s"] = benchmark::Counter(
-        static_cast<double>(opts.batch) *
-            static_cast<double>(state.iterations()),
-        benchmark::Counter::kIsRate);
-    setLutReadRate(state, perStep);
-}
-BENCHMARK(BM_DecodeStepSession)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-/**
  * Fused serving step through serve::Engine: `live` concurrent
  * unbounded requests decode one token each per step, so every layer
  * GEMM runs once over the whole live batch (shared packed keys, one
  * ExecutionContext). KV caches are reset each iteration so every
- * measurement is a first decode step, like BM_DecodeStepSession.
+ * measurement is a first decode step.
  *
  * "tokens_per_s" is the fused throughput (live tokens per step); the
  * continuous-batching win is BM_EngineStep/N tokens_per_s against

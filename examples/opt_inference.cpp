@@ -1,8 +1,8 @@
 /**
  * @file
- * OPT decode-step inference through the runtime Session: quantize +
- * pack a (layer-truncated) OPT variant once, run real numeric decode
- * steps with reused execution resources, then score the identical
+ * OPT decode-step inference through serve::Engine: quantize + pack a
+ * (layer-truncated) OPT variant once, run real numeric decode steps
+ * with reused execution resources, then score the identical
  * layer graph on every modeled engine — the scenario behind the
  * paper's Table V, with the numeric and analytic views guaranteed to
  * describe the same workload.
@@ -34,46 +34,52 @@ main(int argc, char **argv)
     const int steps = argc > 5 ? std::atoi(argv[5]) : 3;
 
     const auto &model = optByName(model_name);
-    SessionOptions opts;
-    opts.batch = batch;
-    opts.contextLen = 512;
-    opts.quant.weightBits = bits;
-    opts.quant.bcqIterations = 1;
-    opts.quant.maxLayers = layers;
+    serve::EngineOptions opts;
+    opts.maxBatch = batch;
+    opts.model.weightBits = bits;
+    opts.model.bcqIterations = 1;
+    opts.model.maxLayers = layers;
 
     using Clock = std::chrono::steady_clock;
     const auto t0 = Clock::now();
-    Session session(model, opts);
+    auto created = serve::Engine::create(model, opts);
     const auto t1 = Clock::now();
-    const auto &cfg = session.model().config();
+    if (!created.ok()) {
+        std::cerr << created.status().toString() << "\n";
+        return 1;
+    }
+    serve::Engine &engine = *created.value();
+    const auto &cfg = engine.model().config();
 
-    std::cout << "Session: " << cfg.name << ", " << cfg.layers << "/"
+    std::cout << "Engine: " << cfg.name << ", " << cfg.layers << "/"
               << model.layers << " layers, batch " << batch << ", Q"
               << bits << " weights\n"
               << "one-time quantize+pack: "
               << TextTable::num(
                      std::chrono::duration<double>(t1 - t0).count(), 2)
-              << " s, " << session.model().storageBytes() / 1024
+              << " s, " << engine.model().storageBytes() / 1024
               << " KiB weights + "
-              << session.model().packedKeyBytes() / 1024
+              << engine.model().packedKeyBytes() / 1024
               << " KiB packed keys\n\n";
 
-    // Numeric decode steps: packed LUT-GEMM kernels on the session's
-    // persistent ExecutionContext, KV cache growing per step.
-    Rng rng(Rng::kDefaultSeed);
-    MatrixD hidden = session.makeInput(rng);
+    // Numeric decode steps: one unbounded request per batch column,
+    // each step one fused pass of packed LUT-GEMM kernels on the
+    // engine's persistent ExecutionContext, KV cache growing per step.
+    for (std::size_t b = 0; b < batch; ++b) {
+        serve::RequestOptions req;
+        req.maxTokens = 0;
+        req.seed = Rng::kDefaultSeed + b;
+        (void)engine.submit(req).value();
+    }
     LutGemmCounters total;
     const auto t2 = Clock::now();
-    for (int step = 0; step < steps; ++step) {
-        auto r = session.runDecodeStep(hidden);
-        hidden = std::move(r.hidden);
-        total = r.counters;
-    }
+    for (int step = 0; step < steps; ++step)
+        total = engine.step().value().counters;
     const auto t3 = Clock::now();
     const double secs = std::max(
         std::chrono::duration<double>(t3 - t2).count(), 1e-9);
     std::cout << steps << " decode steps (host, "
-              << session.context().poolThreads() << " workers): "
+              << engine.context().poolThreads() << " workers): "
               << TextTable::num(secs * 1e3 / std::max(steps, 1), 2)
               << " ms/step, "
               << TextTable::num(
@@ -84,7 +90,14 @@ main(int argc, char **argv)
               << " LUT reads in the last step\n\n";
 
     // The same layer graph on the modeled accelerators (Table V).
-    const auto tasks = session.workloadTasks();
+    WorkloadOptions wl;
+    wl.batch = batch;
+    wl.contextLen = 512;
+    wl.weightBits = bits;
+    wl.groupSize = opts.model.groupSize;
+    wl.hasOffset = opts.model.useOffset;
+    wl.shards = engine.shards();
+    const auto tasks = decodeStepWorkload(cfg, wl);
     TextTable table({"engine", "latency (ms)", "energy (mJ)",
                      "power (W)", "eff TOPS", "TOPS/W",
                      "GEMM/VPU cycles"});

@@ -1,9 +1,9 @@
 /**
  * @file
- * Quickstart: the three-line path from an OPT-style architecture to a
- * real numeric decode step — build a Session (quantize + pack once),
- * feed it hidden states, and score the identical layer graph on the
- * modeled accelerator.
+ * Quickstart: the short path from an OPT-style architecture to a real
+ * numeric decode step — build a serve::Engine (quantize + pack once),
+ * submit requests and step them, and score the identical layer graph
+ * on the modeled accelerator.
  *
  * Build & run:  ./build/examples/quickstart
  */
@@ -21,7 +21,7 @@ main()
 
     // 1. A small OPT-style decoder, quantized to 3-bit BCQ with an
     //    offset term and LUT-key-packed — all one-time work done by
-    //    the Session constructor.
+    //    Engine::create.
     OptConfig tiny;
     tiny.name = "OPT-tiny";
     tiny.hidden = 128;
@@ -29,46 +29,65 @@ main()
     tiny.heads = 4;
     tiny.ffn = 512;
 
-    SessionOptions opts;
-    opts.batch = 4;
-    opts.quant.weightBits = 3;
-    opts.quant.useOffset = true;
-    Session session(tiny, opts);
+    const std::size_t batch = 4;
+    serve::EngineOptions opts;
+    opts.maxBatch = batch;
+    opts.model.weightBits = 3;
+    opts.model.useOffset = true;
+    auto created = serve::Engine::create(tiny, opts);
+    if (!created.ok()) {
+        std::cerr << created.status().toString() << "\n";
+        return 1;
+    }
+    serve::Engine &engine = *created.value();
 
-    const double fp16Bytes = session.model().config().layers *
+    const double fp16Bytes = engine.model().config().layers *
                              (4.0 * tiny.hidden * tiny.hidden +
                               2.0 * tiny.hidden * tiny.ffn) *
                              2.0;
     std::cout << "built " << tiny.name << " (" << tiny.layers
               << " layers, hidden " << tiny.hidden << "): "
-              << session.model().storageBytes() << " bytes quantized vs "
+              << engine.model().storageBytes() << " bytes quantized vs "
               << static_cast<std::size_t>(fp16Bytes) << " bytes FP16 ("
               << TextTable::ratio(fp16Bytes /
-                                  session.model().storageBytes())
+                                  engine.model().storageBytes())
               << " compression)\n\n";
 
-    // 2. Run decode steps for real: GEMMs through the packed LUT
-    //    kernel on the session's persistent ExecutionContext, vector
-    //    ops as reference kernels, KV cache growing per step.
-    Rng rng(Rng::kDefaultSeed);
-    MatrixD hidden = session.makeInput(rng);
+    // 2. Run decode steps for real: one unbounded request per batch
+    //    column, each step one fused pass — GEMMs through the packed
+    //    LUT kernel on the engine's persistent ExecutionContext,
+    //    vector ops as reference kernels, KV cache growing per step.
+    std::vector<serve::RequestId> ids;
+    for (std::size_t b = 0; b < batch; ++b) {
+        serve::RequestOptions req;
+        req.maxTokens = 0;
+        req.seed = Rng::kDefaultSeed + b;
+        ids.push_back(engine.submit(req).value());
+    }
     for (int step = 0; step < 3; ++step) {
-        const auto r = session.runDecodeStep(hidden);
-        hidden = r.hidden;
+        const auto r = engine.step().value();
         std::cout << "step " << step << ": " << r.gemmCalls
                   << " weight GEMMs, " << r.counters.lutReads
                   << " LUT reads (each retiring mu="
-                  << session.options().quant.mu
-                  << " binary MACs), KV length " << session.kvLength()
-                  << "\n";
+                  << engine.options().model.mu
+                  << " binary MACs), KV length "
+                  << engine.poll(ids.front()).value().kvLength << "\n";
     }
 
-    // 3. What would the step we just executed cost on the modeled
-    //    hardware? simulate() scores the same layer graph the session
-    //    ran, via the analytic accelerator model.
+    // 3. What would such a step cost on the modeled hardware? The
+    //    accelerator scores the same layer graph the engine ran, at a
+    //    512-token context, via the analytic model.
+    WorkloadOptions wl;
+    wl.batch = batch;
+    wl.contextLen = 512;
+    wl.weightBits = opts.model.weightBits;
+    wl.groupSize = opts.model.groupSize;
+    wl.hasOffset = opts.model.useOffset;
+    wl.shards = engine.shards();
     HwConfig hw;
     hw.engine = EngineKind::FIGLUT_I;
-    const auto sim = session.simulate(hw);
+    const auto sim = Accelerator(hw).runWorkload(
+        decodeStepWorkload(engine.model().config(), wl));
     std::cout << "\nsimulated on " << hw.describe() << ": "
               << TextTable::num(sim.seconds * 1e3, 3) << " ms/step, "
               << TextTable::num(sim.energy.totalJoules() * 1e3, 3)

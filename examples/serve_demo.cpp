@@ -142,7 +142,7 @@ main(int argc, char **argv)
     }
     std::cout << "\n" << table.render();
     std::cout << "\n" << step << " fused steps served "
-              << ids.size() << " requests; a lock-step Session would "
+              << ids.size() << " requests; a lock-step batch would "
                  "have run every sequence to the longest budget.\n";
 
     // 5. Memory-governed admission: the same traffic against an arena

@@ -7,8 +7,8 @@
  * slots). Constructing those per call is correct but wasteful under
  * repeated traffic: worker spawn/join and arena reallocation dominate
  * small GEMMs. An ExecutionContext owns both across calls — the
- * serving-loop discipline the runtime layer (runtime/session.h) is
- * built on. Kernels accept an optional ExecutionContext*; with none
+ * serving-loop discipline the serve Engine (serve/engine.h) is built
+ * on. Kernels accept an optional ExecutionContext*; with none
  * supplied they fall back to per-call construction, so one-shot
  * callers are unaffected. The pool is spawned on the first call that
  * resolves to two or more workers: single-worker calls run on the

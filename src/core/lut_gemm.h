@@ -112,9 +112,9 @@ inline constexpr int kMaxLutGemmThreads = 1024;
  * Validate the shape-independent kernel knobs: mu in [1, kMaxMu],
  * hFFLUT needs mu >= 2, the Simd backend needs blockRows >= 1, threads
  * <= kMaxLutGemmThreads. lutGemm() enforces exactly these checks
- * fatally per call; construction-time callers (Session, the serve
- * Engine) use the Status form so a serving loop can reject a bad
- * configuration without dying. Messages state the violated bound.
+ * fatally per call; the serve Engine uses the Status form at
+ * construction so a serving loop can reject a bad configuration
+ * without dying. Messages state the violated bound.
  */
 Status validateLutGemmConfig(const LutGemmConfig &config);
 

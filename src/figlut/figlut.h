@@ -12,8 +12,7 @@
  *   sim      - tile timing, detailed systolic sim, engine simulator
  *   model    - OPT workloads, synthetic data, perplexity proxy
  *   runtime  - quantized models, KV caches + the paged KV arena,
- *              inference sessions (numeric decode steps + the
- *              matching analytic workload)
+ *              exec options, reference vector ops
  *   serve    - request-level engine with continuous batching over one
  *              shared quantized model (Status/Result error surface),
  *              memory-governed by a KV byte budget with pluggable
@@ -81,7 +80,6 @@
 #include "runtime/kv_cache.h"
 #include "runtime/quantized_model.h"
 #include "runtime/reference_ops.h"
-#include "runtime/session.h"
 
 #include "shard/numa.h"
 #include "shard/shard_plan.h"

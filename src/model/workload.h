@@ -7,7 +7,7 @@
  * The layer is described once, as a sequence of LayerStepSpec — each
  * step carrying its semantic operation (what to compute) together with
  * its analytic KernelTask (shape/op-count view). Two backends consume
- * the same description: runtime/Session executes the steps numerically
+ * the same description: serve::Engine executes the steps numerically
  * with the functional kernels, and sim/Accelerator scores the mapped
  * KernelTask sequence for timing/energy (Table V, Fig. 15) — one
  * description, two backends, so the scored workload is exactly the

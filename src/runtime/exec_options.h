@@ -2,8 +2,7 @@
  * @file
  * Host-execution options of the runtime and serve layers.
  *
- * The one-struct SessionOptions of the original runtime mixed three
- * concerns that the serving surface needs separated:
+ * The serving surface keeps three concerns separate:
  *  - ModelOptions (QuantizedModelOptions): how weights are
  *    materialized, quantized, and key-packed — owned by the model /
  *    Engine, one-time cost.
@@ -15,7 +14,7 @@
  *
  * makeGemmConfig() is the single mapping from ExecOptions (+ the
  * model's LUT group size mu) to the kernel-level LutGemmConfig, so the
- * Session and Engine paths cannot drift apart.
+ * Engine and the hand-rolled test references cannot drift apart.
  */
 
 #ifndef FIGLUT_RUNTIME_EXEC_OPTIONS_H

@@ -1,15 +1,15 @@
 /**
  * @file
- * Per-sequence KV cache of a decoder, extracted from Session so the
- * serve layer can key one cache per request.
+ * Per-sequence KV cache of a decoder: the contiguous snapshot form of
+ * one request's history.
  *
  * A KvCache holds, for every decoder layer, the K and V snapshots of
  * each decode step executed so far (one hidden x width matrix per
  * step, oldest first). All layers grow in lock-step — a decode step
  * appends exactly one entry per layer — so the cache has one length.
- * Session keeps one batch-wide cache column per sequence; the serve
- * Engine keeps one single-column cache per live request, which is what
- * makes ragged (per-request) context lengths representable.
+ * The serve Engine materializes one single-column cache per request
+ * from its paged KV arena (Engine::kvHistory), which is what makes
+ * ragged (per-request) context lengths comparable.
  */
 
 #ifndef FIGLUT_RUNTIME_KV_CACHE_H

@@ -1,8 +1,8 @@
 /**
  * @file
  * Per-layer quantized weights of an OPT-style decoder, built once and
- * reused across every decode step — the weight half of a runtime
- * Session (see runtime/session.h).
+ * reused across every decode step — the weights every serve::Engine
+ * step runs over (see serve/engine.h).
  *
  * Each decoder layer owns the four weight GEMM operands (QKV,
  * attention output, FC1, FC2) as BCQ tensors plus their pre-packed
@@ -49,7 +49,7 @@ struct QuantizedModelOptions
     /**
      * Materialize PackedLutKeys per operand (the Packed and Simd
      * backends' input; ~q bytes per weight, more than the quantized
-     * payload itself). Session disables this automatically for
+     * payload itself). The Engine disables this automatically for
      * backends that gather keys from the bit planes instead.
      */
     bool packKeys = true;
@@ -84,7 +84,7 @@ class QuantizedModel
     /**
      * The architecture actually materialized: a copy of the source
      * config with layers truncated to maxLayers when set. Workloads
-     * emitted for this model (decodeStepWorkload and Session) use
+     * emitted for this model (decodeStepWorkload and the Engine) use
      * this config, so the analytic and numeric views stay aligned.
      */
     const OptConfig &config() const { return config_; }

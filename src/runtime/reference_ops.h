@@ -5,11 +5,11 @@
  * These are the non-GEMM operations a decoder layer executes around
  * the weight GEMMs: layer norm, KV-cache attention, GELU, residual
  * adds. The accelerator prices them as VPU op counts (sim/vpu.h); the
- * runtime Session executes them with these functions. They are plain
+ * serve Engine executes them with these functions. They are plain
  * double-precision operations — deterministic and exactly reproducible
  * — so a hand-rolled per-layer reference can be compared bit-for-bit
- * against Session output (the differential suite in
- * tests/runtime/test_session.cpp does exactly that). The elementwise
+ * against Engine output (the differential suite in
+ * tests/serve/test_engine.cpp does exactly that). The elementwise
  * and reduction stages route through the runtime-dispatched SIMD
  * kernels of core/simd.h, whose bit-identity contract (fixed
  * kSimdReduceLanes-strided reduction order, identical per-element

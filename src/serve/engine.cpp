@@ -1,5 +1,7 @@
 #include "serve/engine.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "model/synthetic.h"
 #include "runtime/reference_ops.h"
@@ -88,14 +90,19 @@ validateEngineConfig(const OptConfig &model, const EngineOptions &options)
             "Engine kvBlockTokens must be >= 1: the KV arena cannot ",
             "page with empty blocks");
     if (options.kvBudgetBytes > 0) {
-        // One decode step needs at least one block on every layer.
+        // One decode step needs at least one block on every layer the
+        // model materializes (maxLayers truncates the source config).
+        const std::size_t layers =
+            options.model.maxLayers > 0
+                ? std::min(options.model.maxLayers, model.layers)
+                : model.layers;
         const std::size_t blockBytes =
             options.kvBlockTokens * 2 * model.hidden * sizeof(double);
-        const std::size_t floor = blockBytes * model.layers;
+        const std::size_t floor = blockBytes * layers;
         if (options.kvBudgetBytes < floor)
             return Status::invalidArgument(
                 "Engine kvBudgetBytes ", options.kvBudgetBytes,
-                " cannot hold one block per layer (", model.layers,
+                " cannot hold one block per layer (", layers,
                 " layers x ", blockBytes, "-byte blocks = ", floor,
                 " bytes); raise the budget or shrink kvBlockTokens");
     }
@@ -138,7 +145,7 @@ Engine::Engine(const OptConfig &model, const EngineOptions &options)
     : model_(model, modelOptionsFor(options)), options_(options),
       ctx_(options.exec.threads),
       clock_(options.clock != nullptr ? options.clock : &ownedClock_),
-      arena_(arenaOptionsFor(model, options), options.faults),
+      arena_(arenaOptionsFor(model_.config(), options), options.faults),
       sched_(arena_, schedulerOptionsFor(options), options.faults)
 {
     options_.model.packKeys = model_.options().packKeys;
@@ -203,20 +210,6 @@ Engine::submit(const RequestOptions &request)
     return id;
 }
 
-Status
-Engine::provideInput(RequestId id, const MatrixD &hidden)
-{
-    if (Status s = checkLive(id); !s.ok())
-        return s;
-    const std::size_t h = model_.config().hidden;
-    if (hidden.rows() != h || hidden.cols() != 1)
-        return Status::invalidArgument("request input must be ", h,
-                                       "x1, got ", hidden.rows(), "x",
-                                       hidden.cols());
-    requests_[id - 1].hidden = hidden;
-    return Status::okStatus();
-}
-
 void
 Engine::retireSequence(RequestId id)
 {
@@ -235,13 +228,9 @@ Engine::prepareLife(Request &req, const ScheduleEntry &entry)
     // Replay the submit-time RNG stream: hidden state first, then the
     // prompt embeddings. On a preemption restart the redrawn hidden
     // replaces the evicted life's progress (the from-scratch
-    // recompute); on a first admission the request still holds that
-    // exact draw (or a provideInput override, which must win), so the
-    // redraw is discarded.
+    // recompute); on a first admission it equals the submit-time draw.
     Rng rng(entry.request.seed);
-    MatrixD first = syntheticActivations(h, 1, rng);
-    if (entry.evictions > 0)
-        req.hidden = std::move(first);
+    req.hidden = syntheticActivations(h, 1, rng);
     const std::size_t prompt = entry.remainingPrompt();
     if (prompt > 0)
         req.promptEmbeds = syntheticActivations(h, prompt, rng);
@@ -361,11 +350,12 @@ Engine::step()
                        &ctx_);
     };
 
-    // Same per-column arithmetic as a batch-1 Session step: the GEMM
-    // and every vector op treat columns independently, so each request
-    // is bit-identical to running alone (the differential suite pins
-    // this) — and a prefill chunked any which way is bit-identical to
-    // the whole prompt in one step (the prefill suite pins that).
+    // Every request gets the same per-column arithmetic as a batch-1
+    // step: the GEMM and every vector op treat columns independently,
+    // so each request is bit-identical to running alone (the
+    // differential suite pins this) — and a prefill chunked any which
+    // way is bit-identical to the whole prompt in one step (the
+    // prefill suite pins that).
     MatrixD ln, qkv, attn, proj, ffn;
     std::vector<std::vector<KvTokenRef>> refs(b);
     std::vector<AttentionSpan> spans(b);

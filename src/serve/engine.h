@@ -2,9 +2,7 @@
  * @file
  * Request-level serving engine with continuous batching.
  *
- * Session (runtime/session.h) is single-client by design: one
- * lock-step batch, one KV cache, one sequence lifetime. Engine is the
- * request-level surface the serving north star needs — independent
+ * Engine is the one serving surface of the library: independent
  * sequences are admitted, batched, and retired dynamically over one
  * shared quantized model:
  *
@@ -51,11 +49,11 @@
  * request. Programming errors (misuse of a value-holding Result) still
  * panic, and the numeric kernels keep their fatal contracts.
  *
- * Like the Session it powers, an Engine is single-client: one engine
- * per serving thread (its ExecutionContext is not thread-safe). All
- * stochastic inputs are deterministic in the configured seeds, and a
- * fused step is bit-identical, per request, to that request running
- * alone in a batch-1 Session (the differential suite in
+ * An Engine is single-client: one engine per serving thread (its
+ * ExecutionContext is not thread-safe). All stochastic inputs are
+ * deterministic in the configured seeds, and a fused step is
+ * bit-identical, per request, to that request running alone in a
+ * batch-1 engine (the differential suite in
  * tests/serve/test_engine.cpp pins this).
  */
 
@@ -241,14 +239,6 @@ class Engine
      * hidden state is drawn from the request's seed.
      */
     Result<RequestId> submit(const RequestOptions &request);
-
-    /**
-     * Override a request's next-step input (hidden x 1). By default
-     * each step's output feeds the next step; an external driver (the
-     * Session adapter, or a client with real embeddings) injects its
-     * own columns instead. Rejected once the request has retired.
-     */
-    Status provideInput(RequestId id, const MatrixD &hidden);
 
     /**
      * One fused step over all live requests: sweep deadlines, admit

@@ -42,16 +42,14 @@ struct RequestOptions
 {
     /**
      * Decode steps before the engine retires the request (its token
-     * budget). 0 = unbounded: the request decodes until cancelled —
-     * the mode the Session adapter drives.
+     * budget). 0 = unbounded: the request decodes until cancelled.
      */
     std::size_t maxTokens = 16;
     /**
      * Seed of the request's synthetic inputs (model/synthetic.h): the
      * initial hidden state (used directly when promptTokens == 0) and
      * the prompt embedding matrix the prefill phase runs through the
-     * model. Each decode step's output feeds the next step unless the
-     * client overrides it with Engine::provideInput().
+     * model. Each decode step's output feeds the next step.
      */
     std::uint64_t seed = Rng::kDefaultSeed;
     /**
