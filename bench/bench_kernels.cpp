@@ -276,6 +276,7 @@ BM_EngineStep(benchmark::State &state)
     }
     LutGemmCounters perStep;
     double decodeSeconds = 0.0;
+    double attnSeconds = 0.0, gemmSeconds = 0.0, geluSeconds = 0.0;
     for (auto _ : state) {
         for (const auto id : ids)
             (void)engine.resetKv(id);
@@ -283,6 +284,11 @@ BM_EngineStep(benchmark::State &state)
         benchmark::DoNotOptimize(stats.value().counters.lutReads);
         perStep = stats.value().counters;
         decodeSeconds += stats.value().seconds;
+        attnSeconds += stats.value().opSecondsOf(LayerOp::Attention);
+        for (const LayerOp op : {LayerOp::QkvProj, LayerOp::OutProj,
+                                 LayerOp::Fc1, LayerOp::Fc2})
+            gemmSeconds += stats.value().opSecondsOf(op);
+        geluSeconds += stats.value().opSecondsOf(LayerOp::Gelu);
     }
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations() * live));
@@ -299,6 +305,11 @@ BM_EngineStep(benchmark::State &state)
             static_cast<double>(state.iterations()) / decodeSeconds);
     state.counters["live_requests"] =
         benchmark::Counter(static_cast<double>(live));
+    // Where a step's time goes, from the engine's per-op clock reads.
+    const double steps = static_cast<double>(state.iterations());
+    state.counters["attn_ms_per_step"] = attnSeconds * 1e3 / steps;
+    state.counters["gemm_ms_per_step"] = gemmSeconds * 1e3 / steps;
+    state.counters["gelu_ms_per_step"] = geluSeconds * 1e3 / steps;
     // The engine's fused GEMMs run on its ExecutionContext at the
     // default worker count; echo it so a trajectory point is
     // interpretable on hosts of different widths.
@@ -594,44 +605,85 @@ BENCHMARK(BM_GemmColumnStage)
     ->Unit(benchmark::kMicrosecond);
 
 /**
- * Chunk-causal attention at the perfbench model's shape (h = 128,
- * 4 heads): one span of C query columns over P stride-1 tokens, so
- * column j attends to the first P - C + j + 1 of them. C = 128 is a
- * longdoc prefill chunk; C = 1 is a decode step. Items are attended
- * (column, token) pairs per head-set.
+ * Chunk-causal attention over stride-1 tokens: one span per entry of
+ * `spanTokens` (P tokens, `columns` query columns each, so column j
+ * attends to the first P - columns + j + 1 of them), hidden h split
+ * into 4 heads. Items are attended (column, token) pairs per
+ * head-set.
  */
 void
-BM_ChunkAttention(benchmark::State &state)
+runChunkAttention(benchmark::State &state,
+                  const std::vector<std::size_t> &spanTokens,
+                  std::size_t columns, std::size_t h)
 {
-    const auto C = static_cast<std::size_t>(state.range(0));
-    const auto P = static_cast<std::size_t>(state.range(1));
-    const std::size_t h = 128, heads = 4;
+    const std::size_t heads = 4;
     Rng rng(31);
-    MatrixD q(h, C);
+    MatrixD q(h, columns * spanTokens.size());
     for (auto &v : q)
         v = rng.normal();
-    std::vector<double> slab(P * 2 * h);
-    for (auto &v : slab)
-        v = rng.normal();
-    std::vector<KvTokenRef> tokens(P);
-    for (std::size_t t = 0; t < P; ++t)
-        tokens[t] = KvTokenRef{slab.data() + t * 2 * h,
-                               slab.data() + t * 2 * h + h, 1};
-    const std::vector<AttentionSpan> spans = {
-        AttentionSpan{tokens.data(), P, 0, C}};
+    std::vector<std::vector<double>> slabs;
+    std::vector<std::vector<KvTokenRef>> tokens;
+    std::vector<AttentionSpan> spans;
+    std::size_t pairs = 0;
+    for (const std::size_t P : spanTokens) {
+        slabs.emplace_back(P * 2 * h);
+        for (auto &v : slabs.back())
+            v = rng.normal();
+        tokens.emplace_back(P);
+        for (std::size_t t = 0; t < P; ++t)
+            tokens.back()[t] =
+                KvTokenRef{slabs.back().data() + t * 2 * h,
+                           slabs.back().data() + t * 2 * h + h, 1};
+        spans.push_back(AttentionSpan{tokens.back().data(), P,
+                                      spans.size() * columns, columns});
+        pairs += columns * (P - columns) + columns * (columns + 1) / 2;
+    }
     for (auto _ : state) {
         auto out = referenceChunkAttention(q, spans, heads);
         benchmark::DoNotOptimize(out.data());
     }
-    const std::size_t pairs = C * (P - C) + C * (C + 1) / 2;
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations() * pairs));
+}
+
+/**
+ * One span of C query columns over P tokens at the perfbench model's
+ * shape (h = 128, 4 heads of 32). C = 128 is a longdoc prefill chunk;
+ * C = 1 is a decode step.
+ */
+void
+BM_ChunkAttention(benchmark::State &state)
+{
+    runChunkAttention(state, {static_cast<std::size_t>(state.range(1))},
+                      static_cast<std::size_t>(state.range(0)), 128);
 }
 BENCHMARK(BM_ChunkAttention)
     ->Args({128, 256})
     ->Args({128, 1024})
     ->Args({1, 600})
     ->Unit(benchmark::kMicrosecond);
+
+/** The C = 128, P = 1024 chunk at head dim 64 (h = 256, 4 heads). */
+void
+BM_ChunkAttentionHeadDim64(benchmark::State &state)
+{
+    runChunkAttention(state, {1024}, 128, 256);
+}
+BENCHMARK(BM_ChunkAttentionHeadDim64)->Unit(benchmark::kMicrosecond);
+
+/**
+ * A chat decode step's attention: 8 one-column spans over 64..127
+ * tokens (the perfbench shape, head dim 32).
+ */
+void
+BM_ChunkAttentionDecode(benchmark::State &state)
+{
+    std::vector<std::size_t> spanTokens;
+    for (std::size_t s = 0; s < 8; ++s)
+        spanTokens.push_back(64 + 9 * s);
+    runChunkAttention(state, spanTokens, 1, 128);
+}
+BENCHMARK(BM_ChunkAttentionDecode)->Unit(benchmark::kMicrosecond);
 
 void
 BM_SimulateGemm(benchmark::State &state)

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "common/logging.h"
+#include "core/attention_kernel.h"
 
 namespace figlut {
 
@@ -173,6 +174,13 @@ geluLutFlatScalar(double *out, const double *v, std::size_t n,
     }
 }
 
+/** The attention head kernel at the baseline ISA (NEON reuses it). */
+void
+attentionHeadScalar(const AttentionHead &head)
+{
+    attentionHeadBody(head);
+}
+
 const SimdKernels kScalarKernels = {
     SimdIsa::Scalar,        accumIntSpanScalar,
     accumIntSpanColsScalar, foldIntPlaneFp32Scalar,
@@ -180,6 +188,7 @@ const SimdKernels kScalarKernels = {
     divFlatScalar,          maxFlatScalar,
     sumLanesScalar,         sumSqDevLanesScalar,
     normalizeFlatScalar,    geluLutFlatScalar,
+    attentionHeadScalar,
 };
 
 #if FIGLUT_HAVE_AVX2_KERNELS

@@ -113,6 +113,34 @@ inline constexpr std::size_t kSimdReduceLanes = 4;
  */
 inline constexpr std::size_t kSpanCols = 4;
 
+/** Query columns whose scores one attentionHead block computes. */
+inline constexpr std::size_t kAttnBlockCols = 8;
+
+/**
+ * One head of one chunk-causal attention span: `columns` query
+ * columns over `tokens` cached tokens, column j attending to the
+ * first tokens - columns + j + 1 of them (runtime/reference_ops.h).
+ * Element d of column j's query is q[d * qStride + j] and of its
+ * output out[d * outStride + j]; token t's key and value for this
+ * head are the headDim contiguous doubles at k[t] and v[t]. `scores`
+ * is scratch for kAttnBlockCols * tokens doubles; the kernel reads
+ * and writes nothing else.
+ */
+struct AttentionHead
+{
+    const double *q = nullptr;
+    std::size_t qStride = 0;
+    const double *const *k = nullptr;
+    const double *const *v = nullptr;
+    std::size_t tokens = 0;
+    std::size_t columns = 0;
+    std::size_t headDim = 0;
+    double scale = 0.0;
+    double *scores = nullptr;
+    double *out = nullptr;
+    std::size_t outStride = 0;
+};
+
 /**
  * The dispatch table. All kernels follow the scalar implementations
  * bit for bit (see the file comment); `n` may be any length including
@@ -218,6 +246,20 @@ struct SimdKernels
      */
     void (*geluLutFlat)(double *out, const double *v, std::size_t n,
                         const GeluLutTable &table);
+
+    /**
+     * Chunk-causal attention over one head of one span (see
+     * AttentionHead). Per column the arithmetic is fixed: each score
+     * is dot = 0, dot += q[d] * k[d] for d = 0..headDim-1, times
+     * scale; the softmax over the column's causal prefix takes the
+     * max, replaces each score s by std::exp(s - max) while summing
+     * them sequentially from 0, then divides each by the sum; each
+     * output element starts at 0 and adds p * v[d] in token order.
+     * Columns run in blocks of kAttnBlockCols whose scores stay in
+     * the scratch, and vector lanes only hold independent columns or
+     * tokens, so every ISA produces the scalar table's bits.
+     */
+    void (*attentionHead)(const AttentionHead &head);
 };
 
 /** Kernels of the active ISA (see activeSimdIsa()). */

@@ -27,6 +27,8 @@
 
 #include <immintrin.h>
 
+#include "core/attention_kernel.h"
+
 namespace figlut {
 namespace simd_detail {
 
@@ -338,6 +340,12 @@ geluLutFlatAvx2(double *out, const double *v, std::size_t n,
     }
 }
 
+void
+attentionHeadAvx2(const AttentionHead &head)
+{
+    attentionHeadBody(head);
+}
+
 const SimdKernels kAvx2Kernels = {
     SimdIsa::Avx2,        accumIntSpanAvx2,
     accumIntSpanColsAvx2, foldIntPlaneFp32Avx2,
@@ -345,6 +353,7 @@ const SimdKernels kAvx2Kernels = {
     divFlatAvx2,          maxFlatAvx2,
     sumLanesAvx2,         sumSqDevLanesAvx2,
     normalizeFlatAvx2,    geluLutFlatAvx2,
+    attentionHeadAvx2,
 };
 
 } // namespace

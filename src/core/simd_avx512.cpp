@@ -28,6 +28,8 @@
 
 #include <immintrin.h>
 
+#include "core/attention_kernel.h"
+
 namespace figlut {
 namespace simd_detail {
 
@@ -148,6 +150,13 @@ accumIntSpanColsAvx512(std::int64_t *const *psum,
     }
 }
 
+/** The attention body in 512-bit vectors (8 doubles per zmm). */
+void
+attentionHeadAvx512(const AttentionHead &head)
+{
+    attentionHeadBody(head);
+}
+
 } // namespace
 
 const SimdKernels &
@@ -158,6 +167,7 @@ avx512Kernels()
         k.isa = SimdIsa::Avx512;
         k.accumIntSpan = accumIntSpanAvx512;
         k.accumIntSpanCols = accumIntSpanColsAvx512;
+        k.attentionHead = attentionHeadAvx512;
         return k;
     }();
     return kernels;

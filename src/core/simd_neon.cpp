@@ -33,6 +33,9 @@ void foldIntPlaneFp32Scalar(double *acc, const double *alpha,
                             std::size_t n);
 void foldOffsetFp32Scalar(double *acc, const double *off, double sumx,
                           std::size_t n);
+// The attention head body at the baseline ISA: on aarch64 its generic
+// vectors already compile to NEON.
+void attentionHeadScalar(const AttentionHead &head);
 // The multi-column span of ISAs without a blocked kernel.
 void accumIntSpanColsEach(decltype(SimdKernels::accumIntSpan) span,
                           std::int64_t *const *psum,
@@ -204,6 +207,7 @@ const SimdKernels kNeonKernels = {
     divFlatNeon,            maxFlatNeon,
     sumLanesNeon,           sumSqDevLanesNeon,
     normalizeFlatNeon,      geluLutFlatScalar,
+    attentionHeadScalar,
 };
 
 } // namespace

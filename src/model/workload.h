@@ -17,6 +17,7 @@
 #ifndef FIGLUT_MODEL_WORKLOAD_H
 #define FIGLUT_MODEL_WORKLOAD_H
 
+#include <cstddef>
 #include <vector>
 
 #include "model/opt_family.h"
@@ -63,6 +64,12 @@ enum class LayerOp
     Fc2,        ///< FFN down projection GEMM, h x f
     Residual2,  ///< FFN residual add (vector)
 };
+
+/** Number of LayerOp values (they run 0 .. kLayerOpCount - 1). */
+inline constexpr std::size_t kLayerOpCount = 10;
+static_assert(static_cast<std::size_t>(LayerOp::Residual2) + 1 ==
+                  kLayerOpCount,
+              "kLayerOpCount counts every LayerOp");
 
 /**
  * One step of a decoder layer: the semantic op plus its analytic

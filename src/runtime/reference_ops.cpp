@@ -47,9 +47,8 @@ referenceSoftmaxInPlace(double *v, std::size_t n)
     const double mx = k.maxFlat(v, n);
     // exp and the running sum stay scalar: the sum is a sequential
     // fold, and there is no vector exp under the bit-identity
-    // contract. Score counts reach a column's full context (over a
-    // thousand on long prompts), so this loop is a real share of
-    // attention time.
+    // contract. SimdKernels::attentionHead runs this same arithmetic
+    // on its scores, so the attention oracle can call this function.
     double sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
         v[i] = std::exp(v[i] - mx);
@@ -148,34 +147,18 @@ namespace {
  */
 struct AttentionScratch
 {
-    std::vector<double> q;      // a head's queries, [d][column]
-    std::vector<double> scores; // [column][token], one row per column
-    std::vector<double> acc;    // [column][d] output accumulators
-    std::vector<double> row;    // a strided K or V row, made contiguous
+    std::vector<double> scores;       // kAttnBlockCols x tokens
+    std::vector<const double *> k, v; // one head's row per token
+    std::vector<double> rows;         // strided refs' rows, [k | v]
 };
 
+template <typename T>
 void
-growTo(std::vector<double> &v, std::size_t n)
+growTo(std::vector<T> &v, std::size_t n)
 {
     if (v.size() < n)
         v.resize(n);
 }
-
-/** Elements [r0, r0 + n) of a token's K or V as a contiguous row. */
-const double *
-headRow(const double *base, std::size_t stride, std::size_t r0,
-        std::size_t n, double *stage)
-{
-    if (stride == 1)
-        return base + r0;
-    for (std::size_t d = 0; d < n; ++d)
-        stage[d] = base[(r0 + d) * stride];
-    return stage;
-}
-
-// Columns whose dot products run together in registers: independent
-// accumulators, so the block vectorizes without reordering any sum.
-constexpr std::size_t kColumnBlock = 8;
 
 } // namespace
 
@@ -220,75 +203,55 @@ referenceChunkAttention(const MatrixD &q,
               " query columns");
 
     const std::size_t headDim = h / heads;
-    const double scale = 1.0 / std::sqrt(static_cast<double>(headDim));
+    const SimdKernels &kern = simdKernels();
     MatrixD out(h, width);
     thread_local AttentionScratch scratch;
-    growTo(scratch.row, headDim);
-    const double *qData = q.data();
-    double *outData = out.data();
+    AttentionHead head;
+    head.qStride = width;
+    head.headDim = headDim;
+    head.scale = 1.0 / std::sqrt(static_cast<double>(headDim));
+    head.outStride = width;
     for (const AttentionSpan &span : spans) {
         const std::size_t P = span.tokenCount;
-        const std::size_t C = span.columns;
-        const std::size_t held = P - C;
-        growTo(scratch.q, headDim * C);
-        growTo(scratch.scores, C * P);
-        growTo(scratch.acc, C * headDim);
-        double *qs = scratch.q.data();
-        double *scores = scratch.scores.data();
-        double *acc = scratch.acc.data();
+        growTo(scratch.scores, kAttnBlockCols * P);
+        growTo(scratch.k, P);
+        growTo(scratch.v, P);
+        head.k = scratch.k.data();
+        head.v = scratch.v.data();
+        head.tokens = P;
+        head.columns = span.columns;
+        head.scores = scratch.scores.data();
+        // The kernel reads contiguous rows. Arena refs already are;
+        // KvCache-style strided refs (a cold path) are staged into
+        // [k | v] rows of h doubles first.
+        const KvTokenRef *tokens = span.tokens;
+        bool strided = false;
+        for (std::size_t t = 0; t < P; ++t)
+            strided = strided || tokens[t].stride != 1;
+        if (strided)
+            growTo(scratch.rows, 2 * h * P);
         for (std::size_t hd = 0; hd < heads; ++hd) {
             const std::size_t r0 = hd * headDim;
-            for (std::size_t d = 0; d < headDim; ++d)
-                for (std::size_t j = 0; j < C; ++j)
-                    qs[d * C + j] =
-                        qData[(r0 + d) * width + span.firstColumn + j];
-
-            // Scores: token t is seen by columns j >= t - held. Each
-            // (column, token) dot is its own chain over d in order.
             for (std::size_t t = 0; t < P; ++t) {
-                const KvTokenRef &tok = span.tokens[t];
-                const double *k = headRow(tok.k, tok.stride, r0, headDim,
-                                          scratch.row.data());
-                std::size_t j = t > held ? t - held : 0;
-                for (; j + kColumnBlock <= C; j += kColumnBlock) {
-                    double dot[kColumnBlock] = {};
-                    for (std::size_t d = 0; d < headDim; ++d) {
-                        const double kd = k[d];
-                        const double *qd = qs + d * C + j;
-                        for (std::size_t u = 0; u < kColumnBlock; ++u)
-                            dot[u] += qd[u] * kd;
+                const KvTokenRef &tok = tokens[t];
+                if (tok.stride == 1) {
+                    scratch.k[t] = tok.k + r0;
+                    scratch.v[t] = tok.v + r0;
+                    continue;
+                }
+                double *k = scratch.rows.data() + 2 * h * t;
+                double *v = k + h;
+                if (hd == 0)
+                    for (std::size_t r = 0; r < h; ++r) {
+                        k[r] = tok.k[r * tok.stride];
+                        v[r] = tok.v[r * tok.stride];
                     }
-                    for (std::size_t u = 0; u < kColumnBlock; ++u)
-                        scores[(j + u) * P + t] = dot[u] * scale;
-                }
-                for (; j < C; ++j) {
-                    double dot = 0.0;
-                    for (std::size_t d = 0; d < headDim; ++d)
-                        dot += qs[d * C + j] * k[d];
-                    scores[j * P + t] = dot * scale;
-                }
+                scratch.k[t] = k + r0;
+                scratch.v[t] = v + r0;
             }
-            for (std::size_t j = 0; j < C; ++j)
-                referenceSoftmaxInPlace(scores + j * P, held + j + 1);
-
-            // V blend: each column's accumulators add p * v in token
-            // order, starting from 0.
-            std::fill(acc, acc + C * headDim, 0.0);
-            for (std::size_t t = 0; t < P; ++t) {
-                const KvTokenRef &tok = span.tokens[t];
-                const double *v = headRow(tok.v, tok.stride, r0, headDim,
-                                          scratch.row.data());
-                for (std::size_t j = t > held ? t - held : 0; j < C; ++j) {
-                    const double p = scores[j * P + t];
-                    double *a = acc + j * headDim;
-                    for (std::size_t d = 0; d < headDim; ++d)
-                        a[d] += p * v[d];
-                }
-            }
-            for (std::size_t d = 0; d < headDim; ++d)
-                for (std::size_t j = 0; j < C; ++j)
-                    outData[(r0 + d) * width + span.firstColumn + j] =
-                        acc[j * headDim + d];
+            head.q = q.data() + r0 * width + span.firstColumn;
+            head.out = out.data() + r0 * width + span.firstColumn;
+            kern.attentionHead(head);
         }
     }
     return out;

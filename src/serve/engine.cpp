@@ -359,6 +359,8 @@ Engine::step()
     MatrixD ln, qkv, attn, proj, ffn;
     std::vector<std::vector<KvTokenRef>> refs(b);
     std::vector<AttentionSpan> spans(b);
+    double tOp = clock_->now();
+    stats.otherSeconds = tOp - t0;
     for (std::size_t l = 0; l < model_.layers(); ++l) {
         for (const LayerOp op : layerOps_) {
             switch (op) {
@@ -416,10 +418,13 @@ Engine::step()
                 proj = runGemm(l, op, ffn);
                 break;
             }
+            const double tEnd = clock_->now();
+            stats.opSeconds[static_cast<std::size_t>(op)] += tEnd - tOp;
+            tOp = tEnd;
         }
     }
 
-    const double t1 = clock_->now();
+    const double t1 = tOp;
     stats.seconds = t1 - t0;
 
     // Everything still queued sat out this step (retirement below

@@ -60,6 +60,7 @@
 #ifndef FIGLUT_SERVE_ENGINE_H
 #define FIGLUT_SERVE_ENGINE_H
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -164,6 +165,15 @@ struct StepStats
     LutGemmCounters counters;
     /** Clock seconds of the fused step (gather + layers, no admin). */
     double seconds = 0.0;
+    /**
+     * Clock seconds of each LayerOp, indexed by its value and summed
+     * over layers (Attention includes its K/V arena appends). The
+     * clock is read at every op boundary, so on a clock that does not
+     * move during the step (VirtualClock) every entry is 0.
+     */
+    std::array<double, kLayerOpCount> opSeconds{};
+    /** The rest of `seconds`: planning and the gather. */
+    double otherSeconds = 0.0;
     /** Requests still waiting after this step's final admission. */
     std::size_t queueDepth = 0;
     /** Prompt tokens prefilled across the whole fused batch. */
@@ -204,6 +214,13 @@ struct StepStats
     std::size_t kvBlocksInUse = 0;
     /** Arena bytes held after this step. */
     std::size_t kvBytesInUse = 0;
+
+    /** opSeconds of one op. */
+    double
+    opSecondsOf(LayerOp op) const
+    {
+        return opSeconds[static_cast<std::size_t>(op)];
+    }
 };
 
 /** A request-level serving engine over one shared quantized model. */

@@ -419,6 +419,84 @@ TEST(SimdEpilogue, EveryIsaMatchesScalarTable)
     }
 }
 
+/**
+ * The attention head kernel of every supported ISA against the scalar
+ * table, called directly: head dims below, at and off a vector
+ * multiple (the compile-time 32 and 64 included), column counts
+ * around the 8-column score block and the 4-column blend tile, and
+ * token counts off a multiple of 8. The K rows, the V rows, the
+ * queries, the output and the scores scratch each end at a guard
+ * page, so a read or write past any of them faults in every build
+ * (sanitizers do not see masked vector loads).
+ */
+TEST(SimdAttentionKernel, EveryIsaMatchesScalarTable)
+{
+    const SimdKernels &scalar = simdKernelsFor(SimdIsa::Scalar);
+    struct Shape
+    {
+        std::size_t columns, held;
+    };
+    const Shape shapes[] = {{1, 0},  {1, 7},  {1, 64}, {3, 5},
+                            {4, 9},  {7, 9},  {8, 0},  {8, 13},
+                            {9, 4},  {12, 21}, {17, 3}, {24, 40}};
+    Rng rng(5100);
+    for (const auto isa : kVectorIsas) {
+        if (!simdIsaSupported(isa))
+            continue;
+        const SimdKernels &vec = simdKernelsFor(isa);
+        ASSERT_EQ(vec.isa, isa);
+        for (const std::size_t headDim : {1, 3, 8, 12, 32, 33, 64}) {
+            for (const Shape &sh : shapes) {
+                const std::size_t C = sh.columns;
+                const std::size_t P = sh.held + C;
+                // A tight query/output stride, or a wider matrix.
+                const std::size_t stride = C + (headDim % 2) * 3;
+                GuardPagedArray<double> kRows(P * headDim),
+                    vRows(P * headDim), q(headDim * stride),
+                    scores(kAttnBlockCols * P);
+                for (std::size_t i = 0; i < P * headDim; ++i) {
+                    kRows[i] = rng.normal();
+                    vRows[i] = rng.normal();
+                }
+                for (std::size_t i = 0; i < q.size(); ++i)
+                    q[i] = rng.normal();
+                std::vector<const double *> k(P), v(P);
+                for (std::size_t t = 0; t < P; ++t) {
+                    k[t] = kRows.data() + t * headDim;
+                    v[t] = vRows.data() + t * headDim;
+                }
+                const auto run = [&](const SimdKernels &kern) {
+                    GuardPagedArray<double> out(headDim * stride);
+                    AttentionHead head;
+                    head.q = q.data();
+                    head.qStride = stride;
+                    head.k = k.data();
+                    head.v = v.data();
+                    head.tokens = P;
+                    head.columns = C;
+                    head.headDim = headDim;
+                    head.scale =
+                        1.0 / std::sqrt(static_cast<double>(headDim));
+                    head.scores = scores.data();
+                    head.out = out.data();
+                    head.outStride = stride;
+                    kern.attentionHead(head);
+                    std::vector<double> got;
+                    for (std::size_t d = 0; d < headDim; ++d)
+                        for (std::size_t j = 0; j < C; ++j)
+                            got.push_back(out[d * stride + j]);
+                    return got;
+                };
+                const auto want = run(scalar);
+                const auto got = run(vec);
+                EXPECT_EQ(firstBitMismatch(got, want), want.size())
+                    << simdIsaName(isa) << " headDim=" << headDim
+                    << " C=" << C << " held=" << sh.held;
+            }
+        }
+    }
+}
+
 // ------------------------------------------ Reference-vs-Simd identity
 
 /**

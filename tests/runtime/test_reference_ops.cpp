@@ -267,18 +267,20 @@ TEST(ChunkAttention, MatchesPerColumnOracle)
     // Every (chunk width, held tokens) pair runs as one call with four
     // spans: a decode span, the span under test, a short prefill span
     // and a single-token decode span, with arena (stride 1) and
-    // KvCache-style (stride > 1) refs mixed across spans. Heads run
-    // 1..8 and headDim includes odd sizes and ones below a column
-    // block.
-    const std::size_t chunkColumns[] = {1, 2, 17, 130};
-    const std::size_t heldTokens[] = {0, 1, 300};
-    const std::size_t headDims[] = {1, 3, 5, 8, 7};
+    // KvCache-style (stride > 1) refs mixed across spans, under every
+    // supported ISA. Chunk widths sit around the 8-column score block
+    // and the 4-column blend tile; held counts leave the token count
+    // off a multiple of 8. Heads run 1..8 and headDim covers odd
+    // sizes, ones below a vector, the compile-time 32 and 64, and 33.
+    const std::size_t chunkColumns[] = {1, 2, 7, 8, 9, 12, 17, 130};
+    const std::size_t heldTokens[] = {0, 1, 5, 300};
+    const std::size_t headDims[] = {1, 3, 5, 8, 7, 32, 64, 33};
     Rng rng(2718);
     std::size_t call = 0;
     for (const std::size_t C : chunkColumns) {
         for (const std::size_t held : heldTokens) {
             const std::size_t heads = 1 + call % 8;
-            const std::size_t headDim = headDims[call % 5];
+            const std::size_t headDim = headDims[call % 8];
             const std::size_t h = heads * headDim;
             struct Shape
             {
@@ -313,14 +315,19 @@ TEST(ChunkAttention, MatchesPerColumnOracle)
             const MatrixD q = randomMatrix(h, width, 9000 + call, 1.0);
             const MatrixD oracle =
                 perColumnAttentionOracle(q, views, heads);
-            const std::string what = "C=" + std::to_string(C) +
-                                     " held=" + std::to_string(held) +
-                                     " heads=" + std::to_string(heads) +
-                                     " headDim=" + std::to_string(headDim);
-            expectSameBits(referenceChunkAttention(q, spans, heads), oracle,
-                           "spans " + what);
-            expectSameBits(referenceDecodeAttention(q, views, heads),
-                           oracle, "views " + what);
+            for (const auto isa : supportedIsas()) {
+                IsaOverrideGuard guard(isa);
+                const std::string what =
+                    "C=" + std::to_string(C) +
+                    " held=" + std::to_string(held) +
+                    " heads=" + std::to_string(heads) +
+                    " headDim=" + std::to_string(headDim) +
+                    " isa=" + simdIsaName(isa);
+                expectSameBits(referenceChunkAttention(q, spans, heads),
+                               oracle, "spans " + what);
+                expectSameBits(referenceDecodeAttention(q, views, heads),
+                               oracle, "views " + what);
+            }
         }
     }
 }

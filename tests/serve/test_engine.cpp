@@ -792,6 +792,51 @@ TEST(Engine, BackendsAgreeOnTheFusedPath)
     EXPECT_EQ(outputs[0], outputs[1]);
 }
 
+TEST(Engine, OpSecondsSpanTheStep)
+{
+    // The engine reads its clock at every op boundary: a VirtualClock
+    // that does not move during the step gives every span 0, and on
+    // the steady clock the spans are non-negative and, with the
+    // planning/gather remainder, add up to the step's seconds.
+    const auto model = tinyConfig(32, 2, 2, 64);
+    VirtualClock virtualClock;
+    SteadyClock steadyClock;
+    for (const EngineClock *clock :
+         {static_cast<const EngineClock *>(&virtualClock),
+          static_cast<const EngineClock *>(&steadyClock)}) {
+        EngineOptions opts = tinyEngineOptions();
+        opts.clock = clock;
+        auto created = Engine::create(model, opts);
+        ASSERT_TRUE(created.ok()) << created.status().toString();
+        Engine &engine = *created.value();
+        RequestOptions req;
+        req.maxTokens = 2;
+        req.promptTokens = 5;
+        ASSERT_TRUE(engine.submit(req).ok());
+        for (int i = 0; i < 2; ++i) {
+            const auto stats = engine.step();
+            ASSERT_TRUE(stats.ok()) << stats.status().toString();
+            double sum = 0.0;
+            for (const double s : stats.value().opSeconds) {
+                EXPECT_GE(s, 0.0);
+                sum += s;
+            }
+            EXPECT_GE(stats.value().otherSeconds, 0.0);
+            if (clock == &virtualClock) {
+                EXPECT_EQ(sum, 0.0);
+                EXPECT_EQ(stats.value().otherSeconds, 0.0);
+                EXPECT_EQ(stats.value().seconds, 0.0);
+            } else {
+                EXPECT_GT(stats.value().opSecondsOf(LayerOp::Attention),
+                          0.0);
+                EXPECT_LE(sum, stats.value().seconds + 1e-12);
+                EXPECT_NEAR(sum + stats.value().otherSeconds,
+                            stats.value().seconds, 1e-12);
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace serve
 } // namespace figlut
