@@ -1,9 +1,10 @@
 /**
  * @file
  * The body of SimdKernels::attentionHead, compiled once per ISA: each
- * kernel unit (simd.cpp, simd_avx2.cpp, simd_avx512.cpp) includes
- * this header under its own target flags and wraps attentionHeadBody
- * in its table's entry. Internal to those units.
+ * kernel unit (simd.cpp, simd_avx2.cpp, simd_avx512.cpp, simd_neon.cpp)
+ * includes this header under its own target flags and points its
+ * table's entry at attentionHeadBody. It is written in the native
+ * vectors of core/vector_kernels.h. Internal to those units.
  *
  * Everything here has internal linkage, and the body calls no inline
  * library template, so the per-ISA copies can never be merged at link
@@ -34,47 +35,21 @@
 #include <cstddef>
 
 #include "core/simd.h"
-
-// Native vector width of the including unit and its tile shapes. A
-// blend tile holds 4 columns x FIGLUT_ATTN_BLEND_DIMS accumulators: 16
-// of the 32 zmm on AVX-512, and all 16 ymm on AVX2, where it measured
-// faster than an 8-register tile despite the spills (each V row streams
-// past half as often). A score group holds SCORE_TOKENS x 8 columns.
-#if defined(__AVX512F__)
-#define FIGLUT_ATTN_LANES 8
-#define FIGLUT_ATTN_BLEND_DIMS 32
-#define FIGLUT_ATTN_SCORE_TOKENS 4
-#elif defined(__AVX__)
-#define FIGLUT_ATTN_LANES 4
-#define FIGLUT_ATTN_BLEND_DIMS 16
-#define FIGLUT_ATTN_SCORE_TOKENS 4
-#else // SSE2, NEON
-#define FIGLUT_ATTN_LANES 2
-#define FIGLUT_ATTN_BLEND_DIMS 4
-#define FIGLUT_ATTN_SCORE_TOKENS 2
-#endif
+#include "core/vector_kernels.h"
 
 namespace figlut {
 namespace simd_detail {
 namespace {
 
-/** Doubles per native vector. */
-constexpr std::size_t kLanes = FIGLUT_ATTN_LANES;
-
 /**
- * One native vector of doubles (GCC/Clang generic vector). Only ever
- * a local, never a parameter, so no calling convention depends on it.
+ * Tile shapes per native width. A blend tile holds 4 columns x
+ * kBlendDims accumulators: 16 of the 32 zmm on AVX-512, and all 16 ymm
+ * on AVX2, where it measured faster than an 8-register tile despite
+ * the spills (each V row streams past half as often). A score group
+ * holds kScoreTokens x 8 columns.
  */
-typedef double Vec
-    __attribute__((vector_size(FIGLUT_ATTN_LANES * sizeof(double))));
-
-/** Vec at any double-aligned address, for loads and stores. */
-typedef double VecU
-    __attribute__((vector_size(FIGLUT_ATTN_LANES * sizeof(double)),
-                   aligned(sizeof(double)), may_alias));
-
-#define FIGLUT_VEC_AT(p) (*reinterpret_cast<VecU *>(p))
-#define FIGLUT_VEC_LOAD(p) (*reinterpret_cast<const VecU *>(p))
+constexpr std::size_t kBlendDims = kLanes == 8 ? 32 : kLanes == 4 ? 16 : 4;
+constexpr std::size_t kScoreTokens = kLanes >= 4 ? 4 : 2;
 
 /** Vectors one full block's row of 8 column scores fills. */
 constexpr std::size_t kBlockVecs = kAttnBlockCols / kLanes;
@@ -83,12 +58,6 @@ static_assert(kBlockVecs * kLanes == kAttnBlockCols,
 
 /** Columns of one blend tile. */
 constexpr std::size_t kBlendCols = 4;
-
-/** Head dims one blend tile holds per column (whole vectors). */
-constexpr std::size_t kBlendDims = FIGLUT_ATTN_BLEND_DIMS;
-
-/** Tokens a full block scores at once: independent dot chains. */
-constexpr std::size_t kScoreTokens = FIGLUT_ATTN_SCORE_TOKENS;
 
 /**
  * A full block's scores: columns j0..j0+7 in lanes, tokens [0, n)
@@ -403,11 +372,5 @@ attentionHeadBody(const AttentionHead &a)
 } // namespace
 } // namespace simd_detail
 } // namespace figlut
-
-#undef FIGLUT_VEC_AT
-#undef FIGLUT_VEC_LOAD
-#undef FIGLUT_ATTN_LANES
-#undef FIGLUT_ATTN_BLEND_DIMS
-#undef FIGLUT_ATTN_SCORE_TOKENS
 
 #endif // FIGLUT_CORE_ATTENTION_KERNEL_H

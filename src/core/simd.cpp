@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "core/attention_kernel.h"
+#include "core/vector_kernels.h"
 
 namespace figlut {
 
@@ -37,33 +38,6 @@ accumIntSpanScalar(std::int64_t *psum, const std::int64_t *lut,
         }
         psum[r] = p;
     }
-}
-
-/**
- * accumIntSpanCols for every table without a blocked kernel (scalar,
- * AVX2, NEON, and the AVX-512 table's wide-table and tail-row
- * fallback): the table's single-column span, once per column.
- */
-void
-accumIntSpanColsEach(decltype(SimdKernels::accumIntSpan) span,
-                     std::int64_t *const *psum,
-                     const std::int64_t *const *lut, std::size_t lutStride,
-                     const std::uint32_t *keys, std::size_t keyStride,
-                     std::size_t chunks, std::size_t n, std::size_t cols)
-{
-    for (std::size_t j = 0; j < cols; ++j)
-        span(psum[j], lut[j], lutStride, keys, keyStride, chunks, n);
-}
-
-void
-accumIntSpanColsScalar(std::int64_t *const *psum,
-                       const std::int64_t *const *lut,
-                       std::size_t lutStride, const std::uint32_t *keys,
-                       std::size_t keyStride, std::size_t chunks,
-                       std::size_t n, std::size_t cols)
-{
-    accumIntSpanColsEach(accumIntSpanScalar, psum, lut, lutStride, keys,
-                         keyStride, chunks, n, cols);
 }
 
 /** The binary32 round-trip of FpArith::Fp32. */
@@ -98,22 +72,6 @@ addFlatScalar(double *out, const double *a, const double *b,
 {
     for (std::size_t i = 0; i < n; ++i)
         out[i] = a[i] + b[i];
-}
-
-void
-divFlatScalar(double *v, double denom, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        v[i] = v[i] / denom;
-}
-
-double
-maxFlatScalar(const double *v, std::size_t n)
-{
-    double mx = v[0];
-    for (std::size_t i = 1; i < n; ++i)
-        mx = mx < v[i] ? v[i] : mx;
-    return mx;
 }
 
 double
@@ -174,21 +132,13 @@ geluLutFlatScalar(double *out, const double *v, std::size_t n,
     }
 }
 
-/** The attention head kernel at the baseline ISA (NEON reuses it). */
-void
-attentionHeadScalar(const AttentionHead &head)
-{
-    attentionHeadBody(head);
-}
-
 const SimdKernels kScalarKernels = {
     SimdIsa::Scalar,        accumIntSpanScalar,
-    accumIntSpanColsScalar, foldIntPlaneFp32Scalar,
-    foldOffsetFp32Scalar,   addFlatScalar,
-    divFlatScalar,          maxFlatScalar,
-    sumLanesScalar,         sumSqDevLanesScalar,
-    normalizeFlatScalar,    geluLutFlatScalar,
-    attentionHeadScalar,
+    accumIntSpanColsEach<accumIntSpanScalar>,
+    foldIntPlaneFp32Scalar, foldOffsetFp32Scalar,
+    addFlatScalar,          sumLanesScalar,
+    sumSqDevLanesScalar,    normalizeFlatScalar,
+    geluLutFlatScalar,      attentionHeadBody,
 };
 
 #if FIGLUT_HAVE_AVX2_KERNELS

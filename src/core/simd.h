@@ -12,6 +12,15 @@
  * mandatory-NEON detection), optionally narrowed by the FIGLUT_SIMD
  * environment variable or the programmatic override below.
  *
+ * Where each table's entries come from: simd.cpp's scalar table is
+ * plain loops (plus the attention body at the baseline ISA). The
+ * AVX2, AVX-512 and NEON tables write only their int64 span kernels
+ * (accumIntSpan, accumIntSpanCols) in intrinsics; every other entry
+ * is one generic-vector body compiled per unit at its native width:
+ * core/vector_kernels.h for the folds, addFlat, sumLanes,
+ * sumSqDevLanes, normalizeFlat and geluLutFlat, and
+ * core/attention_kernel.h for attentionHead.
+ *
  * Bit-identity contract: every kernel's per-element arithmetic and
  * accumulation order is fixed by the scalar implementation in
  * simd.cpp, and each ISA implementation reproduces it exactly —
@@ -22,7 +31,8 @@
  * (-ffp-contract=off) so no path fuses a multiply-add the others
  * split. The differential suites in tests/core/test_simd_gemm.cpp and
  * tests/runtime/test_reference_ops.cpp pin every ISA against the
- * scalar table.
+ * scalar table, and tests/core/test_vector_kernels.cpp pins the 2-lane
+ * body NEON compiles on every host.
  */
 
 #ifndef FIGLUT_CORE_SIMD_H
@@ -211,17 +221,6 @@ struct SimdKernels
     /** out[i] = a[i] + b[i]. */
     void (*addFlat)(double *out, const double *a, const double *b,
                     std::size_t n);
-
-    /** v[i] = v[i] / denom (true division, not reciprocal multiply). */
-    void (*divFlat)(double *v, double denom, std::size_t n);
-
-    /**
-     * max over v[0..n) (n >= 1). Exactly the sequential fold for
-     * finite inputs; when +0 and -0 compete the returned zero's sign
-     * may differ per ISA, which callers must not depend on (the
-     * softmax shift x - max is unaffected).
-     */
-    double (*maxFlat)(const double *v, std::size_t n);
 
     /**
      * Sum of v[0..n) in the fixed kSimdReduceLanes-strided order:

@@ -10,8 +10,11 @@
  * instead of 8 gather lanes through the L1 load ports. The
  * multi-column span loads each key vector once for up to kSpanCols
  * columns' tables. Tail rows (n % 32) and wider tables go to the AVX2
- * kernel, once per column; it stays the only gather implementation,
- * and every non-span entry of the table is the AVX2 one.
+ * kernel, once per column; it stays the only gather implementation.
+ * Every other entry of the table comes from the generic-vector bodies
+ * of core/vector_kernels.h and core/attention_kernel.h at 8 doubles
+ * per vector (-mprefer-vector-width=512 makes them single zmm
+ * operations).
  *
  * Compiled with -mavx512f (file-level flag set by src/CMakeLists.txt
  * under FIGLUT_SIMD_AVX2) and only reached after the dispatcher
@@ -29,6 +32,7 @@
 #include <immintrin.h>
 
 #include "core/attention_kernel.h"
+#include "core/vector_kernels.h"
 
 namespace figlut {
 namespace simd_detail {
@@ -150,27 +154,21 @@ accumIntSpanColsAvx512(std::int64_t *const *psum,
     }
 }
 
-/** The attention body in 512-bit vectors (8 doubles per zmm). */
-void
-attentionHeadAvx512(const AttentionHead &head)
-{
-    attentionHeadBody(head);
-}
+const SimdKernels kAvx512Kernels = {
+    SimdIsa::Avx512,      accumIntSpanAvx512,
+    accumIntSpanColsAvx512,
+    foldIntPlaneFp32Body, foldOffsetFp32Body,
+    addFlatBody,          sumLanesBody,
+    sumSqDevLanesBody,    normalizeFlatBody,
+    geluLutFlatBody,      attentionHeadBody,
+};
 
 } // namespace
 
 const SimdKernels &
 avx512Kernels()
 {
-    static const SimdKernels kernels = [] {
-        SimdKernels k = avx2Kernels();
-        k.isa = SimdIsa::Avx512;
-        k.accumIntSpan = accumIntSpanAvx512;
-        k.accumIntSpanCols = accumIntSpanColsAvx512;
-        k.attentionHead = attentionHeadAvx512;
-        return k;
-    }();
-    return kernels;
+    return kAvx512Kernels;
 }
 
 } // namespace simd_detail

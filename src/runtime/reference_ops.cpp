@@ -38,25 +38,6 @@ referenceLayerNorm(const MatrixD &x, double eps)
     return out;
 }
 
-void
-referenceSoftmaxInPlace(double *v, std::size_t n)
-{
-    if (n == 0)
-        return;
-    const SimdKernels &k = simdKernels();
-    const double mx = k.maxFlat(v, n);
-    // exp and the running sum stay scalar: the sum is a sequential
-    // fold, and there is no vector exp under the bit-identity
-    // contract. SimdKernels::attentionHead runs this same arithmetic
-    // on its scores, so the attention oracle can call this function.
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        v[i] = std::exp(v[i] - mx);
-        sum += v[i];
-    }
-    k.divFlat(v, sum, n);
-}
-
 namespace {
 
 // tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + c x^3))) —

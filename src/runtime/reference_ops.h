@@ -35,12 +35,6 @@ namespace figlut {
  */
 MatrixD referenceLayerNorm(const MatrixD &x, double eps = 1e-5);
 
-/**
- * Numerically-stable softmax over v[0..n), in place: the max, then
- * v[i] = exp(v[i] - max) summed in order from 0, then v[i] / sum.
- */
-void referenceSoftmaxInPlace(double *v, std::size_t n);
-
 /** GELU (tanh approximation, matching the VPU costing) elementwise. */
 MatrixD referenceGelu(const MatrixD &x);
 
@@ -97,14 +91,15 @@ struct AttentionSpan
  *
  * Per column and head the arithmetic is fixed: each score is
  * dot = 0, dot += q[d] * k[d] for d = 0..headDim-1, times
- * 1/sqrt(headDim); the softmax of referenceSoftmaxInPlace runs over
- * the column's causal prefix; each output element starts at 0 and
- * adds p * v[d] in token order. Only the loop order differs from a
- * column-at-a-time walk. Each (span, head) runs the dispatched
- * SimdKernels::attentionHead: columns go in blocks of
- * kAttnBlockCols = 8 whose scores stay in an 8 x P scratch, so each K
- * row is read once per 8-column block (not once per column), and the
- * blend reads each V row once per 4-column register tile. Every sum
+ * 1/sqrt(headDim); the softmax over the column's causal prefix takes
+ * the max, then p = exp(s - max) summed in order from 0, then p / sum;
+ * each output element starts at 0 and adds p * v[d] in token order.
+ * Only the loop order differs from a column-at-a-time walk. Each
+ * (span, head) runs the dispatched SimdKernels::attentionHead: columns
+ * go in blocks of kAttnBlockCols = 8 whose scores stay in an 8 x P
+ * scratch, so each K row is read once per 8-column block (not once
+ * per column), and the blend reads each V row once per 4-column
+ * register tile. Every sum
  * keeps its order, so a column's result depends only on its own query
  * and causal prefix — bit-identical to the same column in a span of
  * one, on every ISA. Stride > 1 refs are staged into contiguous rows

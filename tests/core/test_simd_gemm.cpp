@@ -1,8 +1,9 @@
 /**
  * @file
  * Differential tests for the Simd LUT-GEMM backend and the runtime
- * ISA dispatcher: span kernels of every ISA against the scalar table,
- * Reference-vs-Simd bit-identity under every ISA over randomized
+ * ISA dispatcher: the span kernels, epilogue folds, flat vector
+ * entries and attention head kernel of every ISA against the scalar
+ * table, Reference-vs-Simd bit-identity under every ISA over randomized
  * shapes and configs, cross-ISA bit-identity under forced
  * dispatch, counter equivalence, pre-packed key reuse, and the
  * guarantee that dispatch never selects an ISA the binary was not
@@ -12,13 +13,8 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/mman.h>
-#include <unistd.h>
-
 #include <cmath>
-#include <cstring>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "common/rng.h"
@@ -28,6 +24,7 @@
 #include "core/simd.h"
 #include "model/synthetic.h"
 #include "quant/packing.h"
+#include "simd_kernel_checks.h"
 
 namespace figlut {
 namespace {
@@ -134,70 +131,6 @@ TEST(SimdDispatch, OverrideClampsToCompiledIsas)
 }
 
 // ------------------------------------------------------- span kernels
-
-template <typename T>
-std::uint64_t
-bitsOf(T v)
-{
-    std::uint64_t b = 0;
-    std::memcpy(&b, &v, sizeof v);
-    return b;
-}
-
-/**
- * n elements that end exactly at an inaccessible page. Sanitizers do
- * not instrument masked vector loads, so this is what makes a kernel
- * that reads even one lane past the last chunk's slab fault in every
- * build.
- */
-template <typename T>
-class GuardPagedArray
-{
-  public:
-    explicit GuardPagedArray(std::size_t n)
-    {
-        const std::size_t page =
-            static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-        const std::size_t dataPages = (n * sizeof(T) + page - 1) / page;
-        bytes_ = (dataPages + 1) * page;
-        void *base = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
-                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-        if (base == MAP_FAILED)
-            throw std::bad_alloc();
-        base_ = static_cast<char *>(base);
-        char *guard = base_ + dataPages * page;
-        if (mprotect(guard, page, PROT_NONE) != 0) {
-            munmap(base_, bytes_);
-            throw std::bad_alloc();
-        }
-        data_ = reinterpret_cast<T *>(guard) - n;
-        size_ = n;
-    }
-    ~GuardPagedArray() { munmap(base_, bytes_); }
-    GuardPagedArray(const GuardPagedArray &) = delete;
-    GuardPagedArray &operator=(const GuardPagedArray &) = delete;
-
-    T *data() { return data_; }
-    std::size_t size() const { return size_; }
-    T &operator[](std::size_t i) { return data_[i]; }
-
-  private:
-    char *base_ = nullptr;
-    std::size_t bytes_ = 0;
-    T *data_ = nullptr;
-    std::size_t size_ = 0;
-};
-
-/** Index of the first element whose bits differ, or n. */
-template <typename T>
-std::size_t
-firstBitMismatch(const std::vector<T> &a, const std::vector<T> &b)
-{
-    for (std::size_t i = 0; i < a.size(); ++i)
-        if (bitsOf(a[i]) != bitsOf(b[i]))
-            return i;
-    return a.size();
-}
 
 /**
  * The span kernels of every supported ISA against the scalar table,
@@ -311,111 +244,36 @@ TEST(SimdSpanKernels, EveryIsaMatchesScalarTable)
 }
 
 /**
- * One epilogue fold input. Besides random values the draw makes
- * binary32 ties (acc = 1, term = an odd multiple of 2^-24, or an
- * inner product on a tie), signed zeros that meet (-0.0 + +0.0),
- * negative alphas, and int64 psums out to and past 2^51, where AVX2's
- * exact int64 -> double conversion ends.
- */
-struct FoldDraw
-{
-    double acc, alpha;
-    std::int64_t psum;
-};
-
-FoldDraw
-drawFold(Rng &rng)
-{
-    const double sign = rng.uniformInt(0, 1) == 1 ? -1.0 : 1.0;
-    const std::int64_t odd = 2 * rng.uniformInt(0, 1000) + 1;
-    const std::int64_t bound = std::int64_t{1} << 51;
-    FoldDraw d{rng.normal() * 100.0, sign * rng.normal(),
-               rng.uniformInt(-1000000, 1000000)};
-    switch (rng.uniformInt(0, 6)) {
-      case 0: // outer tie: 1 + odd * 2^-24 with scale 2^-24
-        d.acc = 1.0;
-        d.alpha = 1.0;
-        d.psum = odd;
-        break;
-      case 1: // inner tie: alpha * 1 lies halfway between two floats
-        d.alpha = sign * (1.0 + static_cast<double>(odd) *
-                                    std::ldexp(1.0, -24));
-        d.psum = std::int64_t{1} << 24;
-        break;
-      case 2: // -0.0 + +0.0 (and the other signed-zero pairs)
-        d.acc = rng.uniformInt(0, 1) == 1 ? -0.0 : 0.0;
-        d.alpha = sign * 0.0;
-        d.psum = 0;
-        break;
-      case 3: // around the exact-conversion bound
-        d.psum = static_cast<std::int64_t>(sign) *
-                 (bound + rng.uniformInt(-2, 1));
-        break;
-      case 4: // far past it, up to 2^62
-        d.psum = static_cast<std::int64_t>(sign) *
-                 rng.uniformInt(bound, std::int64_t{1} << 62);
-        break;
-      default:
-        break;
-    }
-    return d;
-}
-
-/**
- * The epilogue folds of every supported ISA against the scalar
- * table, for n = 0..70 (many 4-row vectors and every tail). Each
- * input ends at a guard page, so a fold that reads or writes one row
- * past n faults.
+ * The epilogue folds of every supported ISA against the scalar table
+ * (simd_kernel_checks.h), on guard-paged inputs for n = 0..70.
  */
 TEST(SimdEpilogue, EveryIsaMatchesScalarTable)
 {
-    const SimdKernels &scalar = simdKernelsFor(SimdIsa::Scalar);
     Rng rng(4500);
     for (const auto isa : kVectorIsas) {
         if (!simdIsaSupported(isa))
             continue;
         const SimdKernels &vec = simdKernelsFor(isa);
         ASSERT_EQ(vec.isa, isa);
-        for (std::size_t n = 0; n <= 70; ++n) {
-            for (int trial = 0; trial < 4; ++trial) {
-                GuardPagedArray<double> alpha(n), acc(n);
-                GuardPagedArray<std::int64_t> psum(n);
-                std::vector<double> seed(n);
-                for (std::size_t r = 0; r < n; ++r) {
-                    const FoldDraw d = drawFold(rng);
-                    seed[r] = d.acc;
-                    alpha[r] = d.alpha;
-                    psum[r] = d.psum;
-                }
-                // Trial 0 uses the tie scale; the others the shared
-                // power-of-two scales alignment produces, and one
-                // non-power-of-two.
-                const double scales[] = {std::ldexp(1.0, -24),
-                                         std::ldexp(1.0, -30), 1.0, 0.75};
-                const double scale = scales[trial];
-                const double sumx = trial == 2 ? -0.0 : rng.normal();
-                const std::string what = std::string(simdIsaName(isa)) +
-                                         " n=" + std::to_string(n) +
-                                         " trial=" + std::to_string(trial);
+        expectFoldsMatchScalar(vec, simdIsaName(isa), rng);
+    }
+}
 
-                const auto run = [&](const SimdKernels &k, int fold) {
-                    std::copy(seed.begin(), seed.end(), acc.data());
-                    if (fold == 0)
-                        k.foldIntPlaneFp32(acc.data(), alpha.data(),
-                                           psum.data(), scale, n);
-                    else
-                        k.foldOffsetFp32(acc.data(), alpha.data(), sumx, n);
-                    return std::vector<double>(acc.data(), acc.data() + n);
-                };
-                const char *names[] = {"int plane ", "offset "};
-                for (int fold = 0; fold < 2; ++fold) {
-                    const auto want = run(scalar, fold);
-                    const auto got = run(vec, fold);
-                    EXPECT_EQ(firstBitMismatch(got, want), n)
-                        << names[fold] << what;
-                }
-            }
-        }
+/**
+ * addFlat, sumLanes, sumSqDevLanes, normalizeFlat and geluLutFlat of
+ * every supported ISA against the scalar table (simd_kernel_checks.h):
+ * n = 0..70, finite values of wide range, signed zeros, NaN,
+ * infinities and values past the GELU table's +-8, on guard pages.
+ */
+TEST(SimdFlatKernels, EveryIsaMatchesScalarTable)
+{
+    Rng rng(4700);
+    for (const auto isa : kVectorIsas) {
+        if (!simdIsaSupported(isa))
+            continue;
+        const SimdKernels &vec = simdKernelsFor(isa);
+        ASSERT_EQ(vec.isa, isa);
+        expectFlatEntriesMatchScalar(vec, simdIsaName(isa), rng);
     }
 }
 

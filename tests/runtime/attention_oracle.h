@@ -3,7 +3,8 @@
  * The column-at-a-time decode attention that referenceChunkAttention
  * replaced, kept verbatim as the bit-identity oracle for the attention
  * tests: one scalar dot chain per (column, head, token), a softmax per
- * column, then the V blend into a zeroed output, through the
+ * column (referenceSoftmaxInPlace below, plain loops), then the V
+ * blend into a zeroed output, through the
  * bounds-checked MatrixD accessors. kv[b] is column b's full causal
  * view, oldest token first. snapshotColumnViews builds such views
  * over a KvCache's per-step snapshots.
@@ -13,11 +14,34 @@
 #define FIGLUT_TESTS_RUNTIME_ATTENTION_ORACLE_H
 
 #include <cmath>
+#include <cstddef>
 #include <vector>
 
 #include "runtime/reference_ops.h"
 
 namespace figlut {
+
+/**
+ * Numerically-stable softmax over v[0..n), in place: the max, then
+ * v[i] = exp(v[i] - max) summed in order from 0, then v[i] / sum. The
+ * oracle of the softmax SimdKernels::attentionHead runs on its scores.
+ */
+inline void
+referenceSoftmaxInPlace(double *v, std::size_t n)
+{
+    if (n == 0)
+        return;
+    double mx = v[0];
+    for (std::size_t i = 1; i < n; ++i)
+        mx = mx < v[i] ? v[i] : mx;
+    double sum = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        v[i] = std::exp(v[i] - mx);
+        sum += v[i];
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = v[i] / sum;
+}
 
 inline MatrixD
 perColumnAttentionOracle(const MatrixD &q,
