@@ -685,6 +685,26 @@ BM_ChunkAttentionDecode(benchmark::State &state)
 }
 BENCHMARK(BM_ChunkAttentionDecode)->Unit(benchmark::kMicrosecond);
 
+/**
+ * referenceGelu over the longdoc FC1 output (512 x 56: the perfbench
+ * model's FFN width by a step's columns) on the active SIMD table.
+ */
+void
+BM_Gelu(benchmark::State &state)
+{
+    Rng rng(27);
+    MatrixD x(512, 56);
+    for (auto &v : x)
+        v = rng.normal() * 2.0;
+    for (auto _ : state) {
+        auto out = referenceGelu(x);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(
+        static_cast<int64_t>(state.iterations() * x.size()));
+}
+BENCHMARK(BM_Gelu)->Unit(benchmark::kMicrosecond);
+
 void
 BM_SimulateGemm(benchmark::State &state)
 {

@@ -31,7 +31,6 @@
 #ifndef FIGLUT_CORE_ATTENTION_KERNEL_H
 #define FIGLUT_CORE_ATTENTION_KERNEL_H
 
-#include <cmath>
 #include <cstddef>
 
 #include "core/simd.h"
@@ -159,8 +158,8 @@ scoreTokenLanes(const AttentionHead &a, std::size_t j0, std::size_t n)
  * Softmax of a full block's 8 columns, lanes = columns: column u's
  * scores are scores[t * 8 + u] for its n0 + u tokens, so tokens below
  * n0 run as whole vectors and the last 7 per lane. The max is the
- * sequential fold; exp stays scalar; each lane's sum adds in token
- * order from 0.
+ * sequential fold; exp runs on whole vectors and, on the causal tail,
+ * as the scalar twin; each lane's sum adds in token order from 0.
  */
 inline void
 softmaxColumnLanes(double *scores, std::size_t n0)
@@ -174,60 +173,68 @@ softmaxColumnLanes(double *scores, std::size_t n0)
             const Vec r = FIGLUT_VEC_LOAD(scores + t * kCols + b * kLanes);
             mxv[b] = mxv[b] < r ? r : mxv[b];
         }
-    double mx[kCols];
-    for (std::size_t u = 0; u < kCols; ++u)
-        mx[u] = mxv[u / kLanes][u % kLanes];
-    for (std::size_t u = 1; u < kCols; ++u)
+    for (std::size_t u = 1; u < kCols; ++u) {
+        double mx = mxv[u / kLanes][u % kLanes];
         for (std::size_t t = n0; t < n0 + u; ++t) {
             const double x = scores[t * kCols + u];
-            mx[u] = mx[u] < x ? x : mx[u];
+            mx = mx < x ? x : mx;
         }
+        mxv[u / kLanes][u % kLanes] = mx;
+    }
 
     Vec sumv[kBlockVecs];
     for (std::size_t b = 0; b < kBlockVecs; ++b)
         sumv[b] = Vec{};
-    for (std::size_t t = 0; t < n0; ++t) {
-        double *row = scores + t * kCols;
-        for (std::size_t u = 0; u < kCols; ++u)
-            row[u] = std::exp(row[u] - mx[u]);
-        for (std::size_t b = 0; b < kBlockVecs; ++b)
-            sumv[b] = sumv[b] + FIGLUT_VEC_LOAD(row + b * kLanes);
-    }
-    double sum[kCols];
-    for (std::size_t u = 0; u < kCols; ++u)
-        sum[u] = sumv[u / kLanes][u % kLanes];
-    for (std::size_t u = 1; u < kCols; ++u)
+    for (std::size_t t = 0; t < n0; ++t)
+        for (std::size_t b = 0; b < kBlockVecs; ++b) {
+            double *x = scores + t * kCols + b * kLanes;
+            const Vec e = expBody<Vec>(FIGLUT_VEC_LOAD(x) - mxv[b]);
+            FIGLUT_VEC_AT(x) = e;
+            sumv[b] = sumv[b] + e;
+        }
+    for (std::size_t u = 1; u < kCols; ++u) {
+        const double mx = mxv[u / kLanes][u % kLanes];
+        double sum = sumv[u / kLanes][u % kLanes];
         for (std::size_t t = n0; t < n0 + u; ++t) {
             double &x = scores[t * kCols + u];
-            x = std::exp(x - mx[u]);
-            sum[u] += x;
+            x = expBody(x - mx);
+            sum += x;
         }
+        sumv[u / kLanes][u % kLanes] = sum;
+    }
 
-    for (std::size_t u = 0; u < kCols; ++u)
-        sumv[u / kLanes][u % kLanes] = sum[u];
     for (std::size_t t = 0; t < n0; ++t)
         for (std::size_t b = 0; b < kBlockVecs; ++b) {
             double *x = scores + t * kCols + b * kLanes;
             FIGLUT_VEC_AT(x) = FIGLUT_VEC_LOAD(x) / sumv[b];
         }
-    for (std::size_t u = 1; u < kCols; ++u)
+    for (std::size_t u = 1; u < kCols; ++u) {
+        const double sum = sumv[u / kLanes][u % kLanes];
         for (std::size_t t = n0; t < n0 + u; ++t)
-            scores[t * kCols + u] /= sum[u];
+            scores[t * kCols + u] /= sum;
+    }
 }
 
-/** Softmax over one contiguous row of n >= 1 scores. */
+/**
+ * Softmax over one contiguous row of n >= 1 scores: exp on whole
+ * vectors, then the scalar twin on the tail, then the sum in token
+ * order from 0.
+ */
 inline void
 softmaxRow(double *v, std::size_t n)
 {
     double mx = v[0];
     for (std::size_t i = 1; i < n; ++i)
         mx = mx < v[i] ? v[i] : mx;
+    std::size_t i = 0;
+    for (; i + kLanes <= n; i += kLanes)
+        FIGLUT_VEC_AT(v + i) = expBody<Vec>(FIGLUT_VEC_LOAD(v + i) - mx);
+    for (; i < n; ++i)
+        v[i] = expBody(v[i] - mx);
     double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        v[i] = std::exp(v[i] - mx);
+    for (i = 0; i < n; ++i)
         sum += v[i];
-    }
-    for (std::size_t i = 0; i < n; ++i)
+    for (i = 0; i < n; ++i)
         v[i] = v[i] / sum;
 }
 

@@ -113,23 +113,10 @@ normalizeFlatScalar(double *out, const double *v, double mean,
 }
 
 void
-geluLutFlatScalar(double *out, const double *v, std::size_t n,
-                  const GeluLutTable &t)
+geluFlatScalar(double *out, const double *v, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i) {
-        const double x = v[i];
-        // Clamp exactly as the vector path's max/min predicates do
-        // (NaN clamps to lo); the identity tail overrides afterwards.
-        double cx = x > t.lo ? x : t.lo;
-        cx = cx < t.hi ? cx : t.hi;
-        int idx = static_cast<int>((cx - t.lo) * t.invStep);
-        idx = idx < t.segments ? idx : t.segments - 1;
-        const double x0 = t.lo + static_cast<double>(idx) * t.step;
-        const double pwl =
-            t.value[static_cast<std::size_t>(idx)] +
-            (cx - x0) * t.slope[static_cast<std::size_t>(idx)];
-        out[i] = x > t.hi ? x : pwl;
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = geluOf(v[i]);
 }
 
 const SimdKernels kScalarKernels = {
@@ -138,7 +125,7 @@ const SimdKernels kScalarKernels = {
     foldIntPlaneFp32Scalar, foldOffsetFp32Scalar,
     addFlatScalar,          sumLanesScalar,
     sumSqDevLanesScalar,    normalizeFlatScalar,
-    geluLutFlatScalar,      attentionHeadBody,
+    geluFlatScalar,         attentionHeadBody,
 };
 
 #if FIGLUT_HAVE_AVX2_KERNELS
@@ -362,6 +349,18 @@ const SimdKernels &
 simdKernels()
 {
     return simdKernelsFor(activeSimdIsa());
+}
+
+double
+kernelExp(double x)
+{
+    return simd_detail::expBody(x);
+}
+
+double
+kernelGelu(double x)
+{
+    return simd_detail::geluOf(x);
 }
 
 } // namespace figlut

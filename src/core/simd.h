@@ -18,8 +18,11 @@
  * (accumIntSpan, accumIntSpanCols) in intrinsics; every other entry
  * is one generic-vector body compiled per unit at its native width:
  * core/vector_kernels.h for the folds, addFlat, sumLanes,
- * sumSqDevLanes, normalizeFlat and geluLutFlat, and
- * core/attention_kernel.h for attentionHead.
+ * sumSqDevLanes, normalizeFlat and geluFlat, and
+ * core/attention_kernel.h for attentionHead. The two transcendentals,
+ * exp (in the attention softmax and in GELU) and GELU itself, are the
+ * repo's own (kernelExp and kernelGelu below), so no entry's bits
+ * depend on the platform libm.
  *
  * Bit-identity contract: every kernel's per-element arithmetic and
  * accumulation order is fixed by the scalar implementation in
@@ -41,7 +44,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace figlut {
 
@@ -94,23 +96,6 @@ SimdIsa setSimdIsaOverride(SimdIsa isa);
 
 /** Drop the programmatic override (environment selection returns). */
 void clearSimdIsaOverride();
-
-/**
- * Piecewise-linear GELU table (the LUT-segmented transcendental idiom
- * of the PIM VPU): `segments` uniform segments over [lo, hi], knot
- * values plus per-segment slopes. Inputs above hi use the identity
- * tail (GELU(x) -> x), inputs below lo clamp to value[0] (GELU -> 0).
- */
-struct GeluLutTable
-{
-    std::vector<double> value; ///< segments + 1 knot values
-    std::vector<double> slope; ///< per-segment linear slope
-    double lo = 0.0;
-    double hi = 0.0;
-    double step = 0.0;
-    double invStep = 0.0;
-    int segments = 0;
-};
 
 /** Logical lanes of the fixed strided-reduction contract. */
 inline constexpr std::size_t kSimdReduceLanes = 4;
@@ -237,21 +222,15 @@ struct SimdKernels
     void (*normalizeFlat)(double *out, const double *v, double mean,
                           double invStd, std::size_t n);
 
-    /**
-     * Piecewise-linear GELU: identity above table.hi, clamped-PWL
-     * interpolation elsewhere. Bit-identical across ISAs; the
-     * approximation error vs the exact tanh GELU is bounded by the
-     * table resolution (see DESIGN.md).
-     */
-    void (*geluLutFlat)(double *out, const double *v, std::size_t n,
-                        const GeluLutTable &table);
+    /** out[i] = kernelGelu(v[i]), each element one lane. */
+    void (*geluFlat)(double *out, const double *v, std::size_t n);
 
     /**
      * Chunk-causal attention over one head of one span (see
      * AttentionHead). Per column the arithmetic is fixed: each score
      * is dot = 0, dot += q[d] * k[d] for d = 0..headDim-1, times
      * scale; the softmax over the column's causal prefix takes the
-     * max, replaces each score s by std::exp(s - max) while summing
+     * max, replaces each score s by kernelExp(s - max) while summing
      * them sequentially from 0, then divides each by the sum; each
      * output element starts at 0 and adds p * v[d] in token order.
      * Columns run in blocks of kAttnBlockCols whose scores stay in
@@ -260,6 +239,28 @@ struct SimdKernels
      */
     void (*attentionHead)(const AttentionHead &head);
 };
+
+/**
+ * The deterministic exp every table evaluates, lane by lane, in the
+ * attention softmax and in GELU: a Cody-Waite reduction by ln 2, a
+ * degree-13 polynomial and an exact 2^k scale, in IEEE double
+ * operations only (core/vector_kernels.h), so its bits are the same on
+ * every ISA, compiler and libc. Within 2 ulp of e^x wherever that is
+ * a normal double (x in [-708.39, 709.78]); subnormal results round
+ * from the same polynomial; 0 below about -745.13, +inf above about
+ * 709.78, NaN returns itself, exp(+-0) = 1. DESIGN.md states the
+ * measured error.
+ */
+double kernelExp(double x);
+
+/**
+ * GELU, tanh approximation, as x / (1 + kernelExp(-2 sqrt(2/pi) (x +
+ * 0.044715 x^3))): the same function as 0.5 x (1 + tanh(sqrt(2/pi)
+ * (x + 0.044715 x^3))) without its cancellation for negative x.
+ * gelu(+-0) = +-0, large positive x returns x, large negative x
+ * returns -0, NaN returns itself.
+ */
+double kernelGelu(double x);
 
 /** Kernels of the active ISA (see activeSimdIsa()). */
 const SimdKernels &simdKernels();

@@ -102,7 +102,7 @@ const SimdKernels kAvx2Kernels = {
     foldIntPlaneFp32Body, foldOffsetFp32Body,
     addFlatBody,          sumLanesBody,
     sumSqDevLanesBody,    normalizeFlatBody,
-    geluLutFlatBody,      attentionHeadBody,
+    geluFlatBody,         attentionHeadBody,
 };
 
 } // namespace

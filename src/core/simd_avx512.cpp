@@ -160,7 +160,7 @@ const SimdKernels kAvx512Kernels = {
     foldIntPlaneFp32Body, foldOffsetFp32Body,
     addFlatBody,          sumLanesBody,
     sumSqDevLanesBody,    normalizeFlatBody,
-    geluLutFlatBody,      attentionHeadBody,
+    geluFlatBody,         attentionHeadBody,
 };
 
 } // namespace

@@ -77,7 +77,7 @@ const SimdKernels kNeonKernels = {
     foldIntPlaneFp32Body, foldOffsetFp32Body,
     addFlatBody,          sumLanesBody,
     sumSqDevLanesBody,    normalizeFlatBody,
-    geluLutFlatBody,      attentionHeadBody,
+    geluFlatBody,         attentionHeadBody,
 };
 
 } // namespace

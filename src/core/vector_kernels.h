@@ -1,12 +1,13 @@
 /**
  * @file
  * The body of the flat SimdKernels entries (the epilogue folds, the
- * layer norm reductions and normalize, the residual add and the
- * piecewise-linear GELU), compiled once per ISA: each vector kernel
- * unit (simd_avx2.cpp, simd_avx512.cpp, simd_neon.cpp) includes this
- * header under its own target flags and points its table at the
- * bodies. The native vector type defined here is also the one
- * core/attention_kernel.h is written in. Internal to those units.
+ * layer norm reductions and normalize, the residual add and the GELU),
+ * compiled once per ISA: each vector kernel unit (simd_avx2.cpp,
+ * simd_avx512.cpp, simd_neon.cpp) includes this header under its own
+ * target flags and points its table at the bodies. The native vector
+ * type and the deterministic exp defined here are also the ones
+ * core/attention_kernel.h is written in, and simd.cpp takes the scalar
+ * exp and GELU from here too. Internal to those units.
  *
  * Everything here has internal linkage, and the bodies call no inline
  * library template, so the per-ISA copies can never be merged at link
@@ -16,6 +17,8 @@
  * loops and is the spec:
  *  - lanes only hold independent elements, and tails run the scalar
  *    contract's operations in its order;
+ *  - expBody and geluOf are one template body instantiated on double
+ *    and on Vec, so each lane computes the scalar bits by construction;
  *  - sumLanes and sumSqDevLanes accumulate in a 4-wide vector on every
  *    width, so the lanes are the contract's kSimdReduceLanes lanes;
  *  - the folds' binary32 rounding is the float convert pair, and their
@@ -56,8 +59,6 @@ void foldIntPlaneFp32Scalar(double *acc, const double *alpha,
                             std::size_t n);
 void foldOffsetFp32Scalar(double *acc, const double *off, double sumx,
                           std::size_t n);
-void geluLutFlatScalar(double *out, const double *v, std::size_t n,
-                       const GeluLutTable &t);
 
 namespace {
 
@@ -83,10 +84,8 @@ typedef std::uint64_t U64VecU
     __attribute__((vector_size(FIGLUT_VEC_LANES * sizeof(double)),
                    aligned(sizeof(double)), may_alias));
 
-/** The native vector's lanes as binary32 and as int32. */
+/** The native vector's lanes as binary32. */
 typedef float F32Vec
-    __attribute__((vector_size(FIGLUT_VEC_LANES * sizeof(float))));
-typedef std::int32_t I32Vec
     __attribute__((vector_size(FIGLUT_VEC_LANES * sizeof(float))));
 
 /** The kSimdReduceLanes logical lanes of the strided reductions. */
@@ -265,35 +264,102 @@ normalizeFlatBody(double *out, const double *v, double mean,
         out[i] = (v[i] - mean) * invStd;
 }
 
-/**
- * geluLutFlat. The clamp has the scalar predicates (NaN clamps to lo),
- * the segment index truncates as static_cast<int> does, and each lane
- * reads its own knot value and slope.
- */
-inline void
-geluLutFlatBody(double *out, const double *v, std::size_t n,
-                const GeluLutTable &t)
+/** The lanes of T as 64-bit patterns: one for a double, U64Vec for Vec. */
+template <typename T>
+struct BitsOf;
+template <>
+struct BitsOf<double>
 {
-    const Vec lo = Vec{} + t.lo;
-    const Vec hi = Vec{} + t.hi;
+    typedef std::uint64_t type;
+};
+template <>
+struct BitsOf<Vec>
+{
+    typedef U64Vec type;
+};
+
+/**
+ * The deterministic exp, on one double or on each lane of a Vec (the
+ * contract kernelExp in simd.h states):
+ *  - x is clamped to [-746, 710], past which the result is 0 or +inf
+ *    either way, so that k below stays in range;
+ *  - k = x * log2(e) rounded to nearest even, read off the bits of
+ *    x * log2(e) + 2^52 + 2^51;
+ *  - Cody-Waite: r = (x - k * ln2Hi) - k * ln2Lo, where ln2Hi has 32
+ *    significant bits, so k * ln2Hi and the first difference are
+ *    exact, and |r| <= ln2 / 2 up to the rounding of k * ln2Lo;
+ *  - e^r is the degree-13 Taylor polynomial in Horner form (the
+ *    dropped term is below 2^-57 of the result on that range);
+ *  - the scale 2^k is two exact powers of two built from bits,
+ *    2^floor(k/2) then 2^(k - floor(k/2)), so that results near
+ *    overflow and subnormal results still round once;
+ *  - a NaN returns itself.
+ */
+template <typename T>
+inline T
+expBody(T x)
+{
+    typedef typename BitsOf<T>::type U;
+    constexpr double kShift = 6755399441055744.0; // 2^52 + 2^51
+    constexpr double kLog2e = 1.4426950408889634;
+    constexpr double kLn2Hi = 6.93147180369123816490e-01;
+    constexpr double kLn2Lo = 1.90821492927058770002e-10;
+    // The bits of kShift less the 2048 that keeps k + 2048 unsigned.
+    constexpr std::uint64_t kShiftBias = 0x4338000000000000 - 2048;
+    const T lo = T{} - 746.0;
+    const T hi = T{} + 710.0;
+    T c = x < lo ? lo : x;
+    c = c > hi ? hi : c;
+    const T y = c * kLog2e + kShift;
+    const T k = y - kShift;
+    const T r = (c - k * kLn2Hi) - k * kLn2Lo;
+    T p = r * (1.0 / 6227020800.0) + 1.0 / 479001600.0;
+    p = p * r + 1.0 / 39916800.0;
+    p = p * r + 1.0 / 3628800.0;
+    p = p * r + 1.0 / 362880.0;
+    p = p * r + 1.0 / 40320.0;
+    p = p * r + 1.0 / 5040.0;
+    p = p * r + 1.0 / 720.0;
+    p = p * r + 1.0 / 120.0;
+    p = p * r + 1.0 / 24.0;
+    p = p * r + 1.0 / 6.0;
+    p = p * r + 0.5;
+    p = p * r + 1.0;
+    p = p * r + 1.0;
+    // kb = k + 2048 lies in [972, 3072], so both exponent fields below
+    // lie in [485, 1535].
+    const U kb = __builtin_bit_cast(U, y) - kShiftBias;
+    const U half = kb >> 1;
+    const T s1 = __builtin_bit_cast(T, (half - 1) << 52);
+    const T s2 = __builtin_bit_cast(T, (kb - half - 1) << 52);
+    const T e = p * s1 * s2;
+    return x != x ? x : e;
+}
+
+/**
+ * GELU (tanh approximation) as x / (1 + exp(-2 sqrt(2/pi) (x +
+ * 0.044715 x^3))), the same function as 0.5 x (1 + tanh(...)) without
+ * that form's cancellation as tanh -> -1.
+ */
+template <typename T>
+inline T
+geluOf(T x)
+{
+    constexpr double kMinus2Sqrt2OverPi = -2.0 * 0.7978845608028654;
+    constexpr double kCubicCoeff = 0.044715;
+    return x / (1.0 + expBody<T>(kMinus2Sqrt2OverPi *
+                                 (x + kCubicCoeff * x * x * x)));
+}
+
+/** geluFlat. */
+inline void
+geluFlatBody(double *out, const double *v, std::size_t n)
+{
     std::size_t i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-        const Vec x = FIGLUT_VEC_LOAD(v + i);
-        Vec cx = x > lo ? x : lo;
-        cx = cx < hi ? cx : hi;
-        I32Vec idx =
-            __builtin_convertvector((cx - t.lo) * t.invStep, I32Vec);
-        idx = idx < t.segments ? idx : t.segments - 1;
-        const Vec x0 = t.lo + __builtin_convertvector(idx, Vec) * t.step;
-        Vec val, slp;
-        for (std::size_t l = 0; l < kLanes; ++l) {
-            val[l] = t.value[static_cast<std::size_t>(idx[l])];
-            slp[l] = t.slope[static_cast<std::size_t>(idx[l])];
-        }
-        const Vec pwl = val + (cx - x0) * slp;
-        FIGLUT_VEC_AT(out + i) = x > hi ? x : pwl;
-    }
-    geluLutFlatScalar(out + i, v + i, n - i, t);
+    for (; i + kLanes <= n; i += kLanes)
+        FIGLUT_VEC_AT(out + i) = geluOf<Vec>(FIGLUT_VEC_LOAD(v + i));
+    for (; i < n; ++i)
+        out[i] = geluOf(v[i]);
 }
 
 /**

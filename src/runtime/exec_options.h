@@ -42,14 +42,6 @@ struct ExecOptions
     bool useGeneratorTree = true;
 
     /**
-     * Execute the FFN GELU with the piecewise-linear LUT kernel
-     * (referenceGeluLut) instead of the exact tanh GELU. Vectorized
-     * and bit-identical across ISAs, but an approximation (abs error
-     * < 1e-5; see DESIGN.md) — hence opt-in, default off.
-     */
-    bool lutGelu = false;
-
-    /**
      * Row-shard every layer GEMM across this many worker groups
      * (shard/sharded_executor.h), each pinned to a NUMA node where
      * detected. <= 0 = auto: the FIGLUT_SHARDS env override when set

@@ -38,73 +38,11 @@ referenceLayerNorm(const MatrixD &x, double eps)
     return out;
 }
 
-namespace {
-
-// tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + c x^3))) —
-// matches the VPU costing. Shared by the exact elementwise GELU and
-// the knot sampling of the piecewise-linear table below.
-double
-geluScalar(double v)
-{
-    constexpr double kSqrt2OverPi = 0.7978845608028654;
-    constexpr double kCubicCoeff = 0.044715;
-    return 0.5 * v *
-           (1.0 + std::tanh(kSqrt2OverPi * (v + kCubicCoeff * v * v * v)));
-}
-
-/**
- * The LUT-segmented GELU table: 2048 uniform segments over [-8, 8]
- * (step 2^-7, so knot positions and invStep are exact), knots sampled
- * from the tanh GELU. |GELU''| < 1.2 everywhere, so the per-segment
- * chord error is under 1.2/8 * step^2 < 1e-5; outside the range GELU
- * is within 1e-14 of its clamp/identity asymptotes. DESIGN.md records
- * the substitution and the 1e-4 acceptance tolerance.
- */
-const GeluLutTable &
-geluLutTable()
-{
-    static const GeluLutTable table = [] {
-        GeluLutTable t;
-        t.segments = 2048;
-        t.lo = -8.0;
-        t.hi = 8.0;
-        t.step = (t.hi - t.lo) / static_cast<double>(t.segments);
-        t.invStep = 1.0 / t.step;
-        t.value.resize(static_cast<std::size_t>(t.segments) + 1);
-        t.slope.resize(static_cast<std::size_t>(t.segments));
-        for (int i = 0; i <= t.segments; ++i)
-            t.value[static_cast<std::size_t>(i)] =
-                geluScalar(t.lo + static_cast<double>(i) * t.step);
-        for (int i = 0; i < t.segments; ++i)
-            t.slope[static_cast<std::size_t>(i)] =
-                (t.value[static_cast<std::size_t>(i) + 1] -
-                 t.value[static_cast<std::size_t>(i)]) *
-                t.invStep;
-        return t;
-    }();
-    return table;
-}
-
-} // namespace
-
 MatrixD
 referenceGelu(const MatrixD &x)
 {
-    // Deliberately scalar: tanh dominates the cost and has no vector
-    // equivalent under the bit-identity contract. referenceGeluLut()
-    // below is the vectorized (approximate, opt-in) alternative.
     MatrixD out(x.rows(), x.cols());
-    for (std::size_t i = 0; i < x.size(); ++i)
-        out.at(i) = geluScalar(x.at(i));
-    return out;
-}
-
-MatrixD
-referenceGeluLut(const MatrixD &x)
-{
-    const GeluLutTable &table = geluLutTable();
-    MatrixD out(x.rows(), x.cols());
-    simdKernels().geluLutFlat(out.data(), x.data(), x.size(), table);
+    simdKernels().geluFlat(out.data(), x.data(), x.size());
     return out;
 }
 

@@ -35,18 +35,12 @@ namespace figlut {
  */
 MatrixD referenceLayerNorm(const MatrixD &x, double eps = 1e-5);
 
-/** GELU (tanh approximation, matching the VPU costing) elementwise. */
-MatrixD referenceGelu(const MatrixD &x);
-
 /**
- * Piecewise-linear LUT GELU (the PIM LUT-segmented transcendental
- * idiom): 2048 uniform segments over [-8, 8], identity tail above,
- * executed by the dispatched SIMD kernels. Bit-identical across ISAs
- * but NOT bit-identical to referenceGelu — absolute error is bounded
- * by the table resolution (< 1e-5; see DESIGN.md). Opt-in via
- * ExecOptions::lutGelu; the exact tanh GELU stays the default.
+ * GELU (tanh approximation, matching the VPU costing) elementwise:
+ * kernelGelu (core/simd.h) on each element, run by the dispatched
+ * SimdKernels::geluFlat, so the bits are the same on every ISA.
  */
-MatrixD referenceGeluLut(const MatrixD &x);
+MatrixD referenceGelu(const MatrixD &x);
 
 /** Elementwise a + b; shapes must match. */
 MatrixD referenceResidualAdd(const MatrixD &a, const MatrixD &b);
@@ -92,7 +86,8 @@ struct AttentionSpan
  * Per column and head the arithmetic is fixed: each score is
  * dot = 0, dot += q[d] * k[d] for d = 0..headDim-1, times
  * 1/sqrt(headDim); the softmax over the column's causal prefix takes
- * the max, then p = exp(s - max) summed in order from 0, then p / sum;
+ * the max, then p = kernelExp(s - max) summed in order from 0, then
+ * p / sum;
  * each output element starts at 0 and adds p * v[d] in token order.
  * Only the loop order differs from a column-at-a-time walk. Each
  * (span, head) runs the dispatched SimdKernels::attentionHead: columns

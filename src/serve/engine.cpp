@@ -411,8 +411,7 @@ Engine::step()
                 ffn = runGemm(l, op, ln);
                 break;
               case LayerOp::Gelu:
-                ffn = options_.exec.lutGelu ? referenceGeluLut(ffn)
-                                            : referenceGelu(ffn);
+                ffn = referenceGelu(ffn);
                 break;
               case LayerOp::Fc2:
                 proj = runGemm(l, op, ffn);

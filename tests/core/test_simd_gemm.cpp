@@ -260,10 +260,10 @@ TEST(SimdEpilogue, EveryIsaMatchesScalarTable)
 }
 
 /**
- * addFlat, sumLanes, sumSqDevLanes, normalizeFlat and geluLutFlat of
+ * addFlat, sumLanes, sumSqDevLanes, normalizeFlat and geluFlat of
  * every supported ISA against the scalar table (simd_kernel_checks.h):
- * n = 0..70, finite values of wide range, signed zeros, NaN,
- * infinities and values past the GELU table's +-8, on guard pages.
+ * n = 0..70, finite values of wide range, signed zeros, NaN, +-1000
+ * and GELU's curved range, on guard pages.
  */
 TEST(SimdFlatKernels, EveryIsaMatchesScalarTable)
 {

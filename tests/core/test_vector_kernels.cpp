@@ -31,7 +31,7 @@ bodyTable()
     k.sumLanes = simd_detail::sumLanesBody;
     k.sumSqDevLanes = simd_detail::sumSqDevLanesBody;
     k.normalizeFlat = simd_detail::normalizeFlatBody;
-    k.geluLutFlat = simd_detail::geluLutFlatBody;
+    k.geluFlat = simd_detail::geluFlatBody;
     return k;
 }
 

@@ -17,14 +17,16 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/simd.h"
 #include "runtime/reference_ops.h"
 
 namespace figlut {
 
 /**
  * Numerically-stable softmax over v[0..n), in place: the max, then
- * v[i] = exp(v[i] - max) summed in order from 0, then v[i] / sum. The
- * oracle of the softmax SimdKernels::attentionHead runs on its scores.
+ * v[i] = kernelExp(v[i] - max) summed in order from 0, then
+ * v[i] / sum. The oracle of the softmax SimdKernels::attentionHead
+ * runs on its scores.
  */
 inline void
 referenceSoftmaxInPlace(double *v, std::size_t n)
@@ -36,7 +38,7 @@ referenceSoftmaxInPlace(double *v, std::size_t n)
         mx = mx < v[i] ? v[i] : mx;
     double sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-        v[i] = std::exp(v[i] - mx);
+        v[i] = kernelExp(v[i] - mx);
         sum += v[i];
     }
     for (std::size_t i = 0; i < n; ++i)
