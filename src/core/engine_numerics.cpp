@@ -193,10 +193,6 @@ figlutGemm(const BcqTensor &weights, const MatrixD &x,
     cfg.arith = config.accum;
     cfg.preAligned = pre_aligned;
     cfg.alignFracBits = config.alignFracBits;
-    cfg.backend = config.backend;
-    cfg.threads = config.threads;
-    cfg.blockRows = config.blockRows;
-    cfg.instrument = config.instrument;
     return lutGemm(weights, x, cfg, counters);
 }
 

@@ -53,14 +53,6 @@ struct NumericsConfig
     FpArith accum = FpArith::Fp32; ///< accumulate precision
     int alignFracBits = 24;        ///< pre-aligned datapath width
     int mu = 4;                    ///< LUT group size (FIGLUT only)
-
-    // Host execution policy of the LUT-GEMM kernel (results are
-    // backend-invariant). Only figlutGemm honours these; the scalar
-    // FPE/iFPU/FIGNA kernels ignore them.
-    LutGemmBackend backend = LutGemmBackend::Reference;
-    int threads = 0;    ///< Simd backend: workers, <= 0 = hw
-    int blockRows = 64; ///< Simd backend: rows per work item
-    bool instrument = false; ///< per-read counters vs closed form
 };
 
 /** Double-precision oracle on already-dequantized weights. */
@@ -81,7 +73,13 @@ MatrixD ifpuGemm(const BcqTensor &weights, const MatrixD &x,
 MatrixD fignaGemm(const RtnTensor &weights, const MatrixD &x,
                   const NumericsConfig &config);
 
-/** FIGLUT kernel (variant selected by pre_aligned). */
+/**
+ * FIGLUT kernel (variant selected by pre_aligned) on the Reference
+ * backend, the paper-accuracy counterpart of the other engines;
+ * counters are its per-read counts. Host execution (Simd backend,
+ * workers, tiling) goes through lutGemm(), with identical outputs and
+ * counters.
+ */
 MatrixD figlutGemm(const BcqTensor &weights, const MatrixD &x,
                    const NumericsConfig &config, bool pre_aligned,
                    LutGemmCounters *counters = nullptr);

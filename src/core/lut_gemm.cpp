@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <mutex>
 #include <optional>
 
 #include "common/logging.h"
@@ -168,9 +167,9 @@ tileColumn(const MatrixD &a, BlockRange rows, std::size_t g,
  * arena entries equal the (half-)LUT decoded reads of the Reference
  * tables entry for entry.
  *
- * The Instr template flag selects per-operation counter increments;
- * the fast path (Instr = false) never touches counters inside the
- * loops — the caller adds the closed-form totals afterwards.
+ * Reference is the counting oracle: processRows() increments the
+ * counters per generation and per read. The Simd tile loops never
+ * touch counters; the caller adds the closed-form totals afterwards.
  */
 class LutGemmKernel
 {
@@ -210,31 +209,33 @@ class LutGemmKernel
     std::size_t totalChunks() const { return totalChunks_; }
     uint64_t addsPerGeneration() const { return addsPerGeneration_; }
 
-    template <bool Instr>
     void
-    processRows(BlockRange rows, MatrixD &y, LutGemmCounters &cnt,
+    processRows(BlockRange rows, MatrixD &y, LutGemmCounters &total,
                 Scratch &s) const
     {
+        // Counted into a local the compiler keeps in registers: the
+        // caller's counters could alias the uint8_t weight-plane
+        // reads, which would force a store per increment.
+        LutGemmCounters cnt;
         const std::size_t batch = x_.cols();
         for (std::size_t b = 0; b < batch; ++b) {
             for (std::size_t g = 0; g < geom_.size(); ++g) {
                 const GroupGeom &gg = geom_[g];
                 if (!config_.preAligned) {
-                    buildFpGroup<Instr>(b, gg, s, cnt);
-                    accumulateFp<Instr>(rows, b, g, gg, s, y, cnt);
+                    buildFpGroup(b, gg, s, cnt);
+                    accumulateFp(rows, b, g, gg, s, y, cnt);
                 } else {
-                    buildIntGroup<Instr>(b, gg, s, cnt);
-                    accumulateInt<Instr>(rows, b, g, gg, s, y, cnt);
+                    buildIntGroup(b, gg, s, cnt);
+                    accumulateInt(rows, b, g, gg, s, y, cnt);
                 }
             }
         }
+        total += cnt;
     }
 
     /** Build all LUT arenas + VPU terms of activation column b. */
-    template <bool Instr>
     void
-    buildFpColumn(std::size_t b, FpColumnTables &t, Scratch &s,
-                  LutGemmCounters &cnt) const
+    buildFpColumn(std::size_t b, FpColumnTables &t, Scratch &s) const
     {
         t.arena.ensure(totalChunks_, lutEntries(config_.mu));
         t.sumx.assign(geom_.size(), 0.0);
@@ -243,20 +244,14 @@ class LutGemmKernel
             for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
                 loadChunkValues(b, gg, ch, s.xs);
                 fillFpChunk(s.xs.data(), t.arena.chunk(gg.chunkBase + ch));
-                if constexpr (Instr) {
-                    ++cnt.lutGenerations;
-                    cnt.generatorAdds += addsPerGeneration_;
-                }
             }
             if (w_.hasOffset)
                 t.sumx[g] = groupSum(b, gg);
         }
     }
 
-    template <bool Instr>
     void
-    buildIntColumn(std::size_t b, IntColumnTables &t, Scratch &s,
-                   LutGemmCounters &cnt) const
+    buildIntColumn(std::size_t b, IntColumnTables &t, Scratch &s) const
     {
         t.arena.ensure(totalChunks_, lutEntries(config_.mu));
         t.sumMant.assign(geom_.size(), 0);
@@ -264,14 +259,9 @@ class LutGemmKernel
         for (std::size_t g = 0; g < geom_.size(); ++g) {
             const GroupGeom &gg = geom_[g];
             t.scale[g] = alignGroup(b, gg, s);
-            for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
+            for (std::size_t ch = 0; ch < gg.chunks; ++ch)
                 fillIntChunk(chunkMantissas(s, ch),
                              t.arena.chunk(gg.chunkBase + ch));
-                if constexpr (Instr) {
-                    ++cnt.lutGenerations;
-                    cnt.generatorAdds += addsPerGeneration_;
-                }
-            }
             if (w_.hasOffset)
                 t.sumMant[g] = mantissaSum(s);
         }
@@ -281,31 +271,28 @@ class LutGemmKernel
      * Accumulate one row tile of a block of activation columns, whose
      * tables are t[0..block.count): per (group, plane), walk the
      * group's chunks over the tile's pre-packed keys, then fold alpha,
-     * the offset term and y. `simd` is the call's kernel table, or
-     * null for instrumented calls. With a table, accumulateTileInt's
-     * chunk walk is its span kernel, and in FpArith::Fp32 the offset
-     * fold (and accumulateTileInt's alpha fold) is its epilogue kernel
-     * (core/simd.h). Everything else runs the scalar loops, the only
-     * ones that count operations (Instr). Rows and columns are
-     * independent lanes of every kernel, so each element's operation
-     * sequence is the scalar loop's, and per-row operation order is
-     * the Reference backend's (chunks, then planes, then offset, then
-     * the y fold, per column): outputs are bit-identical.
+     * the offset term and y. `simd` is the call's kernel table:
+     * accumulateTileInt's chunk walk is its span kernel, and in
+     * FpArith::Fp32 the offset fold (and accumulateTileInt's alpha
+     * fold) is its epilogue kernel (core/simd.h). Everything else runs
+     * the scalar loops. Rows and columns are independent lanes of
+     * every kernel, so each element's operation sequence is the scalar
+     * loop's, and per-row operation order is the Reference backend's
+     * (chunks, then planes, then offset, then the y fold, per column):
+     * outputs are bit-identical.
      *
      * The FP path (FIGLUT-F) runs its columns one after another, each
      * through the scalar chunk walk; the integer path walks each key
      * span once for the whole block (accumIntSpanCols).
      */
-    template <bool Instr>
     void
     accumulateTileFp(BlockRange rows, ColumnBlock block,
                      const PackedLutKeys &pk, const FpColumnTables *t,
-                     const SimdKernels *simd, MatrixD &y,
-                     LutGemmCounters &cnt, Scratch &s) const
+                     const SimdKernels &simd, MatrixD &y, Scratch &s) const
     {
         const int q = w_.bits;
         const FpArith arith = config_.arith;
-        const bool fold = simd && arith == FpArith::Fp32;
+        const bool fold = arith == FpArith::Fp32;
         const std::size_t tile = rows.size();
         s.fpPsum.resize(tile);
         s.rowAcc.resize(tile);
@@ -323,45 +310,35 @@ class LutGemmKernel
                         const uint32_t *keys =
                             pk.chunkKeys(i, chunk) + rows.begin;
                         const double *lut = tj.arena.chunk(chunk);
-                        for (std::size_t r = 0; r < tile; ++r) {
+                        for (std::size_t r = 0; r < tile; ++r)
                             psum[r] = fpAdd(psum[r], lut[keys[r]], arith);
-                            if constexpr (Instr) {
-                                ++cnt.lutReads;
-                                ++cnt.racAccumulates;
-                            }
-                        }
                     }
                     const double *alpha = tileColumn(
                         w_.alphas[static_cast<std::size_t>(i)], rows, g,
                         s.alphaCol);
-                    for (std::size_t r = 0; r < tile; ++r) {
+                    for (std::size_t r = 0; r < tile; ++r)
                         acc[r] = fpAdd(acc[r],
                                        fpRound(alpha[r] * psum[r], arith),
                                        arith);
-                        if constexpr (Instr)
-                            ++cnt.scaleMuls;
-                    }
                 }
                 if (w_.hasOffset)
-                    foldOffset<Instr>(
-                        tileColumn(w_.offsets, rows, g, s.offCol), tile,
-                        tj.sumx[g], fold ? simd : nullptr, acc, cnt);
+                    foldOffset(tileColumn(w_.offsets, rows, g, s.offCol),
+                               tile, tj.sumx[g], fold ? &simd : nullptr,
+                               acc);
                 foldIntoY(rows, block.first + j, acc, y);
             }
         }
     }
 
     /** The integer-domain tile accumulate (FIGLUT-I); see above. */
-    template <bool Instr>
     void
     accumulateTileInt(BlockRange rows, ColumnBlock block,
                       const PackedLutKeys &pk, const IntColumnTables *t,
-                      const SimdKernels *simd, MatrixD &y,
-                      LutGemmCounters &cnt, Scratch &s) const
+                      const SimdKernels &simd, MatrixD &y, Scratch &s) const
     {
         const int q = w_.bits;
         const FpArith arith = config_.arith;
-        const bool fold = simd && arith == FpArith::Fp32;
+        const bool fold = arith == FpArith::Fp32;
         const std::size_t tile = rows.size();
         const std::size_t cols = block.count;
         s.intPsum.resize(cols * tile);
@@ -384,40 +361,21 @@ class LutGemmKernel
                 std::fill(psum[0], psum[0] + cols * tile, int64_t{0});
                 const uint32_t *keys =
                     pk.chunkKeys(i, gg.chunkBase) + rows.begin;
-                if (simd) {
-                    // One walk of the plane's keys serves every column
-                    // of the block.
-                    simd->accumIntSpanCols(psum, lut, t[0].arena.stride,
-                                           keys, pk.rows, gg.chunks, tile,
-                                           cols);
-                } else {
-                    for (std::size_t j = 0; j < cols; ++j) {
-                        for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
-                            const std::size_t chunk = gg.chunkBase + ch;
-                            const uint32_t *k =
-                                pk.chunkKeys(i, chunk) + rows.begin;
-                            const int64_t *l = t[j].arena.chunk(chunk);
-                            for (std::size_t r = 0; r < tile; ++r) {
-                                psum[j][r] += l[k[r]];
-                                if constexpr (Instr) {
-                                    ++cnt.lutReads;
-                                    ++cnt.racAccumulates;
-                                }
-                            }
-                        }
-                    }
-                }
+                // One walk of the plane's keys serves every column of
+                // the block.
+                simd.accumIntSpanCols(psum, lut, t[0].arena.stride, keys,
+                                      pk.rows, gg.chunks, tile, cols);
                 const double *alpha = tileColumn(
                     w_.alphas[static_cast<std::size_t>(i)], rows, g,
                     s.alphaCol);
                 for (std::size_t j = 0; j < cols; ++j) {
                     const double scale = t[j].scale[g];
                     if (fold) {
-                        simd->foldIntPlaneFp32(acc[j], alpha, psum[j],
-                                               scale, tile);
+                        simd.foldIntPlaneFp32(acc[j], alpha, psum[j], scale,
+                                              tile);
                         continue;
                     }
-                    for (std::size_t r = 0; r < tile; ++r) {
+                    for (std::size_t r = 0; r < tile; ++r)
                         acc[j][r] = fpAdd(
                             acc[j][r],
                             fpRound(alpha[r] *
@@ -425,9 +383,6 @@ class LutGemmKernel
                                          scale),
                                     arith),
                             arith);
-                        if constexpr (Instr)
-                            ++cnt.scaleMuls;
-                    }
                 }
             }
             const double *off =
@@ -435,11 +390,10 @@ class LutGemmKernel
                              : nullptr;
             for (std::size_t j = 0; j < cols; ++j) {
                 if (off)
-                    foldOffset<Instr>(
-                        off, tile,
-                        static_cast<double>(t[j].sumMant[g]) *
-                            t[j].scale[g],
-                        fold ? simd : nullptr, acc[j], cnt);
+                    foldOffset(off, tile,
+                               static_cast<double>(t[j].sumMant[g]) *
+                                   t[j].scale[g],
+                               fold ? &simd : nullptr, acc[j]);
                 foldIntoY(rows, block.first + j, acc[j], y);
             }
         }
@@ -452,22 +406,17 @@ class LutGemmKernel
      * the fold kernel of `simd` when one is given (FpArith::Fp32
      * only), else the scalar loop.
      */
-    template <bool Instr>
     void
     foldOffset(const double *off, std::size_t n, double sumx,
-               const SimdKernels *simd, double *acc,
-               LutGemmCounters &cnt) const
+               const SimdKernels *simd, double *acc) const
     {
         if (simd) {
             simd->foldOffsetFp32(acc, off, sumx, n);
             return;
         }
-        for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t r = 0; r < n; ++r)
             acc[r] = fpAdd(acc[r], fpRound(off[r] * sumx, config_.arith),
                            config_.arith);
-            if constexpr (Instr)
-                ++cnt.offsetOps;
-        }
     }
 
     /** y(rows, b) += acc in the accumulate mode, on y's raw storage. */
@@ -575,7 +524,6 @@ class LutGemmKernel
             expandHalfDecodeInPlace(out, config_.mu);
     }
 
-    template <bool Instr>
     void
     buildFpGroup(std::size_t b, const GroupGeom &gg, Scratch &s,
                  LutGemmCounters &cnt) const
@@ -584,18 +532,15 @@ class LutGemmKernel
         for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
             loadChunkValues(b, gg, ch, s.xs);
             fillFpChunk(s.xs.data(), s.fp.chunk(ch));
-            if constexpr (Instr) {
-                // Accumulated after the generation it accounts for:
-                // the counters always reflect completed builds.
-                ++cnt.lutGenerations;
-                cnt.generatorAdds += addsPerGeneration_;
-            }
+            // Accumulated after the generation it accounts for: the
+            // counters always reflect completed builds.
+            ++cnt.lutGenerations;
+            cnt.generatorAdds += addsPerGeneration_;
         }
         // Offset needs sum(x) over the group (VPU side).
         s.sumx = w_.hasOffset ? groupSum(b, gg) : 0.0;
     }
 
-    template <bool Instr>
     void
     buildIntGroup(std::size_t b, const GroupGeom &gg, Scratch &s,
                   LutGemmCounters &cnt) const
@@ -604,15 +549,12 @@ class LutGemmKernel
         s.ig.ensure(gg.chunks, lutEntries(config_.mu));
         for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
             fillIntChunk(chunkMantissas(s, ch), s.ig.chunk(ch));
-            if constexpr (Instr) {
-                ++cnt.lutGenerations;
-                cnt.generatorAdds += addsPerGeneration_;
-            }
+            ++cnt.lutGenerations;
+            cnt.generatorAdds += addsPerGeneration_;
         }
         s.sumMant = w_.hasOffset ? mantissaSum(s) : 0;
     }
 
-    template <bool Instr>
     void
     accumulateFp(BlockRange rows, std::size_t b, std::size_t g,
                  const GroupGeom &gg, const Scratch &s, MatrixD &y,
@@ -629,32 +571,27 @@ class LutGemmKernel
                         chunkKey(w_, i, r, gg.c0 + ch * mu, gg.c1, mu);
                     psum = fpAdd(psum, s.fp.chunk(ch)[key],
                                  config_.arith);
-                    if constexpr (Instr) {
-                        ++cnt.lutReads;
-                        ++cnt.racAccumulates;
-                    }
+                    ++cnt.lutReads;
+                    ++cnt.racAccumulates;
                 }
                 const double alpha =
                     w_.alphas[static_cast<std::size_t>(i)](r, g);
                 row_acc = fpAdd(row_acc,
                                 fpRound(alpha * psum, config_.arith),
                                 config_.arith);
-                if constexpr (Instr)
-                    ++cnt.scaleMuls;
+                ++cnt.scaleMuls;
             }
             if (w_.hasOffset) {
                 row_acc = fpAdd(
                     row_acc,
                     fpRound(w_.offsets(r, g) * s.sumx, config_.arith),
                     config_.arith);
-                if constexpr (Instr)
-                    ++cnt.offsetOps;
+                ++cnt.offsetOps;
             }
             y(r, b) = fpAdd(y(r, b), row_acc, config_.arith);
         }
     }
 
-    template <bool Instr>
     void
     accumulateInt(BlockRange rows, std::size_t b, std::size_t g,
                   const GroupGeom &gg, const Scratch &s, MatrixD &y,
@@ -670,10 +607,8 @@ class LutGemmKernel
                     const uint32_t key =
                         chunkKey(w_, i, r, gg.c0 + ch * mu, gg.c1, mu);
                     psum += s.ig.chunk(ch)[key];
-                    if constexpr (Instr) {
-                        ++cnt.lutReads;
-                        ++cnt.racAccumulates;
-                    }
+                    ++cnt.lutReads;
+                    ++cnt.racAccumulates;
                 }
                 const double alpha =
                     w_.alphas[static_cast<std::size_t>(i)](r, g);
@@ -683,8 +618,7 @@ class LutGemmKernel
                                      s.scale),
                             config_.arith),
                     config_.arith);
-                if constexpr (Instr)
-                    ++cnt.scaleMuls;
+                ++cnt.scaleMuls;
             }
             if (w_.hasOffset) {
                 const double sumx =
@@ -693,8 +627,7 @@ class LutGemmKernel
                     row_acc,
                     fpRound(w_.offsets(r, g) * sumx, config_.arith),
                     config_.arith);
-                if constexpr (Instr)
-                    ++cnt.offsetOps;
+                ++cnt.offsetOps;
             }
             y(r, b) = fpAdd(y(r, b), row_acc, config_.arith);
         }
@@ -798,21 +731,16 @@ acquireWorkspace(ExecutionContext *ctx,
  * walks each of its key spans once for the whole block. With a pool,
  * the tiles of one block end in one barrier. The kernel table is
  * resolved once per call, on the submitting thread, and shared
- * read-only by the workers. Instrumented calls (Instr) run the scalar
- * chunk walk and epilogue with per-operation counters instead, so the
- * counter-equivalence proof covers the backend without threading
- * counters through the vector kernels.
+ * read-only by the workers. Nothing here counts operations: the caller
+ * adds the closed form.
  */
-template <bool Instr>
 void
 runSimdTiles(const LutGemmKernel &kernel, const PackedLutKeys &pk,
              const LutGemmConfig &config, std::size_t m,
-             std::size_t batch, MatrixD &y, LutGemmCounters &cnt,
-             ExecutionContext *ctx)
+             std::size_t batch, MatrixD &y, ExecutionContext *ctx)
 {
-    const SimdKernels *simd = Instr ? nullptr : &simdKernels();
+    const SimdKernels &simd = simdKernels();
     RowTiles tiles(ctx, config, m);
-    std::mutex counterMutex;
     std::optional<CallWorkspace> localWs;
     CallWorkspace &ws = acquireWorkspace(ctx, localWs);
     for (std::size_t first = 0; first < batch; first += kSpanCols) {
@@ -820,38 +748,30 @@ runSimdTiles(const LutGemmKernel &kernel, const PackedLutKeys &pk,
                                 std::min(kSpanCols, batch - first)};
         for (std::size_t j = 0; j < block.count; ++j) {
             if (!config.preAligned)
-                kernel.buildFpColumn<Instr>(first + j, ws.fp[j], ws.scratch,
-                                            cnt);
+                kernel.buildFpColumn(first + j, ws.fp[j], ws.scratch);
             else
-                kernel.buildIntColumn<Instr>(first + j, ws.ig[j],
-                                             ws.scratch, cnt);
+                kernel.buildIntColumn(first + j, ws.ig[j], ws.scratch);
         }
         tiles.run([&, block](BlockRange rows) {
             // Rows partition the output: no two tiles share an element
-            // of y, so only the counter merge needs a lock.
+            // of y.
             static thread_local Scratch s;
-            LutGemmCounters tileCnt;
             if (!config.preAligned)
-                kernel.accumulateTileFp<Instr>(rows, block, pk,
-                                               ws.fp.data(), simd, y,
-                                               tileCnt, s);
+                kernel.accumulateTileFp(rows, block, pk, ws.fp.data(),
+                                        simd, y, s);
             else
-                kernel.accumulateTileInt<Instr>(rows, block, pk,
-                                                ws.ig.data(), simd, y,
-                                                tileCnt, s);
-            if constexpr (Instr) {
-                std::lock_guard<std::mutex> lock(counterMutex);
-                cnt += tileCnt;
-            }
+                kernel.accumulateTileInt(rows, block, pk, ws.ig.data(),
+                                         simd, y, s);
         });
     }
 }
 
 /**
  * Closed-form operation counts: every counter is an exact function of
- * the shapes and the chunk geometry, so the fast path derives
+ * the shapes and the chunk geometry, so the Simd backend derives
  * them after the loops instead of paying per-read increments. The
- * differential tests prove these equal the instrumented counts. The
+ * differential tests prove these equal the Reference backend's
+ * per-read counts. The
  * math lives in the public addLutGemmClosedFormCounters() so the
  * shard layer can apply the identical accounting without a kernel;
  * the kernel's independently-derived geometry cross-checks it here.
@@ -935,12 +855,7 @@ lutGemmImpl(const BcqTensor &weights, const MatrixD &x,
       case LutGemmBackend::Reference: {
           std::optional<CallWorkspace> localWs;
           Scratch &s = acquireWorkspace(ctx, localWs).scratch;
-          if (config.instrument) {
-              kernel.processRows<true>(BlockRange{0, m}, y, cnt, s);
-          } else {
-              LutGemmCounters unused;
-              kernel.processRows<false>(BlockRange{0, m}, y, unused, s);
-          }
+          kernel.processRows(BlockRange{0, m}, y, cnt, s);
           break;
       }
       case LutGemmBackend::Simd: {
@@ -950,18 +865,11 @@ lutGemmImpl(const BcqTensor &weights, const MatrixD &x,
               localPack = packLutKeys(weights, config.mu);
               pk = &localPack;
           }
-          if (config.instrument)
-              runSimdTiles<true>(kernel, *pk, config, m, batch, y, cnt,
-                                 ctx);
-          else
-              runSimdTiles<false>(kernel, *pk, config, m, batch, y, cnt,
-                                  ctx);
+          runSimdTiles(kernel, *pk, config, m, batch, y, ctx);
+          addClosedFormCounters(weights, config, m, batch, kernel, cnt);
           break;
       }
     }
-
-    if (!config.instrument)
-        addClosedFormCounters(weights, config, m, batch, kernel, cnt);
     return y;
 }
 
@@ -1008,7 +916,14 @@ validateLutGemmConfig(const LutGemmConfig &config)
     if (config.useHalfLut && config.mu < 2)
         return Status::invalidArgument(
             "hFFLUT requires mu >= 2 (mu=1 tables have no half); ",
-            "raise mu or set useHalfLut = false");
+            "raise mu (or, calling lutGemm directly, set ",
+            "LutGemmConfig::useHalfLut = false)");
+    if (config.preAligned && (config.alignFracBits < kMinAlignFracBits ||
+                              config.alignFracBits > kMaxAlignFracBits))
+        return Status::invalidArgument(
+            "LUT-GEMM alignFracBits must be in [", kMinAlignFracBits, ", ",
+            kMaxAlignFracBits, "] on the pre-aligned path, got ",
+            config.alignFracBits);
     if (config.backend == LutGemmBackend::Simd && config.blockRows < 1)
         return Status::invalidArgument(
             "LUT-GEMM Simd backend needs blockRows >= 1, got ",

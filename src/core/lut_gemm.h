@@ -41,6 +41,9 @@ class ExecutionContext;
 /**
  * Execution backend of the functional kernel: an oracle and a fast
  * path, like FIGLUT's single fixed datapath for every precision.
+ * Reference is also the counting oracle: it increments
+ * LutGemmCounters per generation and per read, while Simd adds the
+ * closed form (addLutGemmClosedFormCounters) after its loops.
  *
  * Both backends produce bit-identical outputs: every output row
  * accumulates its (batch, group, plane) contributions in the same
@@ -57,8 +60,7 @@ class ExecutionContext;
  * portable scalar table), walking each key span once per block with
  * each key looked up in every column's tables. Rows and columns are
  * independent lanes, so per-row accumulation order is unchanged. The
- * FP path (FIGLUT-F) and instrumented calls walk the chunks with a
- * scalar loop instead.
+ * FP path (FIGLUT-F) walks the chunks with a scalar loop instead.
  */
 enum class LutGemmBackend
 {
@@ -93,16 +95,6 @@ struct LutGemmConfig
     LutGemmBackend backend = LutGemmBackend::Reference;
     int threads = 0;   ///< Simd: workers, <= 0 = hardware
     int blockRows = 64;///< Simd: rows per work item (M-tile)
-
-    /**
-     * Count operations by per-read increments inside the hot loops
-     * instead of the default closed-form accounting. Both modes fill
-     * LutGemmCounters with identical values (the closed forms are
-     * proven against the instrumented counts by the differential
-     * tests); instrumenting only pays the per-read cost, so it exists
-     * for that proof and for debugging new traversals.
-     */
-    bool instrument = false;
 };
 
 /** Upper bound on LutGemmConfig::threads (guards typo'd counts). */
@@ -110,11 +102,12 @@ inline constexpr int kMaxLutGemmThreads = 1024;
 
 /**
  * Validate the shape-independent kernel knobs: mu in [1, kMaxMu],
- * hFFLUT needs mu >= 2, the Simd backend needs blockRows >= 1, threads
- * <= kMaxLutGemmThreads. lutGemm() enforces exactly these checks
- * fatally per call; the serve Engine uses the Status form at
- * construction so a serving loop can reject a bad configuration
- * without dying. Messages state the violated bound.
+ * hFFLUT needs mu >= 2, the pre-aligned path needs alignFracBits in
+ * [kMinAlignFracBits, kMaxAlignFracBits], the Simd backend needs
+ * blockRows >= 1, threads <= kMaxLutGemmThreads. lutGemm() enforces
+ * exactly these checks fatally per call; the serve Engine uses the
+ * Status form at construction so a serving loop can reject a bad
+ * configuration without dying. Messages state the violated bound.
  */
 Status validateLutGemmConfig(const LutGemmConfig &config);
 
@@ -122,9 +115,8 @@ Status validateLutGemmConfig(const LutGemmConfig &config);
  * Operation counters filled in by the kernel (drive energy models).
  *
  * Every count is identical across backends (both build each
- * (column, chunk) LUT exactly once) and independent of
- * LutGemmConfig::instrument: closed-form and per-read accounting agree
- * exactly.
+ * (column, chunk) LUT exactly once): Reference's per-read counts and
+ * Simd's closed form agree exactly.
  */
 struct LutGemmCounters
 {
@@ -162,10 +154,10 @@ struct LutGemmCounters
 /**
  * Accumulate the closed-form operation counts of one lutGemm(weights,
  * x, config) call with a B-column activation matrix into `counters`,
- * without running the kernel. This is the exact accounting the fast
- * (non-instrumented) path applies after its loops: an analytic
- * function of the tensor shape and the group/chunk geometry, the same
- * for both backends.
+ * without running the kernel. This is the exact accounting the Simd
+ * backend applies after its loops: an analytic function of the tensor
+ * shape and the group/chunk geometry, equal to the Reference backend's
+ * per-read counts.
  *
  * The shard layer uses it to keep counters execution-invariant: a
  * row-sharded run would otherwise rebuild each (column, group) LUT

@@ -52,8 +52,9 @@ preAlignInto(const double *values, std::size_t count, std::size_t stride,
              ActFormat fmt, int frac_bits, AlignRounding rounding,
              int64_t *mantissas)
 {
-    if (frac_bits < 2 || frac_bits > 60)
-        fatal("pre-alignment fraction bits must be in [2, 60], got ",
+    if (frac_bits < kMinAlignFracBits || frac_bits > kMaxAlignFracBits)
+        fatal("pre-alignment fraction bits must be in [",
+              kMinAlignFracBits, ", ", kMaxAlignFracBits, "], got ",
               frac_bits);
 
     // Round each value to fmt once and find the maximum exponent. The

@@ -47,6 +47,10 @@ struct AlignedBlock
     double scale() const;
 };
 
+/** Range of the aligned datapath's fraction width (frac_bits). */
+inline constexpr int kMinAlignFracBits = 2;
+inline constexpr int kMaxAlignFracBits = 60;
+
 /** The block-wide fields preAlignInto() returns beside its mantissas. */
 struct AlignHeader
 {
@@ -60,7 +64,8 @@ struct AlignHeader
  * writes its aligned mantissa to mantissas[0..count). The shift is
  * one exact power-of-two multiply per value, and NearestEven rounds
  * ties to even without a libm call. Non-finite inputs (after
- * rounding) and frac_bits outside [2, 60] are fatal.
+ * rounding) and frac_bits outside [kMinAlignFracBits,
+ * kMaxAlignFracBits] are fatal.
  */
 AlignHeader preAlignInto(const double *values, std::size_t count,
                          std::size_t stride, ActFormat fmt, int frac_bits,

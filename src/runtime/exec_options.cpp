@@ -43,8 +43,6 @@ makeGemmConfig(const ExecOptions &exec, int mu)
     cfg.arith = exec.arith;
     cfg.preAligned = exec.preAligned;
     cfg.alignFracBits = exec.alignFracBits;
-    cfg.useHalfLut = exec.useHalfLut;
-    cfg.useGeneratorTree = exec.useGeneratorTree;
     cfg.backend = exec.backend;
     cfg.threads = exec.threads;
     cfg.blockRows = exec.blockRows;

@@ -38,8 +38,6 @@ struct ExecOptions
     FpArith arith = FpArith::Fp32;
     bool preAligned = true; ///< FIGLUT-I integer path
     int alignFracBits = 24;
-    bool useHalfLut = true;
-    bool useGeneratorTree = true;
 
     /**
      * Row-shard every layer GEMM across this many worker groups
@@ -69,8 +67,9 @@ LutGemmConfig makeGemmConfig(const ExecOptions &exec, int mu);
 /**
  * Validate the execution knobs for LUT group size mu without running a
  * kernel: threads bound, blockRows positivity, mu range, hFFLUT
- * constraints — the same checks lutGemm() enforces fatally, surfaced
- * as a recoverable Status for the serving construction paths.
+ * constraints, the pre-aligned alignFracBits range — the same checks
+ * lutGemm() enforces fatally, surfaced as a recoverable Status for the
+ * serving construction paths.
  */
 Status validateExecOptions(const ExecOptions &exec, int mu);
 

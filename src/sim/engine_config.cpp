@@ -80,29 +80,6 @@ InterconnectConfig::validate() const
 }
 
 void
-ExecConfig::validate() const
-{
-    if (backend == LutGemmBackend::Simd && blockRows < 1)
-        fatal("Simd execution needs blockRows >= 1, got ", blockRows);
-    if (threads > kMaxLutGemmThreads)
-        fatal("LUT-GEMM threads must be <= ", kMaxLutGemmThreads,
-              ", got ", threads);
-}
-
-NumericsConfig
-HwConfig::numerics() const
-{
-    NumericsConfig nc;
-    nc.actFormat = actFormat;
-    nc.mu = mu;
-    nc.backend = exec.backend;
-    nc.threads = exec.threads;
-    nc.blockRows = exec.blockRows;
-    nc.instrument = exec.instrument;
-    return nc;
-}
-
-void
 HwConfig::validate() const
 {
     if (mu < 2 || mu > 8)
@@ -114,7 +91,6 @@ HwConfig::validate() const
               fixedWeightBits);
     if (tech.freqMhz <= 0.0)
         fatal("clock frequency must be positive");
-    exec.validate();
     interconnect.validate();
 }
 

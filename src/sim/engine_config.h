@@ -44,30 +44,6 @@ struct GemmShape
 };
 
 /**
- * Host-side execution policy for the LUT-GEMM functional kernel
- * backing the FIGLUT engines. This configures the *simulator's*
- * software (which backend runs the numerics, on how many threads),
- * not the modeled hardware; results are backend-invariant by
- * construction. The non-LUT engine kernels (FPE/iFPU/FIGNA) are
- * scalar and ignore this policy.
- */
-struct ExecConfig
-{
-    LutGemmBackend backend = LutGemmBackend::Reference;
-    int threads = 0;    ///< Simd: workers, <= 0 = hardware
-    int blockRows = 64; ///< Simd: rows per M-tile work item
-    /**
-     * Per-read operation counting inside the kernel loops instead of
-     * the default closed-form accounting (identical totals either
-     * way; instrumenting only slows the host kernel down).
-     */
-    bool instrument = false;
-
-    /** Validate invariants; throws FatalError on bad input. */
-    void validate() const;
-};
-
-/**
  * Interconnect cost model for sharded execution, in the spirit of
  * HPCC's b_eff effective-bandwidth methodology: one combine (the
  * activation broadcast to remote worker groups + the gather of their
@@ -112,7 +88,6 @@ struct HwConfig
      */
     int fixedWeightBits = 4;
     TechParams tech = TechParams::default28nm();
-    ExecConfig exec; ///< host execution of the functional kernels
     /** Combine pricing for sharded GEMM tasks (shards > 1). */
     InterconnectConfig interconnect;
 
@@ -134,12 +109,6 @@ struct HwConfig
 
     /** Display name like "FIGLUT-I(FP16)". */
     std::string describe() const;
-
-    /**
-     * Numerics settings for this engine's functional kernels, with
-     * the host execution policy (exec) plumbed through.
-     */
-    NumericsConfig numerics() const;
 
     /** Validate invariants; throws FatalError on bad input. */
     void validate() const;

@@ -249,6 +249,21 @@ TEST(LutGemm, ValidateConfigReportsEachBadKnob)
     EXPECT_TRUE(validateLutGemmConfig(cfg).ok());
 
     cfg = LutGemmConfig{};
+    cfg.preAligned = true;
+    for (const int fracBits : {kMinAlignFracBits - 1, kMaxAlignFracBits + 1}) {
+        cfg.alignFracBits = fracBits;
+        s = validateLutGemmConfig(cfg);
+        EXPECT_EQ(s.code(), StatusCode::InvalidArgument) << fracBits;
+        EXPECT_NE(s.message().find("alignFracBits"), std::string::npos);
+    }
+    cfg.alignFracBits = kMaxAlignFracBits;
+    EXPECT_TRUE(validateLutGemmConfig(cfg).ok());
+    // The FP path never aligns; the knob is ignored.
+    cfg.preAligned = false;
+    cfg.alignFracBits = kMaxAlignFracBits + 1;
+    EXPECT_TRUE(validateLutGemmConfig(cfg).ok());
+
+    cfg = LutGemmConfig{};
     cfg.threads = kMaxLutGemmThreads + 1;
     s = validateLutGemmConfig(cfg);
     EXPECT_EQ(s.code(), StatusCode::InvalidArgument);

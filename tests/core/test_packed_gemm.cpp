@@ -3,9 +3,9 @@
  * Tests for the packed-key traversal of the Simd LUT-GEMM backend:
  * bit-identity against Reference on tail chunks and odd shapes, the
  * pre-packed key reuse API and its validation, the engine wrapper on
- * the portable scalar span table, and the closed-form-vs-instrumented
- * counter proof. The randomized Reference-vs-Simd suite lives in
- * test_simd_gemm.cpp.
+ * the portable scalar span table, and the proof that the closed-form
+ * counters equal the Reference backend's per-read counts. The
+ * randomized Reference-vs-Simd suite lives in test_simd_gemm.cpp.
  */
 
 #include <gtest/gtest.h>
@@ -158,10 +158,11 @@ TEST(LutGemmPacked, InvalidBlockRowsThrows)
 // ---------------------------------------- closed-form counter proofs
 
 /**
- * The fast path's closed-form counters must equal the instrumented
- * per-read counts for every backend over the randomized suite — this
- * is the differential proof that licenses stripping the increments out
- * of the hot loops.
+ * The Reference backend counts per generation and per read (the
+ * instrumented counts); the Simd backend's closed-form counters and
+ * addLutGemmClosedFormCounters() must equal them over the randomized
+ * suite — the differential proof that licenses keeping the increments
+ * out of the Simd hot loops.
  */
 TEST(LutGemmCounters, ClosedFormMatchesInstrumentedRandomized)
 {
@@ -189,18 +190,17 @@ TEST(LutGemmCounters, ClosedFormMatchesInstrumentedRandomized)
 
         const auto tc = makeCase(m, n, batch, bits, group, offset,
                                  1200 + static_cast<uint64_t>(trial));
-        for (const auto backend :
-             {LutGemmBackend::Reference, LutGemmBackend::Simd}) {
-            LutGemmCounters closed, instrumented;
-            cfg.instrument = false;
-            (void)runBackend(tc, cfg, backend, &closed);
-            cfg.instrument = true;
-            (void)runBackend(tc, cfg, backend, &instrumented);
-            EXPECT_EQ(closed, instrumented)
-                << "trial " << trial << " backend "
-                << static_cast<int>(backend) << " mu " << cfg.mu
-                << " blockRows " << cfg.blockRows;
-        }
+        LutGemmCounters perRead, closed, standalone;
+        (void)runBackend(tc, cfg, LutGemmBackend::Reference, &perRead);
+        (void)runBackend(tc, cfg, LutGemmBackend::Simd, &closed);
+        addLutGemmClosedFormCounters(tc.weights, cfg, batch, standalone);
+        const std::string what = "trial " + std::to_string(trial) +
+                                 " mu " + std::to_string(cfg.mu) +
+                                 " blockRows " +
+                                 std::to_string(cfg.blockRows);
+        EXPECT_GT(perRead.lutReads, 0u) << what;
+        EXPECT_EQ(closed, perRead) << what;
+        EXPECT_EQ(standalone, perRead) << what;
     }
 }
 
@@ -238,8 +238,7 @@ TEST(LutGemmCounters, GeneratorAddsAttributedAfterFirstGeneration)
     LutGemmConfig cfg;
     cfg.mu = 4;
     cfg.useGeneratorTree = true;
-    cfg.instrument = true;
-    LutGemmCounters cnt;
+    LutGemmCounters cnt; // Reference: per-read counts
     (void)lutGemm(tc.weights, tc.x, cfg, &cnt);
     EXPECT_EQ(cnt.lutGenerations, 1u);
     EXPECT_EQ(cnt.generatorAdds, lutGeneratorAdderCount(4).treeAdds);
@@ -250,52 +249,51 @@ TEST(LutGemmCounters, GeneratorAddsScaleWithGenerations)
     // Multi-chunk, multi-plane, multi-column: every generation must
     // contribute exactly one tree's worth of adds.
     const auto tc = makeCase(4, 24, 3, 2, 8, true, 1011);
-    for (const bool instrument : {false, true}) {
+    for (const auto backend :
+         {LutGemmBackend::Reference, LutGemmBackend::Simd}) {
         LutGemmConfig cfg;
         cfg.mu = 4;
         cfg.useGeneratorTree = true;
-        cfg.instrument = instrument;
         LutGemmCounters cnt;
-        (void)lutGemm(tc.weights, tc.x, cfg, &cnt);
+        (void)runBackend(tc, cfg, backend, &cnt);
         // 3 groups x 2 chunks x 3 columns = 18 generations.
-        EXPECT_EQ(cnt.lutGenerations, 18u) << instrument;
+        EXPECT_EQ(cnt.lutGenerations, 18u) << lutGemmBackendName(backend);
         EXPECT_EQ(cnt.generatorAdds,
                   18u * lutGeneratorAdderCount(4).treeAdds)
-            << instrument;
+            << lutGemmBackendName(backend);
     }
 }
 
 TEST(LutGemmPacked, EngineNumericsPlumbsPackedBackend)
 {
     // With the dispatcher pinned to the scalar span table (the
-    // portable packed-key path on hosts without a vector ISA), the
-    // FIGLUT engine wrapper's Simd execution stays bit-identical to
-    // Reference, and its instrument knob and counters reach the kernel.
+    // portable packed-key path on hosts without a vector ISA), a Simd
+    // lutGemm call with the FIGLUT engine wrapper's numerics stays
+    // bit-identical to the wrapper, and its closed-form counters equal
+    // the wrapper's per-read counts.
     const auto tc = makeCase(12, 40, 3, 3, 20, true, 1012);
     struct ScalarIsaGuard
     {
         ScalarIsaGuard() { setSimdIsaOverride(SimdIsa::Scalar); }
         ~ScalarIsaGuard() { clearSimdIsaOverride(); }
     } scalar;
-    NumericsConfig ref;
-    NumericsConfig packed;
-    packed.backend = LutGemmBackend::Simd;
-    packed.threads = 2;
-    for (const bool instrument : {false, true}) {
-        ref.instrument = instrument;
-        packed.instrument = instrument;
-        for (const bool pre : {false, true}) {
-            LutGemmCounters refCnt, packedCnt;
-            const auto a = figlutGemm(tc.weights, tc.x, ref, pre, &refCnt);
-            const auto b =
-                figlutGemm(tc.weights, tc.x, packed, pre, &packedCnt);
-            const std::string what = "instrument=" +
-                                     std::to_string(instrument) +
-                                     " pre=" + std::to_string(pre);
-            EXPECT_TRUE(compareMatrices(a, b).identical) << what;
-            EXPECT_GT(packedCnt.lutReads, 0u) << what;
-            EXPECT_EQ(packedCnt, refCnt) << what;
-        }
+    const NumericsConfig nc;
+    for (const bool pre : {false, true}) {
+        LutGemmConfig packed;
+        packed.mu = nc.mu;
+        packed.actFormat = nc.actFormat;
+        packed.arith = nc.accum;
+        packed.alignFracBits = nc.alignFracBits;
+        packed.preAligned = pre;
+        packed.threads = 2;
+        LutGemmCounters refCnt, packedCnt;
+        const auto a = figlutGemm(tc.weights, tc.x, nc, pre, &refCnt);
+        const auto b =
+            runBackend(tc, packed, LutGemmBackend::Simd, &packedCnt);
+        const std::string what = "pre=" + std::to_string(pre);
+        EXPECT_TRUE(compareMatrices(a, b).identical) << what;
+        EXPECT_GT(packedCnt.lutReads, 0u) << what;
+        EXPECT_EQ(packedCnt, refCnt) << what;
     }
 }
 

@@ -391,6 +391,16 @@ TEST(Engine, CreateRejectsEachBadKnob)
         EXPECT_NE(r.status().message().find("blockRows"),
                   std::string::npos);
     }
+    for (const int fracBits : {1, 70}) {
+        // Accepted here, the first step would die in preAlignInto.
+        EngineOptions o = good;
+        o.exec.alignFracBits = fracBits;
+        const auto r = Engine::create(model, o);
+        ASSERT_FALSE(r.ok()) << fracBits;
+        EXPECT_EQ(r.status().code(), StatusCode::InvalidArgument);
+        EXPECT_NE(r.status().message().find("alignFracBits"),
+                  std::string::npos);
+    }
     {
         EngineOptions o = good;
         o.maxBatch = 0;

@@ -107,41 +107,6 @@ TEST(HwConfig, DescribeMentionsEngineAndFormat)
     EXPECT_NE(text.find("BF16"), std::string::npos);
 }
 
-TEST(HwConfig, NumericsPlumbsExecPolicy)
-{
-    HwConfig hw;
-    hw.actFormat = ActFormat::BF16;
-    hw.mu = 6;
-    hw.exec.backend = LutGemmBackend::Simd;
-    hw.exec.threads = 3;
-    hw.exec.blockRows = 17;
-    const NumericsConfig nc = hw.numerics();
-    EXPECT_EQ(nc.actFormat, ActFormat::BF16);
-    EXPECT_EQ(nc.mu, 6);
-    EXPECT_EQ(nc.backend, LutGemmBackend::Simd);
-    EXPECT_EQ(nc.threads, 3);
-    EXPECT_EQ(nc.blockRows, 17);
-}
-
-TEST(ExecConfig, ValidationCatchesBadBlockRows)
-{
-    ExecConfig exec;
-    EXPECT_NO_THROW(exec.validate()); // Reference ignores blockRows
-    exec.blockRows = 0;
-    EXPECT_NO_THROW(exec.validate());
-    exec.backend = LutGemmBackend::Simd;
-    EXPECT_THROW(exec.validate(), FatalError);
-    exec.blockRows = 1;
-    EXPECT_NO_THROW(exec.validate());
-    exec.threads = kMaxLutGemmThreads + 1;
-    EXPECT_THROW(exec.validate(), FatalError);
-
-    HwConfig hw;
-    hw.exec.backend = LutGemmBackend::Simd;
-    hw.exec.blockRows = -2;
-    EXPECT_THROW(hw.validate(), FatalError); // plumbed into HwConfig
-}
-
 TEST(HwConfig, ValidationCatchesBadParams)
 {
     HwConfig hw;
