@@ -423,8 +423,12 @@ BENCHMARK_CAPTURE(BM_QuantizeActivations, bf16, ActFormat::BF16);
  * the column through the same library calls:
  *   0 round     quantizeToFormat of every activation: the rounding
  *               share of stage 1, which rounds each activation once
- *   1 align     preAlignInto of each GEMM's raw activation column
- *   2 lutgen    generateFullIntInto for every mu-chunk
+ *   1 prologue  the dispatched prologueInt of each GEMM's raw
+ *               activation column (alignment, every mu-chunk's table
+ *               and the mantissa sum), read out of an 11-column x as
+ *               the engine's stride-B columns are
+ *   2 scalar    the same calls through the scalar table's prologueInt
+ *               (preAlignInto, the tree fill and the mantissa sum)
  *   3 reads     the dispatched accumIntSpan walk per (GEMM, plane)
  *   4 epilogue  the dispatched alpha and offset folds, then the
  *               scalar y fold
@@ -438,8 +442,8 @@ BENCHMARK_CAPTURE(BM_QuantizeActivations, bf16, ActFormat::BF16);
  *               11 iterations (two full blocks and a 3-column tail)
  * ns_per_iter is one column (stages 6-8: one column's share of the
  * block walk or of the multi-column calls, so stage 6 reads directly
- * against stage 3 and stages 7-8 against stage 5). Stages 1-4 sum to
- * roughly stage 5; the rest is per-call setup.
+ * against stage 3 and stages 7-8 against stage 5). Stages 1, 3 and 4
+ * sum to roughly stage 5; the rest is per-call setup.
  */
 void
 BM_GemmColumnStage(benchmark::State &state)
@@ -459,7 +463,9 @@ BM_GemmColumnStage(benchmark::State &state)
         // Stage 6: kSpanCols columns' tables and plane sums.
         std::vector<std::vector<int64_t>> blockArenas, blockPsums;
         MatrixD xWide; // stages 7-8: the multi-column call's input
+        MatrixD xStrided; // stages 1-2: kStridedCols columns
     };
+    constexpr std::size_t kStridedCols = 11;
     static const std::size_t kWideCols[] = {4, 11};
     LutGemmConfig cfg;
     cfg.preAligned = true;
@@ -471,6 +477,8 @@ BM_GemmColumnStage(benchmark::State &state)
     Rng rng(12);
     Rng blockRng(13); // stage 6's columns; rng's draws stay as they were
     Rng wideRng(14);  // stages 7-8's columns
+    Rng stridedRng(15); // stages 1-2's columns
+    const SimdKernels &scalar = simdKernelsFor(SimdIsa::Scalar);
     const auto stage = state.range(0);
     const std::size_t wideCols = kWideCols[stage == 8 ? 1 : 0];
     std::vector<Gemm> gemms;
@@ -514,6 +522,8 @@ BM_GemmColumnStage(benchmark::State &state)
                 g.blockPsums.emplace_back(shape[0], 0);
             }
             g.xWide = syntheticActivations(shape[1], wideCols, wideRng);
+            g.xStrided =
+                syntheticActivations(shape[1], kStridedCols, stridedRng);
             gemms.push_back(std::move(g));
         }
     }
@@ -534,16 +544,22 @@ BM_GemmColumnStage(benchmark::State &state)
                 benchmark::DoNotOptimize(xq.data());
                 break;
               case 1:
-                preAlignInto(g.x.data(), n, 1, cfg.actFormat,
-                             cfg.alignFracBits, AlignRounding::NearestEven,
-                             g.mant.data());
-                benchmark::DoNotOptimize(g.mant.data());
+              case 2: {
+                IntPrologueGroup group;
+                group.x = g.xStrided.data() + kStridedCols / 2;
+                group.count = n;
+                group.stride = kStridedCols;
+                group.format = cfg.actFormat;
+                group.fracBits = cfg.alignFracBits;
+                group.mu = cfg.mu;
+                group.mant = g.mant.data();
+                group.lut = g.arena.data();
+                const IntPrologueResult r = (stage == 1 ? simd : scalar)
+                                                .prologueInt(group);
+                benchmark::DoNotOptimize(r);
+                benchmark::DoNotOptimize(g.arena.data());
                 break;
-              case 2:
-                for (std::size_t ch = 0; ch < g.keys.totalChunks; ++ch)
-                    gen.generateFullIntInto(g.mant.data() + ch * cfg.mu,
-                                            g.arena.data() + ch * entries);
-                break;
+              }
               case 3:
                 psum.assign(m, 0);
                 for (int i = 0; i < g.w.bits; ++i)

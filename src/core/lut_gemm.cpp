@@ -250,20 +250,36 @@ class LutGemmKernel
         }
     }
 
+    /**
+     * buildFpColumn for the integer path: each group's prologue
+     * (alignment, tables and mantissa sum) is one call of the kernel
+     * table's prologueInt, straight out of x's storage. Its tables
+     * equal fillIntChunk's under every useHalfLut and
+     * useGeneratorTree, since each entry is an exact sum.
+     */
     void
-    buildIntColumn(std::size_t b, IntColumnTables &t, Scratch &s) const
+    buildIntColumn(std::size_t b, IntColumnTables &t, Scratch &s,
+                   const SimdKernels &simd) const
     {
         t.arena.ensure(totalChunks_, lutEntries(config_.mu));
-        t.sumMant.assign(geom_.size(), 0);
-        t.scale.assign(geom_.size(), 1.0);
+        t.sumMant.resize(geom_.size());
+        t.scale.resize(geom_.size());
+        const std::size_t stride = x_.cols();
         for (std::size_t g = 0; g < geom_.size(); ++g) {
             const GroupGeom &gg = geom_[g];
-            t.scale[g] = alignGroup(b, gg, s);
-            for (std::size_t ch = 0; ch < gg.chunks; ++ch)
-                fillIntChunk(chunkMantissas(s, ch),
-                             t.arena.chunk(gg.chunkBase + ch));
-            if (w_.hasOffset)
-                t.sumMant[g] = mantissaSum(s);
+            s.mant.resize(gg.chunks * static_cast<std::size_t>(config_.mu));
+            IntPrologueGroup group;
+            group.x = x_.data() + gg.c0 * stride + b;
+            group.count = gg.c1 - gg.c0;
+            group.stride = stride;
+            group.format = config_.actFormat;
+            group.fracBits = config_.alignFracBits;
+            group.mu = config_.mu;
+            group.mant = s.mant.data();
+            group.lut = t.arena.chunk(gg.chunkBase);
+            const IntPrologueResult r = simd.prologueInt(group);
+            t.scale[g] = alignScale(r.align.sharedExp, config_.alignFracBits);
+            t.sumMant[g] = r.mantSum;
         }
     }
 
@@ -750,7 +766,8 @@ runSimdTiles(const LutGemmKernel &kernel, const PackedLutKeys &pk,
             if (!config.preAligned)
                 kernel.buildFpColumn(first + j, ws.fp[j], ws.scratch);
             else
-                kernel.buildIntColumn(first + j, ws.ig[j], ws.scratch);
+                kernel.buildIntColumn(first + j, ws.ig[j], ws.scratch,
+                                      simd);
         }
         tiles.run([&, block](BlockRange rows) {
             // Rows partition the output: no two tiles share an element
@@ -800,7 +817,9 @@ lutGemmImpl(const BcqTensor &weights, const MatrixD &x,
             const LutGemmConfig &config, const PackedLutKeys *prepacked,
             LutGemmCounters *counters, ExecutionContext *ctx)
 {
-    if (const Status s = validateLutGemmConfig(config); !s.ok())
+    if (const Status s = validateLutGemmConfig(
+            config, std::min(weights.groupSize, weights.cols));
+        !s.ok())
         fatal(s.message());
     if (x.rows() != weights.cols)
         fatal("LUT-GEMM shape mismatch: weights are ", weights.rows, "x",
@@ -908,7 +927,7 @@ parseLutGemmBackend(const std::string &name, LutGemmBackend *out)
 }
 
 Status
-validateLutGemmConfig(const LutGemmConfig &config)
+validateLutGemmConfig(const LutGemmConfig &config, std::size_t groupColumns)
 {
     if (config.mu < 1 || config.mu > kMaxMu)
         return Status::invalidArgument("LUT-GEMM mu must be in [1, ",
@@ -924,6 +943,19 @@ validateLutGemmConfig(const LutGemmConfig &config)
             "LUT-GEMM alignFracBits must be in [", kMinAlignFracBits, ", ",
             kMaxAlignFracBits, "] on the pre-aligned path, got ",
             config.alignFracBits);
+    if (config.preAligned) {
+        int groupBits = 0; // ceil(log2(groupColumns))
+        while ((std::size_t{1} << groupBits) < groupColumns)
+            ++groupBits;
+        if (config.alignFracBits + 1 + groupBits > 62)
+            return Status::invalidArgument(
+                "LUT-GEMM alignFracBits ", config.alignFracBits,
+                " overflows int64 over a ", groupColumns,
+                "-column scale group: mantissas reach 2^",
+                config.alignFracBits + 1, ", so alignFracBits + 1 + ",
+                "ceil(log2(group columns)) must be <= 62; lower ",
+                "alignFracBits to ", 61 - groupBits, " or narrow the group");
+    }
     if (config.backend == LutGemmBackend::Simd && config.blockRows < 1)
         return Status::invalidArgument(
             "LUT-GEMM Simd backend needs blockRows >= 1, got ",

@@ -54,11 +54,14 @@ class ExecutionContext;
  * walks the batch in blocks of up to kSpanCols (core/simd.h) columns,
  * builds each column's LUT arenas exactly once, pre-packs (or reuses
  * pre-packed) per-(plane, chunk) key arrays, and streams blockRows-row
- * tiles, on `threads` workers. The integer path (FIGLUT-I) reads its
- * tables through the runtime-dispatched span kernels of core/simd.h
- * (AVX-512 register tables / AVX2 gathers / NEON lanes, or the
- * portable scalar table), walking each key span once per block with
- * each key looked up in every column's tables. Rows and columns are
+ * tiles, on `threads` workers. The integer path (FIGLUT-I) builds
+ * each column's aligned mantissas and tables through the
+ * runtime-dispatched column prologue of core/simd.h (prologueInt;
+ * Reference keeps preAlignInto and LutGenerator as its oracle), and
+ * reads the tables through the dispatched span kernels (AVX-512
+ * register tables / AVX2 gathers / NEON lanes, or the portable scalar
+ * table), walking each key span once per block with each key looked
+ * up in every column's tables. Rows and columns are
  * independent lanes, so per-row accumulation order is unchanged. The
  * FP path (FIGLUT-F) walks the chunks with a scalar loop instead.
  */
@@ -101,15 +104,21 @@ struct LutGemmConfig
 inline constexpr int kMaxLutGemmThreads = 1024;
 
 /**
- * Validate the shape-independent kernel knobs: mu in [1, kMaxMu],
- * hFFLUT needs mu >= 2, the pre-aligned path needs alignFracBits in
- * [kMinAlignFracBits, kMaxAlignFracBits], the Simd backend needs
- * blockRows >= 1, threads <= kMaxLutGemmThreads. lutGemm() enforces
- * exactly these checks fatally per call; the serve Engine uses the
- * Status form at construction so a serving loop can reject a bad
- * configuration without dying. Messages state the violated bound.
+ * Validate the kernel knobs: mu in [1, kMaxMu], hFFLUT needs mu >= 2,
+ * the pre-aligned path needs alignFracBits in [kMinAlignFracBits,
+ * kMaxAlignFracBits], the Simd backend needs blockRows >= 1, threads
+ * <= kMaxLutGemmThreads. One check depends on the shape: aligned
+ * mantissas reach 2^(alignFracBits + 1), so the LUT entries and plane
+ * sums of a scale group of `groupColumns` columns stay inside int64
+ * only while alignFracBits + 1 + ceil(log2(groupColumns)) <= 62 (the
+ * default, one column, never trips it). lutGemm() enforces exactly
+ * these checks fatally per call, with its tensor's widest group; the
+ * serve Engine uses the Status form at construction, with its model's
+ * widest GEMM input, so a serving loop can reject a bad configuration
+ * without dying. Messages state the violated bound.
  */
-Status validateLutGemmConfig(const LutGemmConfig &config);
+Status validateLutGemmConfig(const LutGemmConfig &config,
+                             std::size_t groupColumns = 1);
 
 /**
  * Operation counters filled in by the kernel (drive energy models).

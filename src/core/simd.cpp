@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/logging.h"
 #include "core/attention_kernel.h"
+#include "core/lut.h"
+#include "core/lut_generator.h"
 #include "core/vector_kernels.h"
 
 namespace figlut {
@@ -20,6 +24,50 @@ namespace simd_detail {
  * Reference-vs-Simd differential suite proves), and the reductions follow the
  * fixed kSimdReduceLanes-strided order documented in simd.h.
  */
+
+IntPrologueResult
+prologueIntScalar(const IntPrologueGroup &group)
+{
+    const std::size_t mu = static_cast<std::size_t>(group.mu);
+    const std::size_t chunks = (group.count + mu - 1) / mu;
+    const std::size_t padded = chunks * mu;
+    IntPrologueResult out;
+    out.align = preAlignInto(group.x, group.count, group.stride,
+                             group.format, group.fracBits,
+                             AlignRounding::NearestEven, group.mant);
+    std::fill(group.mant + group.count, group.mant + padded,
+              std::int64_t{0});
+    const std::size_t entries = lutEntries(group.mu);
+    if (group.mu >= 2) {
+        const LutGenerator gen(group.mu, FpArith::Fp32);
+        for (std::size_t c = 0; c < chunks; ++c)
+            gen.generateFullIntInto(group.mant + c * mu,
+                                    group.lut + c * entries);
+    } else {
+        for (std::size_t c = 0; c < chunks; ++c)
+            LutI::buildDirectInto(group.mant + c * mu, group.mu,
+                                  group.lut + c * entries);
+    }
+    for (std::size_t i = 0; i < padded; ++i)
+        out.mantSum += group.mant[i];
+    return out;
+}
+
+std::uint64_t
+alignRoundScalar(const double *x, std::size_t stride, std::size_t n,
+                 std::size_t first, ActFormat format, std::uint64_t *bits)
+{
+    std::uint64_t maxField = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double q = quantizeToFormat(x[i * stride], format);
+        if (!std::isfinite(q))
+            fatal("pre-alignment input ", first + i, " is not finite");
+        std::memcpy(&bits[i], &q, sizeof q);
+        maxField = std::max<std::uint64_t>(maxField,
+                                           (bits[i] >> 52) & 0x7ffu);
+    }
+    return maxField;
+}
 
 void
 accumIntSpanScalar(std::int64_t *psum, const std::int64_t *lut,
@@ -120,7 +168,8 @@ geluFlatScalar(double *out, const double *v, std::size_t n)
 }
 
 const SimdKernels kScalarKernels = {
-    SimdIsa::Scalar,        accumIntSpanScalar,
+    SimdIsa::Scalar,        prologueIntScalar,
+    accumIntSpanScalar,
     accumIntSpanColsEach<accumIntSpanScalar>,
     foldIntPlaneFp32Scalar, foldOffsetFp32Scalar,
     addFlatScalar,          sumLanesScalar,

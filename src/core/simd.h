@@ -17,8 +17,8 @@
  * AVX2, AVX-512 and NEON tables write only their int64 span kernels
  * (accumIntSpan, accumIntSpanCols) in intrinsics; every other entry
  * is one generic-vector body compiled per unit at its native width:
- * core/vector_kernels.h for the folds, addFlat, sumLanes,
- * sumSqDevLanes, normalizeFlat and geluFlat, and
+ * core/vector_kernels.h for the column prologue, the folds, addFlat,
+ * sumLanes, sumSqDevLanes, normalizeFlat and geluFlat, and
  * core/attention_kernel.h for attentionHead. The two transcendentals,
  * exp (in the attention softmax and in GELU) and GELU itself, are the
  * repo's own (kernelExp and kernelGelu below), so no entry's bits
@@ -44,6 +44,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+
+#include "numerics/prealign.h"
 
 namespace figlut {
 
@@ -137,6 +139,35 @@ struct AttentionHead
 };
 
 /**
+ * One scale group of one FIGLUT-I activation column, the input of
+ * SimdKernels::prologueInt: `count` activations x[0], x[stride], ...
+ * (a column of the N x B activation matrix has stride B), aligned to
+ * `fracBits` fraction bits in `format` and cut into chunks =
+ * ceil(count / mu) mu-element LUT chunks. mant and lut are the
+ * caller's outputs.
+ */
+struct IntPrologueGroup
+{
+    const double *x = nullptr;
+    std::size_t count = 0;
+    std::size_t stride = 1;
+    ActFormat format = ActFormat::FP16;
+    int fracBits = 24;
+    int mu = 4;
+    /** chunks * mu aligned mantissas, zero past count. */
+    std::int64_t *mant = nullptr;
+    /** chunks decoded tables, chunk c's 2^mu entries at c * 2^mu. */
+    std::int64_t *lut = nullptr;
+};
+
+/** What prologueInt returns besides its two arrays. */
+struct IntPrologueResult
+{
+    AlignHeader align;        ///< preAlignInto's block header
+    std::int64_t mantSum = 0; ///< sum of the group's mantissas
+};
+
+/**
  * The dispatch table. All kernels follow the scalar implementations
  * bit for bit (see the file comment); `n` may be any length including
  * 0 — ISA implementations handle the sub-vector tail with the scalar
@@ -145,6 +176,29 @@ struct AttentionHead
 struct SimdKernels
 {
     SimdIsa isa = SimdIsa::Scalar;
+
+    /**
+     * The FIGLUT-I column prologue of one scale group (see
+     * IntPrologueGroup), the pre-alignment unit and the LUT generator
+     * in one call. Bit for bit it is the scalar table's:
+     *
+     *   align   = preAlignInto(x, count, stride, format, fracBits,
+     *                          NearestEven, mant), mant zero-padded
+     *             to whole chunks;
+     *   lut     = each chunk's table from LutGenerator's tree fill
+     *             (generateFullIntInto; direct enumeration at mu = 1);
+     *   mantSum = the sum of the mantissas.
+     *
+     * Every table entry, sum_j (bit_j(key) ? m_j : -m_j), and the sum
+     * are exact int64 sums, so any evaluation order gives the same
+     * bits as long as none leaves int64: the caller keeps fracBits +
+     * 1 + ceil(log2(count)) <= 62 (validateLutGemmConfig). The integer
+     * table does not depend on LutGemmConfig's useHalfLut or
+     * useGeneratorTree. Non-finite activations after rounding, and
+     * fracBits outside [kMinAlignFracBits, kMaxAlignFracBits], are
+     * fatal, as in preAlignInto.
+     */
+    IntPrologueResult (*prologueInt)(const IntPrologueGroup &group);
 
     /**
      * The FIGLUT-I RAC accumulate over one group's whole chunk span,

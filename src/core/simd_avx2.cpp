@@ -97,7 +97,8 @@ accumIntSpanAvx2(std::int64_t *psum, const std::int64_t *lut,
 }
 
 const SimdKernels kAvx2Kernels = {
-    SimdIsa::Avx2,        accumIntSpanAvx2,
+    SimdIsa::Avx2,        prologueIntBody,
+    accumIntSpanAvx2,
     accumIntSpanColsEach<accumIntSpanAvx2>,
     foldIntPlaneFp32Body, foldOffsetFp32Body,
     addFlatBody,          sumLanesBody,

@@ -56,17 +56,70 @@ rowKeys(const std::uint32_t *k)
 }
 
 /**
- * The span walk of simd.h for 32-row blocks with the chunk's table in
- * registers, over a block of Cols activation columns that share the
- * keys: each 8-key vector is loaded and widened once per chunk, then
- * looked up in every column's table. Column j's rows accumulate in
- * their own registers in chunk order, exactly as a Cols = 1 walk of
- * column j alone would. The masked loads read exactly lutStride
- * entries, so a table narrower than 16 never touches memory past its
- * slab; keys are below lutStride, so the zeroed lanes are never
- * selected. At Cols = 4 the walk holds 4 key vectors and 4 x (2 table
- * + 4 accumulator) registers: 28 of the 32 zmm. Tail rows and wider
- * tables run the AVX2 kernel once per column.
+ * The span walk of simd.h for the 32-row blocks of rows [0, n) with
+ * the chunk's table in registers, over a block of Cols activation
+ * columns that share the keys: each 8-key vector is loaded and widened
+ * once per chunk, then looked up in every column's table. Column j's
+ * rows accumulate in their own registers in chunk order, exactly as a
+ * Cols = 1 walk of column j alone would. A FullTable (lutStride = 16,
+ * mu = 4, the serving case) loads as two plain zmm; a narrower one
+ * loads exactly lutStride entries through masks, so it never touches
+ * memory past its slab; keys are below lutStride, so the zeroed lanes
+ * are never selected. At Cols = 4 the walk holds 4 key vectors and 4
+ * x (2 table + 4 accumulator) registers: 28 of the 32 zmm. Returns the
+ * first row it did not walk.
+ */
+template <std::size_t Cols, bool FullTable>
+std::size_t
+spanBlocksAvx512(std::int64_t *const *psum,
+                 const std::int64_t *const *lut, std::size_t lutStride,
+                 const std::uint32_t *keys, std::size_t keyStride,
+                 std::size_t chunks, std::size_t n)
+{
+    constexpr std::size_t kVecs = kBlockRows / 8;
+    const __mmask8 loMask = static_cast<__mmask8>(
+        lutStride >= 8 ? 0xFFu : (1u << lutStride) - 1u);
+    const __mmask8 hiMask = static_cast<__mmask8>(
+        lutStride > 8 ? (1u << (lutStride - 8)) - 1u : 0u);
+    std::size_t r = 0;
+    for (; r + kBlockRows <= n; r += kBlockRows) {
+        __m512i p[Cols][kVecs];
+        const std::int64_t *l[Cols];
+        for (std::size_t j = 0; j < Cols; ++j) {
+            l[j] = lut[j];
+            for (std::size_t v = 0; v < kVecs; ++v)
+                p[j][v] = _mm512_loadu_si512(psum[j] + r + 8 * v);
+        }
+        const std::uint32_t *k = keys + r;
+        for (std::size_t c = 0; c < chunks; ++c) {
+            __m512i idx[kVecs];
+            for (std::size_t v = 0; v < kVecs; ++v)
+                idx[v] = rowKeys(k + 8 * v);
+            for (std::size_t j = 0; j < Cols; ++j) {
+                const __m512i lo =
+                    FullTable ? _mm512_loadu_si512(l[j])
+                              : _mm512_maskz_loadu_epi64(loMask, l[j]);
+                const __m512i hi =
+                    FullTable ? _mm512_loadu_si512(l[j] + 8)
+                              : _mm512_maskz_loadu_epi64(hiMask, l[j] + 8);
+                for (std::size_t v = 0; v < kVecs; ++v)
+                    p[j][v] = _mm512_add_epi64(
+                        p[j][v], _mm512_permutex2var_epi64(lo, idx[v], hi));
+                l[j] += lutStride;
+            }
+            k += keyStride;
+        }
+        for (std::size_t j = 0; j < Cols; ++j)
+            for (std::size_t v = 0; v < kVecs; ++v)
+                _mm512_storeu_si512(psum[j] + r + 8 * v, p[j][v]);
+    }
+    return r;
+}
+
+/**
+ * The span walk over Cols columns: register-table blocks for tables
+ * of up to 16 entries, then tail rows (n % 32) and wider tables
+ * through the AVX2 kernel once per column.
  */
 template <std::size_t Cols>
 void
@@ -74,44 +127,13 @@ spanAvx512(std::int64_t *const *psum, const std::int64_t *const *lut,
            std::size_t lutStride, const std::uint32_t *keys,
            std::size_t keyStride, std::size_t chunks, std::size_t n)
 {
-    constexpr std::size_t kVecs = kBlockRows / 8;
     std::size_t r = 0;
-    if (lutStride <= kRegTableEntries) {
-        const __mmask8 loMask = static_cast<__mmask8>(
-            lutStride >= 8 ? 0xFFu : (1u << lutStride) - 1u);
-        const __mmask8 hiMask = static_cast<__mmask8>(
-            lutStride > 8 ? (1u << (lutStride - 8)) - 1u : 0u);
-        for (; r + kBlockRows <= n; r += kBlockRows) {
-            __m512i p[Cols][kVecs];
-            const std::int64_t *l[Cols];
-            for (std::size_t j = 0; j < Cols; ++j) {
-                l[j] = lut[j];
-                for (std::size_t v = 0; v < kVecs; ++v)
-                    p[j][v] = _mm512_loadu_si512(psum[j] + r + 8 * v);
-            }
-            const std::uint32_t *k = keys + r;
-            for (std::size_t c = 0; c < chunks; ++c) {
-                __m512i idx[kVecs];
-                for (std::size_t v = 0; v < kVecs; ++v)
-                    idx[v] = rowKeys(k + 8 * v);
-                for (std::size_t j = 0; j < Cols; ++j) {
-                    const __m512i lo =
-                        _mm512_maskz_loadu_epi64(loMask, l[j]);
-                    const __m512i hi =
-                        _mm512_maskz_loadu_epi64(hiMask, l[j] + 8);
-                    for (std::size_t v = 0; v < kVecs; ++v)
-                        p[j][v] = _mm512_add_epi64(
-                            p[j][v],
-                            _mm512_permutex2var_epi64(lo, idx[v], hi));
-                    l[j] += lutStride;
-                }
-                k += keyStride;
-            }
-            for (std::size_t j = 0; j < Cols; ++j)
-                for (std::size_t v = 0; v < kVecs; ++v)
-                    _mm512_storeu_si512(psum[j] + r + 8 * v, p[j][v]);
-        }
-    }
+    if (lutStride == kRegTableEntries)
+        r = spanBlocksAvx512<Cols, true>(psum, lut, lutStride, keys,
+                                         keyStride, chunks, n);
+    else if (lutStride < kRegTableEntries)
+        r = spanBlocksAvx512<Cols, false>(psum, lut, lutStride, keys,
+                                          keyStride, chunks, n);
     if (r < n)
         for (std::size_t j = 0; j < Cols; ++j)
             avx2Kernels().accumIntSpan(psum[j] + r, lut[j], lutStride,
@@ -155,7 +177,8 @@ accumIntSpanColsAvx512(std::int64_t *const *psum,
 }
 
 const SimdKernels kAvx512Kernels = {
-    SimdIsa::Avx512,      accumIntSpanAvx512,
+    SimdIsa::Avx512,      prologueIntBody,
+    accumIntSpanAvx512,
     accumIntSpanColsAvx512,
     foldIntPlaneFp32Body, foldOffsetFp32Body,
     addFlatBody,          sumLanesBody,

@@ -72,7 +72,8 @@ accumIntSpanNeon(std::int64_t *psum, const std::int64_t *lut,
 }
 
 const SimdKernels kNeonKernels = {
-    SimdIsa::Neon,        accumIntSpanNeon,
+    SimdIsa::Neon,        prologueIntBody,
+    accumIntSpanNeon,
     accumIntSpanColsEach<accumIntSpanNeon>,
     foldIntPlaneFp32Body, foldOffsetFp32Body,
     addFlatBody,          sumLanesBody,

@@ -1,8 +1,8 @@
 /**
  * @file
- * The body of the flat SimdKernels entries (the epilogue folds, the
- * layer norm reductions and normalize, the residual add and the GELU),
- * compiled once per ISA: each vector kernel unit (simd_avx2.cpp,
+ * The body of the flat SimdKernels entries (the FIGLUT-I column
+ * prologue, the epilogue folds, the layer norm reductions and
+ * normalize, the residual add and the GELU), compiled once per ISA: each vector kernel unit (simd_avx2.cpp,
  * simd_avx512.cpp, simd_neon.cpp) includes this header under its own
  * target flags and points its table at the bodies. The native vector
  * type and the deterministic exp defined here are also the ones
@@ -27,6 +27,12 @@
  *    table's fold out of line, never to an inlined scalar copy, which
  *    GCC 12.2's SLP vectorizer can merge into a lane-by-lane round
  *    trip (see FIGLUT_ROUND_F32);
+ *  - the column prologue rounds with quantizeToFormat's integer rule
+ *    on the bit pattern, sends every vector holding a lane outside
+ *    the format's normal range (zero excepted) to the scalar
+ *    rounding out of line, and shifts with an exact power-of-two
+ *    multiply and the same 2^52 + 2^51 conversion; its table entries
+ *    and sum are int64 sums, exact in any order;
  *  - the build disables FP contraction.
  */
 
@@ -35,8 +41,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
+#include "core/lut_key.h"
 #include "core/simd.h"
+#include "numerics/fp_format.h"
 
 // Doubles per native vector of the including unit.
 #if defined(__AVX512F__)
@@ -54,11 +63,23 @@ namespace figlut {
 namespace simd_detail {
 
 // The scalar table's entries (simd.cpp) that the bodies call out of line.
+IntPrologueResult prologueIntScalar(const IntPrologueGroup &group);
 void foldIntPlaneFp32Scalar(double *acc, const double *alpha,
                             const std::int64_t *psum, double scale,
                             std::size_t n);
 void foldOffsetFp32Scalar(double *acc, const double *off, double sumx,
                           std::size_t n);
+
+/**
+ * The rounding pass of preAlignInto over the n values x[0],
+ * x[stride], ...: each rounded by quantizeToFormat, its bits stored to
+ * bits[i]. Returns the largest biased exponent field among them, 0
+ * when all are zero. A non-finite result is fatal and names input
+ * first + i.
+ */
+std::uint64_t alignRoundScalar(const double *x, std::size_t stride,
+                               std::size_t n, std::size_t first,
+                               ActFormat format, std::uint64_t *bits);
 
 namespace {
 
@@ -83,6 +104,10 @@ typedef std::uint64_t U64Vec
 typedef std::uint64_t U64VecU
     __attribute__((vector_size(FIGLUT_VEC_LANES * sizeof(double)),
                    aligned(sizeof(double)), may_alias));
+
+/** The native vector's lanes as signed 64-bit integers. */
+typedef std::int64_t I64Vec
+    __attribute__((vector_size(FIGLUT_VEC_LANES * sizeof(double))));
 
 /** The native vector's lanes as binary32. */
 typedef float F32Vec
@@ -360,6 +385,302 @@ geluFlatBody(double *out, const double *v, std::size_t n)
         FIGLUT_VEC_AT(out + i) = geluOf<Vec>(FIGLUT_VEC_LOAD(v + i));
     for (; i < n; ++i)
         out[i] = geluOf(v[i]);
+}
+
+/** True when the sign bit of some lane of v is set. */
+inline bool
+anyNegative(const I64Vec &v)
+{
+    std::int64_t any = 0;
+    for (std::size_t l = 0; l < kLanes; ++l)
+        any |= v[l];
+    return any < 0;
+}
+
+/**
+ * The kLanes values x[0], x[stride], ... as bit patterns, built in
+ * registers: one brace-initialized vector, which GCC assembles with
+ * inserts, where lane-by-lane stores would round-trip the stack and
+ * stall the vector reload on store forwarding.
+ */
+template <std::size_t... L>
+inline U64Vec
+gatherLaneBits(const double *x, std::size_t stride,
+               std::index_sequence<L...>)
+{
+    return U64Vec{__builtin_bit_cast(std::uint64_t, x[L * stride])...};
+}
+
+inline U64Vec
+loadLaneBits(const double *x, std::size_t stride)
+{
+    if (stride == 1)
+        return FIGLUT_U64_LOAD(x);
+    return gatherLaneBits(x, stride, std::make_index_sequence<kLanes>{});
+}
+
+/**
+ * quantizeToFormat's bit-pattern rounding (numerics/fp_format.h) for
+ * FP16 or BF16, on the kLanes values u. It is exact for a value whose
+ * unbiased exponent lies in [minExp, maxExp - 1], and maps +-0 to
+ * itself; every other lane sets the sign bit of its lane of `outside`
+ * and its result is not used.
+ */
+template <ActFormat Fmt>
+inline U64Vec
+roundToFormatLanes(const U64Vec &u, I64Vec &outside)
+{
+    constexpr FpSpec kSpec = Fmt == ActFormat::FP16 ? kFp16Spec : kBf16Spec;
+    constexpr int kShift = 52 - kSpec.mantBits;
+    constexpr std::uint64_t kHalf = std::uint64_t{1} << (kShift - 1);
+    constexpr std::uint64_t kLow = (std::uint64_t{1} << kShift) - 1;
+    constexpr std::int64_t kLowField = 1023 + kSpec.minExp();
+    constexpr std::int64_t kFieldSpan = kSpec.maxExp() - 1 - kSpec.minExp();
+    const I64Vec d = reinterpret_cast<I64Vec>((u >> 52) & 0x7ff) - kLowField;
+    const I64Vec nonzero = reinterpret_cast<I64Vec>(u << 1) != 0;
+    outside |= (d | (kFieldSpan - d)) & nonzero;
+    return (u + (kHalf - 1) + ((u >> kShift) & 1)) & ~kLow;
+}
+
+/** The biased exponent fields of u's lanes. */
+inline I64Vec
+exponentFields(const U64Vec &u)
+{
+    return reinterpret_cast<I64Vec>((u >> 52) & 0x7ff);
+}
+
+/** v's lanes rotated down by H: lane l holds lane (l + H) % kLanes. */
+template <std::size_t H, std::size_t... L>
+inline I64Vec
+rotateLanes(const I64Vec &v, std::index_sequence<L...>)
+{
+    return __builtin_shufflevector(v, v, ((L + H) % kLanes)...);
+}
+
+/**
+ * The largest lane of v, by halving rotations, so that v stays in a
+ * register (reading its lanes one by one puts it on the stack).
+ */
+inline std::int64_t
+maxLane(I64Vec v)
+{
+    constexpr auto kIdx = std::make_index_sequence<kLanes>{};
+    I64Vec r;
+    if constexpr (kLanes >= 8) {
+        r = rotateLanes<4>(v, kIdx);
+        v = v > r ? v : r;
+    }
+    if constexpr (kLanes >= 4) {
+        r = rotateLanes<2>(v, kIdx);
+        v = v > r ? v : r;
+    }
+    r = rotateLanes<1>(v, kIdx);
+    v = v > r ? v : r;
+    return v[0];
+}
+
+/**
+ * The rounding pass when some lane of the whole vectors lies outside
+ * the format's normal range: each vector holding one runs the scalar
+ * rounding, so zero, subnormal, overflowing and non-finite values get
+ * quantizeToFormat's result (and its fatal). Returns the largest
+ * exponent field.
+ */
+template <ActFormat Fmt>
+__attribute__((noinline)) std::int64_t
+alignRoundMixed(const double *x, std::size_t stride, std::size_t whole,
+                std::uint64_t *bits)
+{
+    I64Vec maxField = I64Vec{};
+    for (std::size_t i = 0; i < whole; i += kLanes) {
+        I64Vec outside = I64Vec{};
+        const U64Vec r = roundToFormatLanes<Fmt>(
+            loadLaneBits(x + i * stride, stride), outside);
+        if (anyNegative(outside)) {
+            const I64Vec f = I64Vec{} + static_cast<std::int64_t>(
+                alignRoundScalar(x + i * stride, stride, kLanes, i, Fmt,
+                                 bits + i));
+            maxField = maxField > f ? maxField : f;
+            continue;
+        }
+        *reinterpret_cast<U64VecU *>(bits + i) = r;
+        const I64Vec f = exponentFields(r);
+        maxField = maxField > f ? maxField : f;
+    }
+    return maxLane(maxField);
+}
+
+/**
+ * The aligned mantissa of q, a double or each lane of a Vec, as bits:
+ * q * shift is exact (a power-of-two multiply), and for |q * shift| <
+ * 2^51 adding 2^52 + 2^51 rounds it to the nearest integer, ties to
+ * even, in the low bits, which subtracting the sum's bits recovers:
+ * preAlignInto's roundHalfEven and int64 conversion in one step.
+ */
+template <typename T>
+inline typename BitsOf<T>::type
+alignedMantissa(T q, double shift)
+{
+    typedef typename BitsOf<T>::type U;
+    constexpr double kMagic = 6755399441055744.0; // 2^52 + 2^51
+    constexpr std::uint64_t kMagicBits = 0x4338000000000000;
+    return __builtin_bit_cast(U, q * shift + kMagic) - kMagicBits;
+}
+
+/**
+ * preAlignInto (NearestEven) of one FP16 or BF16 group into
+ * group.mant at fracBits <= kMaxVectorAlignFracBits. Lanes hold
+ * independent values: the rounding is quantizeToFormat's rule on the
+ * bit pattern, with lanes outside the format's normal range sent to
+ * the scalar rounding; the shared exponent is a lane max of the
+ * exponent fields (zeros have field 0, so 0 means all zero); the
+ * shift is alignedMantissa.
+ */
+template <ActFormat Fmt>
+AlignHeader
+alignGroupLanes(const IntPrologueGroup &g)
+{
+    // Locals: the stores through bits could alias g's fields.
+    const double *x = g.x;
+    const std::size_t count = g.count, stride = g.stride;
+    std::uint64_t *bits = reinterpret_cast<std::uint64_t *>(g.mant);
+    const std::size_t whole = count - count % kLanes;
+    I64Vec maxField = I64Vec{}, outside = I64Vec{};
+    for (std::size_t i = 0; i < whole; i += kLanes) {
+        const U64Vec r = roundToFormatLanes<Fmt>(
+            loadLaneBits(x + i * stride, stride), outside);
+        *reinterpret_cast<U64VecU *>(bits + i) = r;
+        const I64Vec f = exponentFields(r);
+        maxField = maxField > f ? maxField : f;
+    }
+    std::int64_t maxExp = anyNegative(outside)
+                              ? alignRoundMixed<Fmt>(x, stride, whole, bits)
+                              : maxLane(maxField);
+    const std::int64_t tailMax = static_cast<std::int64_t>(
+        alignRoundScalar(x + whole * stride, stride, count - whole, whole,
+                         Fmt, bits + whole));
+    maxExp = maxExp > tailMax ? maxExp : tailMax;
+
+    AlignHeader header;
+    if (maxExp == 0) {
+        for (std::size_t i = 0; i < count; ++i)
+            bits[i] = 0;
+        return header;
+    }
+    header.allZero = false;
+    header.sharedExp = static_cast<int>(maxExp - 1023);
+    // 2^(fracBits - sharedExp), whose field 1023 + fracBits - sharedExp
+    // lies in [898, 1097] for FP16 and BF16.
+    const double shift = __builtin_bit_cast(
+        double, static_cast<std::uint64_t>(2046 + g.fracBits - maxExp)
+                    << 52);
+    std::size_t i = 0;
+    for (; i < whole; i += kLanes)
+        *reinterpret_cast<U64VecU *>(bits + i) = alignedMantissa(
+            reinterpret_cast<Vec>(FIGLUT_U64_LOAD(bits + i)), shift);
+    for (; i < count; ++i)
+        bits[i] = alignedMantissa(__builtin_bit_cast(double, bits[i]), shift);
+    return header;
+}
+
+/** Largest fracBits alignedMantissa is exact for: |m| < 2^51. */
+constexpr int kMaxVectorAlignFracBits = 50;
+
+/**
+ * Each of `chunks` chunks' decoded 2^Mu-entry table from its Mu
+ * mantissas, entry key = sum_j (bit Mu-1-j of key ? m_j : -m_j), in
+ * wrapping uint64 adds (exact while the entry fits int64). Lanes hold
+ * the keys of one table: the term of m_j is (m_j ^ s) - s with s all
+ * ones where the key's bit is clear, and s depends only on the key, so
+ * it is a constant per vector. Returns the sum of the all-plus entries
+ * (key 2^Mu - 1), which is the chunks' mantissa sum.
+ */
+template <int Mu>
+std::int64_t
+fillIntTablesLanes(const std::int64_t *mant, std::size_t chunks,
+                   std::int64_t *lut)
+{
+    constexpr std::size_t kEntries = std::size_t{1} << Mu;
+    const std::uint64_t *m = reinterpret_cast<const std::uint64_t *>(mant);
+    std::uint64_t *out = reinterpret_cast<std::uint64_t *>(lut);
+    if constexpr (kEntries < kLanes) {
+        // Tables narrower than a vector: one entry at a time.
+        std::uint64_t sum = 0;
+        for (std::size_t c = 0; c < chunks; ++c, m += Mu, out += kEntries) {
+            for (std::size_t key = 0; key < kEntries; ++key) {
+                std::uint64_t e = 0;
+                for (int j = 0; j < Mu; ++j)
+                    e += (key >> (Mu - 1 - j)) & 1 ? m[j] : 0 - m[j];
+                out[key] = e;
+            }
+            sum += out[kEntries - 1];
+        }
+        return static_cast<std::int64_t>(sum);
+    } else {
+        U64Vec keys;
+        for (std::size_t l = 0; l < kLanes; ++l)
+            keys[l] = l;
+        U64Vec last = U64Vec{};
+        for (std::size_t c = 0; c < chunks; ++c, m += Mu, out += kEntries) {
+            U64Vec mj[Mu];
+            for (int j = 0; j < Mu; ++j)
+                mj[j] = U64Vec{} + m[j];
+            U64Vec e;
+            for (std::size_t k = 0; k < kEntries; k += kLanes) {
+                e = U64Vec{};
+                for (int j = 0; j < Mu; ++j) {
+                    const U64Vec s = (((keys + k) >> (Mu - 1 - j)) & 1) - 1;
+                    e += (mj[j] ^ s) - s;
+                }
+                *reinterpret_cast<U64VecU *>(out + k) = e;
+            }
+            last += e;
+        }
+        return static_cast<std::int64_t>(last[kLanes - 1]);
+    }
+}
+
+/** fillIntTablesLanes at the runtime mu, in [Mu, kMaxMu]. */
+template <int Mu = 1>
+inline std::int64_t
+fillIntTablesAt(int mu, const std::int64_t *mant, std::size_t chunks,
+                std::int64_t *lut)
+{
+    if constexpr (Mu < kMaxMu) {
+        if (mu != Mu)
+            return fillIntTablesAt<Mu + 1>(mu, mant, chunks, lut);
+    }
+    return fillIntTablesLanes<Mu>(mant, chunks, lut);
+}
+
+/**
+ * prologueInt (the contract in simd.h). FP16 and BF16 groups at
+ * fracBits in [kMinAlignFracBits, kMaxVectorAlignFracBits] align in
+ * lanes; FP32 and wider fractions keep preAlignInto. The tables are
+ * filled in lanes either way.
+ */
+inline IntPrologueResult
+prologueIntBody(const IntPrologueGroup &g)
+{
+    if (g.mu < 1 || g.mu > kMaxMu)
+        return prologueIntScalar(g); // which rejects it
+    const std::size_t mu = static_cast<std::size_t>(g.mu);
+    const std::size_t chunks = (g.count + mu - 1) / mu;
+    IntPrologueResult out;
+    const bool lanes = g.fracBits >= kMinAlignFracBits &&
+                       g.fracBits <= kMaxVectorAlignFracBits;
+    if (lanes && g.format == ActFormat::FP16)
+        out.align = alignGroupLanes<ActFormat::FP16>(g);
+    else if (lanes && g.format == ActFormat::BF16)
+        out.align = alignGroupLanes<ActFormat::BF16>(g);
+    else
+        out.align = preAlignInto(g.x, g.count, g.stride, g.format,
+                                 g.fracBits, AlignRounding::NearestEven,
+                                 g.mant);
+    for (std::size_t i = g.count; i < chunks * mu; ++i)
+        g.mant[i] = 0;
+    out.mantSum = fillIntTablesAt(g.mu, g.mant, chunks, g.lut);
+    return out;
 }
 
 /**

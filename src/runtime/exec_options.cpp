@@ -50,13 +50,14 @@ makeGemmConfig(const ExecOptions &exec, int mu)
 }
 
 Status
-validateExecOptions(const ExecOptions &exec, int mu)
+validateExecOptions(const ExecOptions &exec, int mu,
+                    std::size_t groupColumns)
 {
     if (exec.shards > kMaxShards)
         return Status::invalidArgument(
             "ExecOptions::shards must be <= ", kMaxShards, ", got ",
             exec.shards, " (<= 0 selects FIGLUT_SHARDS, else 1)");
-    return validateLutGemmConfig(makeGemmConfig(exec, mu));
+    return validateLutGemmConfig(makeGemmConfig(exec, mu), groupColumns);
 }
 
 } // namespace figlut

@@ -67,11 +67,13 @@ LutGemmConfig makeGemmConfig(const ExecOptions &exec, int mu);
 /**
  * Validate the execution knobs for LUT group size mu without running a
  * kernel: threads bound, blockRows positivity, mu range, hFFLUT
- * constraints, the pre-aligned alignFracBits range — the same checks
+ * constraints, the pre-aligned alignFracBits range and its int64 bound
+ * over scale groups of up to `groupColumns` columns — the same checks
  * lutGemm() enforces fatally, surfaced as a recoverable Status for the
  * serving construction paths.
  */
-Status validateExecOptions(const ExecOptions &exec, int mu);
+Status validateExecOptions(const ExecOptions &exec, int mu,
+                           std::size_t groupColumns = 1);
 
 } // namespace figlut
 

@@ -106,7 +106,14 @@ validateEngineConfig(const OptConfig &model, const EngineOptions &options)
                 " layers x ", blockBytes, "-byte blocks = ", floor,
                 " bytes); raise the budget or shrink kvBlockTokens");
     }
-    return validateExecOptions(options.exec, options.model.mu);
+    // The widest GEMM input is FC2's ffn columns; a scale group spans
+    // at most groupSize of them (0 = the whole row).
+    const std::size_t widest = std::max(model.hidden, model.ffn);
+    const std::size_t groupColumns =
+        options.model.groupSize == 0
+            ? widest
+            : std::min(options.model.groupSize, widest);
+    return validateExecOptions(options.exec, options.model.mu, groupColumns);
 }
 
 KvArena::Options

@@ -24,8 +24,11 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/rng.h"
+#include "core/lut_key.h"
 #include "core/simd.h"
+#include "numerics/fp_format.h"
 
 namespace figlut {
 
@@ -292,6 +295,209 @@ expectFlatEntriesMatchScalar(const SimdKernels &vec,
                       bitsOf(scalar.sumSqDevLanes(a.data(), mean, n)))
                 << "sumSqDevLanes " << what;
         }
+    }
+}
+
+/**
+ * One activation for the column prologue in `fmt`, by `kind`:
+ *  0: a normal scaled well inside the format's normal range;
+ *  1: mostly kind 0, mixed with +-0, FP16/BF16 subnormals, values
+ *     whose rounding carries into the next binade (at the top normal
+ *     binade too), rounding ties, and finite values in the top binade
+ *     (which quantizeToFormat rounds on its full-range path);
+ *  2: +-0 only.
+ * Every draw rounds to a finite value.
+ */
+inline double
+drawPrologueValue(Rng &rng, ActFormat fmt, int kind)
+{
+    const double sign = rng.uniformInt(0, 1) == 1 ? -1.0 : 1.0;
+    if (kind == 2)
+        return sign * 0.0;
+    const bool bf16 = fmt == ActFormat::BF16;
+    const int mant = bf16 ? 7 : 10;
+    const int top = bf16 ? 127 : 15; // the format's maxExp
+    const int lo = bf16 ? -100 : -10, hi = bf16 ? 100 : 10;
+    const double normal = std::ldexp(
+        rng.normal(), static_cast<int>(rng.uniformInt(lo, hi)));
+    if (kind == 0)
+        return normal;
+    switch (rng.uniformInt(0, 9)) {
+      case 0:
+        return sign * 0.0;
+      case 1: { // subnormal in the format
+        const int sub = bf16 ? -126 : -14;
+        return sign * std::ldexp(rng.uniform(),
+                                 sub - static_cast<int>(
+                                           rng.uniformInt(0, mant)));
+      }
+      case 2: { // just below a power of two: rounds up into 2^(e+1)
+        const int e =
+            rng.uniformInt(0, 3) == 0
+                ? top - 1
+                : static_cast<int>(rng.uniformInt(lo, hi));
+        return sign * std::ldexp(2.0 - std::ldexp(1.0, -(mant + 2)), e);
+      }
+      case 3: { // an exact tie between two format values
+        const double odd = static_cast<double>(
+            2 * rng.uniformInt(0, (std::int64_t{1} << mant) - 1) + 1);
+        return sign *
+               std::ldexp(1.0 + odd * std::ldexp(1.0, -(mant + 1)),
+                          static_cast<int>(rng.uniformInt(lo, hi)));
+      }
+      case 4: // finite in the top binade
+        return sign * std::ldexp(1.0 + rng.uniform() * 0.9, top);
+      default:
+        return normal;
+    }
+}
+
+/** Whether prologueInt's sums fit int64 (the validateLutGemmConfig bound). */
+inline bool
+prologueSumsFit(int fracBits, std::size_t n)
+{
+    int log2n = 0;
+    while ((std::size_t{1} << log2n) < n)
+        ++log2n;
+    return fracBits + 1 + log2n <= 62;
+}
+
+/**
+ * prologueInt of `vec` against the scalar table, every output bit
+ * compared: the mantissas, every chunk's table, the header and the
+ * mantissa sum. n runs over 0..1100, so every vector tail of every
+ * width occurs for each stride; each n draws its format (FP16, BF16
+ * and now and then FP32, which keeps preAlignInto), stride (1 or 11),
+ * fracBits (2, 24, 50, 51 or 60, the last two past the lane path's
+ * exact range; n is cut to the int64 bound there), mu (mostly 4, also
+ * 1-3, 5 and 8, narrower and wider than a vector) and value kind
+ * (drawPrologueValue: in range, mixed specials, all +-0). x, the
+ * mantissas and the tables each end at a guard page.
+ */
+inline void
+expectPrologueMatchesScalar(const SimdKernels &vec, const std::string &name,
+                            Rng &rng)
+{
+    const SimdKernels &scalar = simdKernelsFor(SimdIsa::Scalar);
+    const int kFracBits[] = {2, 24, 50, 51, 60};
+    const int kMus[] = {4, 4, 4, 1, 2, 3, 5, 8};
+    for (std::size_t n0 = 0; n0 <= 1100; ++n0) {
+        const int fracBits = kFracBits[rng.uniformInt(0, 4)];
+        std::size_t n = n0;
+        while (!prologueSumsFit(fracBits, n))
+            n /= 2;
+        const ActFormat fmt =
+            rng.uniformInt(0, 9) == 0
+                ? ActFormat::FP32
+                : (n0 % 2 == 0 ? ActFormat::FP16 : ActFormat::BF16);
+        const std::size_t stride = (n0 / 2) % 2 == 0 ? 1 : 11;
+        const int mu = kMus[rng.uniformInt(0, 7)];
+        const int kind = static_cast<int>(rng.uniformInt(0, 5)) % 3;
+        const std::size_t chunks = (n + mu - 1) / mu;
+        const std::size_t entries = lutEntries(mu);
+        GuardPagedArray<double> x(n * stride);
+        for (std::size_t i = 0; i < n * stride; ++i)
+            x[i] = drawPrologueValue(rng, fmt, kind);
+        const std::string what =
+            name + " n=" + std::to_string(n) + " " + actFormatName(fmt) +
+            " stride=" + std::to_string(stride) + " fracBits=" +
+            std::to_string(fracBits) + " mu=" + std::to_string(mu) +
+            " kind=" + std::to_string(kind);
+
+        struct Out
+        {
+            IntPrologueResult r;
+            std::vector<std::int64_t> mant, lut;
+        };
+        const auto run = [&](const SimdKernels &k) {
+            GuardPagedArray<std::int64_t> mant(chunks * mu),
+                lut(chunks * entries);
+            // Stale contents must not leak into the padded tail.
+            for (std::size_t i = 0; i < mant.size(); ++i)
+                mant[i] = -7;
+            IntPrologueGroup g;
+            g.x = x.data();
+            g.count = n;
+            g.stride = stride;
+            g.format = fmt;
+            g.fracBits = fracBits;
+            g.mu = mu;
+            g.mant = mant.data();
+            g.lut = lut.data();
+            Out o;
+            o.r = k.prologueInt(g);
+            o.mant.assign(mant.data(), mant.data() + mant.size());
+            o.lut.assign(lut.data(), lut.data() + lut.size());
+            return o;
+        };
+        const Out want = run(scalar);
+        const Out got = run(vec);
+        EXPECT_EQ(got.r.align.allZero, want.r.align.allZero) << what;
+        EXPECT_EQ(got.r.align.sharedExp, want.r.align.sharedExp) << what;
+        EXPECT_EQ(got.r.mantSum, want.r.mantSum) << what;
+        EXPECT_EQ(firstBitMismatch(got.mant, want.mant), want.mant.size())
+            << "mantissas " << what;
+        EXPECT_EQ(firstBitMismatch(got.lut, want.lut), want.lut.size())
+            << "tables " << what;
+    }
+}
+
+/**
+ * prologueInt of `k` stays fatal, as preAlignInto is, on NaN, +-inf
+ * and a finite value that rounds to inf, in a whole vector and in the
+ * tail, for each format and stride, and on fracBits outside
+ * [kMinAlignFracBits, kMaxAlignFracBits].
+ */
+inline void
+expectPrologueRejectsLikeScalar(const SimdKernels &k,
+                                const std::string &name)
+{
+    const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), 0.0};
+    constexpr std::size_t n = 37;
+    for (const ActFormat fmt :
+         {ActFormat::FP16, ActFormat::BF16, ActFormat::FP32}) {
+        // Finite, but rounds to inf in the format.
+        const double overflow = fmt == ActFormat::FP16 ? 65520.0 : 1e39;
+        for (const std::size_t stride : {std::size_t{1}, std::size_t{3}}) {
+            for (const std::size_t at : {std::size_t{0}, std::size_t{5},
+                                         n - 1}) {
+                for (double bad : kBad) {
+                    if (bad == 0.0)
+                        bad = overflow;
+                    GuardPagedArray<double> x(n * stride);
+                    GuardPagedArray<std::int64_t> mant(40), lut(160);
+                    for (std::size_t i = 0; i < n * stride; ++i)
+                        x[i] = 1.0 + static_cast<double>(i % 5);
+                    x[at * stride] = bad;
+                    IntPrologueGroup g;
+                    g.x = x.data();
+                    g.count = n;
+                    g.stride = stride;
+                    g.format = fmt;
+                    g.mant = mant.data();
+                    g.lut = lut.data();
+                    EXPECT_THROW(k.prologueInt(g), FatalError)
+                        << name << " " << actFormatName(fmt) << " at=" << at
+                        << " stride=" << stride << " value=" << bad;
+                }
+            }
+        }
+    }
+    for (const int fracBits : {kMinAlignFracBits - 1, kMaxAlignFracBits + 1}) {
+        GuardPagedArray<double> x(8);
+        GuardPagedArray<std::int64_t> mant(8), lut(32);
+        for (std::size_t i = 0; i < 8; ++i)
+            x[i] = 1.0;
+        IntPrologueGroup g;
+        g.x = x.data();
+        g.count = 8;
+        g.fracBits = fracBits;
+        g.mant = mant.data();
+        g.lut = lut.data();
+        EXPECT_THROW(k.prologueInt(g), FatalError)
+            << name << " fracBits=" << fracBits;
     }
 }
 

@@ -258,10 +258,26 @@ TEST(LutGemm, ValidateConfigReportsEachBadKnob)
     }
     cfg.alignFracBits = kMaxAlignFracBits;
     EXPECT_TRUE(validateLutGemmConfig(cfg).ok());
+    // Mantissas reach 2^(f + 1), so a 512-column group sums to 2^(f +
+    // 10): f = 52 is the widest that stays inside int64. Reference
+    // outputs of a 16 x 512 q4 tensor were off by up to 39 at f = 56,
+    // 58 and 60 before the check.
+    for (const int fracBits : {53, 56, 58, 60}) {
+        cfg.alignFracBits = fracBits;
+        s = validateLutGemmConfig(cfg, 512);
+        EXPECT_EQ(s.code(), StatusCode::InvalidArgument) << fracBits;
+        EXPECT_NE(s.message().find("alignFracBits"), std::string::npos);
+        EXPECT_NE(s.message().find("512-column"), std::string::npos);
+    }
+    cfg.alignFracBits = 52;
+    EXPECT_TRUE(validateLutGemmConfig(cfg, 512).ok());
+    EXPECT_FALSE(validateLutGemmConfig(cfg, 513).ok());
     // The FP path never aligns; the knob is ignored.
     cfg.preAligned = false;
     cfg.alignFracBits = kMaxAlignFracBits + 1;
     EXPECT_TRUE(validateLutGemmConfig(cfg).ok());
+    cfg.alignFracBits = 60;
+    EXPECT_TRUE(validateLutGemmConfig(cfg, 512).ok());
 
     cfg = LutGemmConfig{};
     cfg.threads = kMaxLutGemmThreads + 1;
@@ -270,6 +286,35 @@ TEST(LutGemm, ValidateConfigReportsEachBadKnob)
     EXPECT_NE(s.message().find("threads"), std::string::npos);
     cfg.threads = kMaxLutGemmThreads;
     EXPECT_TRUE(validateLutGemmConfig(cfg).ok());
+}
+
+TEST(LutGemm, RejectsAlignFracBitsThatOverflowTheGroupSums)
+{
+    // One 512-column group: f = 52 is exact, f = 56 used to wrap.
+    Rng rng(31);
+    const auto w = syntheticWeights(16, 512, rng);
+    BcqConfig bc;
+    bc.bits = 4;
+    bc.groupSize = 0;
+    bc.useOffset = true;
+    const BcqTensor t = quantizeBcq(w, bc);
+    const MatrixD x = syntheticActivations(512, 2, rng);
+    LutGemmConfig fp;
+    const MatrixD want = lutGemm(t, x, fp);
+    for (const auto backend :
+         {LutGemmBackend::Reference, LutGemmBackend::Simd}) {
+        LutGemmConfig cfg;
+        cfg.preAligned = true;
+        cfg.backend = backend;
+        cfg.alignFracBits = 52;
+        const MatrixD got = lutGemm(t, x, cfg);
+        for (std::size_t i = 0; i < got.size(); ++i)
+            EXPECT_NEAR(got.data()[i], want.data()[i],
+                        1e-2 * (1.0 + std::fabs(want.data()[i])))
+                << i;
+        cfg.alignFracBits = 56;
+        EXPECT_THROW(lutGemm(t, x, cfg), FatalError);
+    }
 }
 
 TEST(LutGemm, BackendNamesCodesAndParsingRoundTrip)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Differential tests for the Simd LUT-GEMM backend and the runtime
- * ISA dispatcher: the span kernels, epilogue folds, flat vector
- * entries and attention head kernel of every ISA against the scalar
- * table, Reference-vs-Simd bit-identity under every ISA over randomized
+ * ISA dispatcher: the column prologue, span kernels, epilogue folds,
+ * flat vector entries and attention head kernel of every ISA against
+ * the scalar table, Reference-vs-Simd bit-identity under every ISA over randomized
  * shapes and configs, cross-ISA bit-identity under forced
  * dispatch, counter equivalence, pre-packed key reuse, and the
  * guarantee that dispatch never selects an ISA the binary was not
@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -239,6 +240,56 @@ TEST(SimdSpanKernels, EveryIsaMatchesScalarTable)
                     }
                 }
             }
+        }
+    }
+}
+
+/**
+ * The FIGLUT-I column prologue of every supported ISA against the
+ * scalar table (simd_kernel_checks.h): n = 0..1100 at strides 1 and 11,
+ * FP16, BF16 and FP32, fracBits 2-60, mu 1-8, with zeros, subnormals,
+ * binade carries and ties, on guard pages; and its fatal inputs.
+ */
+TEST(SimdPrologue, EveryIsaMatchesScalarTable)
+{
+    Rng rng(5000);
+    expectPrologueRejectsLikeScalar(simdKernelsFor(SimdIsa::Scalar),
+                                    "scalar");
+    for (const auto isa : kVectorIsas) {
+        if (!simdIsaSupported(isa))
+            continue;
+        const SimdKernels &vec = simdKernelsFor(isa);
+        ASSERT_EQ(vec.isa, isa);
+        expectPrologueMatchesScalar(vec, simdIsaName(isa), rng);
+        expectPrologueRejectsLikeScalar(vec, simdIsaName(isa));
+    }
+}
+
+/**
+ * A non-finite activation stays fatal through the Simd backend's
+ * prologue under every ISA, as it is through Reference's preAlignInto.
+ */
+TEST(SimdPrologue, NonFiniteActivationIsFatalThroughSimdBackend)
+{
+    GemmCase tc = makeCase(40, 64, 3, 3, 64, true, 5100);
+    LutGemmConfig cfg;
+    cfg.preAligned = true;
+    cfg.threads = 1;
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             1e6 /* rounds to inf in FP16 */}) {
+        GemmCase bent = tc;
+        bent.x(17, 1) = bad;
+        EXPECT_THROW(runBackend(bent, cfg, LutGemmBackend::Reference),
+                     FatalError);
+        for (const auto isa : {SimdIsa::Scalar, SimdIsa::Avx2,
+                               SimdIsa::Neon, SimdIsa::Avx512}) {
+            if (!simdIsaSupported(isa))
+                continue;
+            IsaOverrideGuard guard(isa);
+            EXPECT_THROW(runBackend(bent, cfg, LutGemmBackend::Simd),
+                         FatalError)
+                << simdIsaName(isa) << " " << bad;
         }
     }
 }

@@ -5,7 +5,8 @@
  * the instance simd_neon.cpp compiles, checked on every host against
  * the scalar table. The folds run drawFold's mixes, so a 2-lane vector
  * often holds one psum inside the exact-conversion range and one past
- * it.
+ * it; the column prologue's 2-lane vectors often hold one activation
+ * inside the format's normal range and one outside it.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@ SimdKernels
 bodyTable()
 {
     SimdKernels k = simdKernelsFor(SimdIsa::Scalar);
+    k.prologueInt = simd_detail::prologueIntBody;
     k.foldIntPlaneFp32 = simd_detail::foldIntPlaneFp32Body;
     k.foldOffsetFp32 = simd_detail::foldOffsetFp32Body;
     k.addFlat = simd_detail::addFlatBody;
@@ -42,6 +44,13 @@ TEST(VectorKernelsBaseline, FoldsMatchScalarTable)
 {
     Rng rng(4600);
     expectFoldsMatchScalar(bodyTable(), kName, rng);
+}
+
+TEST(VectorKernelsBaseline, PrologueMatchesScalarTable)
+{
+    Rng rng(4900);
+    expectPrologueMatchesScalar(bodyTable(), kName, rng);
+    expectPrologueRejectsLikeScalar(bodyTable(), kName);
 }
 
 TEST(VectorKernelsBaseline, FlatEntriesMatchScalarTable)

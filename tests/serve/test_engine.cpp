@@ -401,6 +401,27 @@ TEST(Engine, CreateRejectsEachBadKnob)
         EXPECT_NE(r.status().message().find("alignFracBits"),
                   std::string::npos);
     }
+    for (const int fracBits : {57, 60}) {
+        // In range, but FC2's 32-column rows sum mantissas of up to
+        // 2^(f + 1) past int64: f + 1 + log2(32) > 62.
+        EngineOptions o = good;
+        o.exec.alignFracBits = fracBits;
+        const auto r = Engine::create(model, o);
+        ASSERT_FALSE(r.ok()) << fracBits;
+        EXPECT_EQ(r.status().code(), StatusCode::InvalidArgument);
+        EXPECT_NE(r.status().message().find("32-column"),
+                  std::string::npos)
+            << r.status().message();
+    }
+    {
+        EngineOptions o = good;
+        o.exec.alignFracBits = 56;
+        EXPECT_TRUE(Engine::create(model, o).ok());
+        // 8-column scale groups narrow the bound to f + 1 + 3 <= 62.
+        o.exec.alignFracBits = 58;
+        o.model.groupSize = 8;
+        EXPECT_TRUE(Engine::create(model, o).ok());
+    }
     {
         EngineOptions o = good;
         o.maxBatch = 0;
